@@ -14,21 +14,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import RankError, ShapeError, SpecError
-from .lowering import lower_conv2d_I_O, lower_conv3d
 from .netspec import (
-    Conv2dSpec,
-    Conv3dSpec,
     MaterializedNetwork,
-    MeanPoolSpec,
     NetworkSpec,
-    ResidualBlockSpec,
+    RtLayer,
     forward,
+    infer_shapes,
     materialize,
-    random_input,
     to_expandable,
 )
-from .reference import ConvParams
-from .tensor import Tensor, TensorShape
+from .tensor import Tensor, zeros
 
 
 # ---------------------------------------------------------------------------
@@ -79,18 +74,13 @@ def receptive_field(net: NetworkSpec) -> list[dict[str, int]]:
     jump: dict[str, int] = {}
     out = []
     for i, spec in enumerate(net.layers):
-        if isinstance(spec, (Conv2dSpec, Conv3dSpec)):
-            layer_axes = ("H", "W") if isinstance(spec, Conv2dSpec) else ("H", "W", "D")
-            extents = dict(zip(layer_axes, spec.kernel))
-            stride = spec.stride
-        elif isinstance(spec, MeanPoolSpec):
-            layer_axes = ("H", "W")
-            extents = dict(zip(layer_axes, spec.window))
-            stride = spec.stride
-        else:
+        window = spec.receptive_window()
+        if window is None:
             raise SpecError(
                 f"layer {i} ({spec.kind}): receptive field is defined for conv/pool stacks only"
             )
+        layer_axes, kernel, stride = window
+        extents = dict(zip(layer_axes, kernel))
         if axes is None:
             axes = layer_axes
             rf = {a: 1 for a in axes}
@@ -109,10 +99,6 @@ def receptive_field(net: NetworkSpec) -> list[dict[str, int]]:
 # ---------------------------------------------------------------------------
 # low-rank updates
 # ---------------------------------------------------------------------------
-
-_ATTN_TARGETS = ("w_q", "w_k", "w_v", "w_o", "w_2", "w_3")
-_RESIDUAL_TARGETS = ("w_1", "w_2")
-
 
 @dataclass(frozen=True)
 class LoraDelta:
@@ -153,50 +139,26 @@ class LoraDelta:
         return self.b @ self.a
 
 
-def _target_matrix(rt, target: str) -> np.ndarray:
-    spec = rt.spec
-    if isinstance(spec, (Conv2dSpec, Conv3dSpec)):
-        w = rt.conv_weights.data
-        return w.reshape(w.shape[0], -1)
-    if rt.attn_params is not None:
-        if target not in _ATTN_TARGETS:
-            raise SpecError(f"unknown attention target {target!r} (have {_ATTN_TARGETS})")
-        return getattr(rt.attn_params, target)
-    if rt.residual is not None:
-        if target not in _RESIDUAL_TARGETS:
-            raise SpecError(f"unknown residual target {target!r} (have {_RESIDUAL_TARGETS})")
-        return getattr(rt.residual, target)
-    raise SpecError(f"layer {rt.index} ({spec.kind}) has no adjustable matrix")
-
-
 def apply_lora(net: MaterializedNetwork, delta: LoraDelta) -> MaterializedNetwork:
     """A copy of the network with the targeted matrix replaced by W + BA."""
     if not 0 <= delta.layer < len(net.layers):
         raise SpecError(f"no layer {delta.layer} in a {len(net.layers)}-layer network")
     new = copy.deepcopy(net)
     rt = new.layers[delta.layer]
-    current = _target_matrix(rt, delta.target)
+    current = rt.spec.lora_matrix(rt, delta.target)
     update = delta.update()
     if update.shape != current.shape:
         raise ShapeError(
             f"update shape {update.shape} does not match target {current.shape}"
         )
-    patched = current + update
-    spec = rt.spec
-    if isinstance(spec, (Conv2dSpec, Conv3dSpec)):
-        kshape = rt.conv_weights.data.shape
-        rt.conv_weights = Tensor(rt.conv_weights.shape, patched.reshape(kshape))
-    elif rt.attn_params is not None:
-        rt.attn_params = replace(rt.attn_params, **{delta.target: patched})
-    else:
-        rt.residual = replace(rt.residual, **{delta.target: patched})
+    rt.spec.set_lora_matrix(rt, delta.target, current + update)
     return new
 
 
-def _lower_conv_layer(rt, probe_shape: TensorShape):
-    probe = Tensor(probe_shape, np.zeros(probe_shape.extents))
-    lower = lower_conv2d_I_O if isinstance(rt.spec, Conv2dSpec) else lower_conv3d
-    return lower(probe, rt.conv_params, rt.conv_weights)
+def _conv_wprime(rt: RtLayer, sigma: str) -> np.ndarray:
+    """W' of a conv layer at its input shape (W' does not depend on the values)."""
+    (form,) = rt.spec.lower(rt, zeros(rt.in_shape), sigma)
+    return form.weight_matrix
 
 
 def lora_equivalence_check(
@@ -214,30 +176,19 @@ def lora_equivalence_check(
     report: dict = {"layer": delta.layer, "target": delta.target, "rank": delta.rank}
 
     rt = net.layers[delta.layer]
-    if isinstance(rt.spec, (Conv2dSpec, Conv3dSpec)):
-        base_form = _lower_conv_layer(rt, rt.in_shape)
-        patched_form = _lower_conv_layer(patched.layers[delta.layer], rt.in_shape)
-        kshape = rt.conv_weights.data.shape
+    if rt.conv_weights is not None:
+        base = _conv_wprime(rt, sigma)
+        patched_wprime = _conv_wprime(patched.layers[delta.layer], sigma)
         delta_rt = copy.deepcopy(rt)
-        delta_rt.conv_weights = Tensor(
-            rt.conv_weights.shape, delta.update().reshape(kshape)
-        )
-        delta_form = _lower_conv_layer(delta_rt, rt.in_shape)
-        lin = np.max(
-            np.abs(
-                patched_form.weight_matrix
-                - (base_form.weight_matrix + delta_form.weight_matrix)
-            )
-        )
+        rt.spec.set_lora_matrix(delta_rt, delta.target, delta.update())
+        lin = np.max(np.abs(patched_wprime - (base + _conv_wprime(delta_rt, sigma))))
         report["lowering_linearity_max_abs"] = float(lin)
 
     untouched = []
     for i, (a, b) in enumerate(zip(net.layers, patched.layers)):
-        if i == delta.layer or not isinstance(a.spec, (Conv2dSpec, Conv3dSpec)):
+        if i == delta.layer or a.conv_weights is None:
             continue
-        fa = _lower_conv_layer(a, a.in_shape)
-        fb = _lower_conv_layer(b, b.in_shape)
-        untouched.append(bool(np.array_equal(fa.weight_matrix, fb.weight_matrix)))
+        untouched.append(bool(np.array_equal(_conv_wprime(a, sigma), _conv_wprime(b, sigma))))
     report["untouched_layers_identical"] = all(untouched) if untouched else True
 
     out_base = forward(net, x, sigma)[-1].flat
@@ -272,7 +223,7 @@ def resolve_mask(net: MaterializedNetwork, mask: PruneMask) -> tuple[int, ...]:
     if not 0 <= mask.layer < len(net.layers):
         raise SpecError(f"no layer {mask.layer} in a {len(net.layers)}-layer network")
     rt = net.layers[mask.layer]
-    if not isinstance(rt.spec, (Conv2dSpec, Conv3dSpec)):
+    if rt.conv_weights is None:
         raise SpecError(f"layer {mask.layer} ({rt.spec.kind}): pruning targets conv layers")
     n_out = rt.conv_params.out_channels
     if mask.channels is not None:
@@ -280,15 +231,15 @@ def resolve_mask(net: MaterializedNetwork, mask: PruneMask) -> tuple[int, ...]:
         if any(c < 0 or c >= n_out for c in channels):
             raise SpecError(f"channel indices out of range 0..{n_out - 1}: {channels}")
     else:
-        w = rt.conv_weights.data
-        norms = np.sqrt((w.reshape(n_out, -1) ** 2).sum(axis=1))
-        channels = tuple(int(c) for c in np.flatnonzero(norms < mask.threshold))
+        below = channel_norms(net, mask.layer) < mask.threshold
+        channels = tuple(int(c) for c in np.flatnonzero(below))
     if len(channels) >= n_out:
         raise SpecError("pruning every channel leaves nothing")
     return channels
 
 
 def channel_norms(net: MaterializedNetwork, layer: int) -> np.ndarray:
+    """L2 norm of each output channel's kernel in a conv layer."""
     rt = net.layers[layer]
     w = rt.conv_weights.data
     return np.sqrt((w.reshape(w.shape[0], -1) ** 2).sum(axis=1))
@@ -305,30 +256,12 @@ def prune(net: MaterializedNetwork, mask: PruneMask) -> MaterializedNetwork:
     layers = list(spec.layers)
     layers[mask.layer] = replace(layers[mask.layer], out_channels=len(keep))
     rt = new.layers[mask.layer]
-    kept_w = rt.conv_weights.data[keep]
-    kept_bias = None if rt.conv_params.bias is None else rt.conv_params.bias[keep]
-    rt.conv_params = replace(rt.conv_params, out_channels=len(keep), bias=kept_bias)
-    axes = list(rt.conv_weights.shape.dims)
-    axes[0] = ("C_O", len(keep))
-    rt.conv_weights = Tensor(TensorShape(axes), kept_w)
+    rt.spec.keep_channels(rt, keep, axis=0)
 
-    # shrink the first conv layer downstream that consumes these channels
+    # shrink the first layer downstream that consumes these channels
     for later in new.layers[mask.layer + 1 :]:
-        if isinstance(later.spec, MeanPoolSpec):
-            continue
-        if isinstance(later.spec, (Conv2dSpec, Conv3dSpec)):
-            later.conv_params = replace(later.conv_params, in_channels=len(keep))
-            kept_in = later.conv_weights.data[:, keep]
-            laxes = list(later.conv_weights.shape.dims)
-            laxes[1] = ("C_I", len(keep))
-            later.conv_weights = Tensor(TensorShape(laxes), kept_in)
+        if later.spec.follow_pruning(later, keep):
             break
-        raise SpecError(
-            f"layer {later.index} ({later.spec.kind}) downstream of the pruned layer "
-            "cannot absorb a channel change"
-        )
-
-    from .netspec import infer_shapes
 
     new_spec = replace(spec, layers=tuple(layers))
     new.spec = new_spec

@@ -11,8 +11,9 @@
 Common flags: ``--seed`` overrides the description's seed, ``--cap`` the
 element cap (the UATCV_CAP environment variable is the fallback).
 
-Exit codes: 0 success; 2 parse/validation error; 3 verification failure;
-4 internal invariant breach.  Errors print one line to stderr:
+Exit codes: 0 success; 2 parse/validation error, including a weight
+array over the element cap; 3 verification failure; 4 internal invariant
+breach.  Errors print one line to stderr:
 ``error[<code>]: <message>``.
 """
 
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from .analysis import LoraDelta, PruneMask
 from .errors import ParseError, UatcvError, ValidationError, VerificationError
-from .netspec import materialize, parse_spec, to_expandable, verify_network
+from .netspec import draw_weights, materialize, parse_spec, to_expandable, verify_network
 from .report import build_report, report_json, report_latex
 from .symbolic import classify_params, emit
 from .tensor import SplitMix64, set_element_cap
@@ -94,15 +95,16 @@ def _load(args) -> "tuple":
 
 
 def _random_lora(net, layer: int, rank: int, target: str) -> LoraDelta:
-    from .analysis import _target_matrix
-
     if not 0 <= layer < len(net.layers):
         raise ValidationError(f"no layer {layer} in a {len(net.layers)}-layer network")
-    matrix = _target_matrix(net.layers[layer], target)
-    m, n = matrix.shape
+    if rank < 1:
+        raise ValidationError(f"--lora-rank must be >= 1, got {rank}")
+    rt = net.layers[layer]
+    m, n = rt.spec.lora_matrix(rt, target).shape
     gen = SplitMix64(net.spec.seed + LORA_SEED_OFFSET)
-    b = gen.uniform(m * rank, -1.0, 1.0).reshape(m, rank)
-    a = gen.uniform(rank * n, -1.0, 1.0).reshape(rank, n)
+    where = f"layer {layer} ({rt.spec.kind}) LoRA factor"
+    b = draw_weights(gen, where, m, rank)
+    a = draw_weights(gen, where, rank, n)
     return LoraDelta(layer=layer, a=a, b=b, target=target)
 
 

@@ -25,11 +25,18 @@ bias to false):
 * ``ffn``       hidden_dim
 * ``transformer_block`` heads, hidden_dim
 
+Convolutions also accept ``in_channels``, an optional check against the
+shape chain.  Only fields whose default is null may be given as null:
+``in_channels`` of a convolution and ``hidden_dim`` of a residual block.
+
 All weights are drawn uniformly from [-1, 1) out of a single splitmix
 stream seeded with ``seed``, layer by layer in declaration order (kernel
 then bias for convolutions; w_1, b_1, w_2, b_2 for residual blocks;
 q, k, v, o projections then the FFN stages for attention layers), so a
-description plus its seed pins every number in the network.
+description plus its seed pins every number in the network.  Every weight
+array counts against the element cap, like every stage shape: an array
+over the cap is a ValidationError naming the layer, raised before the
+array is allocated.
 
 Execution conventions: convolutions apply the network activation after the
 layer; pooling and patchify are linear; residual, FFN, and transformer
@@ -41,8 +48,11 @@ values are :class:`~uatcv.tensor.Tensor`; token matrices use axes
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -74,8 +84,11 @@ from .reference import (
     mha_direct,
     patchify,
     transformer_block_direct,
+    unpatchify,
 )
-from .tensor import AXIS_NAMES, SplitMix64, Tensor, TensorShape, flatten
+from .tensor import (
+    AXIS_NAMES, SplitMix64, Tensor, TensorShape, element_cap, flatten, random_uniform, zeros,
+)
 from . import symbolic
 from .symbolic import (
     ChainStage,
@@ -92,78 +105,392 @@ from .symbolic import (
 # ---------------------------------------------------------------------------
 
 
+class LayerSpec:
+    """Base of the layer kinds; each kind's class holds all of its rules:
+    ``validate``, ``infer`` (output shape), ``draw`` (RtLayer weight fields,
+    each array from ``draw(*shape)``), ``apply`` (direct computation),
+    ``lower`` (matrix-vector stages at a value) and ``check``.  Defaults
+    here serve the kinds that lack a part or refuse an analysis."""
+
+    kind: ClassVar[str]
+
+    def infer(self, shape: TensorShape, where: str, producer: str) -> TensorShape:
+        return shape
+
+    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
+        return {}
+
+    def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+        return []
+
+    def receptive_window(self) -> tuple[tuple[str, ...], tuple[int, ...], int] | None:
+        """Spatial axes, extents and stride of the receptive-field window."""
+        return None
+
+    def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
+        """The matrix a low-rank update of ``target`` adds to."""
+        raise SpecError(f"layer {rt.index} ({self.kind}) has no adjustable matrix")
+
+    def follow_pruning(self, rt: RtLayer, keep: list[int]) -> bool:
+        """Follow an upstream pruning to ``keep``; True once it is absorbed."""
+        raise SpecError(
+            f"layer {rt.index} ({self.kind}) downstream of the pruned layer "
+            "cannot absorb a channel change"
+        )
+
+
 @dataclass(frozen=True)
-class Conv2dSpec:
-    kind = "conv2d"
+class _ConvSpec(LayerSpec):
+    """Shared by conv2d and conv3d, keyed on the number of spatial axes."""
+
+    spatial: ClassVar[tuple[str, ...]]
+    out_order: ClassVar[tuple[str, ...] | None]  # flattening order of W'ᵀx'
+
     out_channels: int
-    kernel: tuple[int, int]
+    kernel: tuple[int, ...]
     stride: int = 1
     padding: int = 0
     bias: bool = False
     in_channels: int | None = None  # optional assertion against the shape chain
 
+    def validate(self, where: str) -> None:
+        want = len(self.spatial)
+        if len(self.kernel) != want:
+            raise ValidationError(f"{where}: kernel needs {want} extents, got {self.kernel}")
+        if any(k < 1 for k in self.kernel):
+            raise ValidationError(f"{where}: kernel extents must be >= 1")
+        if self.out_channels < 1:
+            raise ValidationError(f"{where}: out_channels must be >= 1")
+        if self.in_channels is not None and self.in_channels < 1:
+            raise ValidationError(f"{where}: in_channels must be >= 1")
+        if self.stride < 1 or self.padding < 0:
+            raise ValidationError(f"{where}: stride must be >= 1 and padding >= 0")
+
+    def _params(self, in_channels: int, bias: np.ndarray | None = None) -> ConvParams:
+        return ConvParams(
+            in_channels, self.out_channels, self.kernel, self.stride, self.padding, bias
+        )
+
+    def _direct(self, rt: RtLayer, value: Tensor) -> Tensor:
+        direct = conv2d_direct if len(self.spatial) == 2 else conv3d_direct
+        return direct(value, rt.conv_params, rt.conv_weights)
+
+    def infer(self, shape: TensorShape, where: str, producer: str) -> TensorShape:
+        want = ("C_I", *self.spatial)
+        if shape.axes != want:
+            raise ValidationError(
+                f"{where}: needs input axes {want}, previous layer produced {shape}"
+            )
+        if self.in_channels is not None and self.in_channels != shape.extent("C_I"):
+            raise ValidationError(
+                f"{where}: declares in_channels={self.in_channels} but {producer} "
+                f"produces {shape.extent('C_I')} channels"
+            )
+        outs = self._params(shape.extent("C_I")).out_extents(shape.extents[1:])
+        return TensorShape([("C_I", self.out_channels), *zip(self.spatial, outs)])
+
+    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
+        c_in = in_shape.extent("C_I")
+        weights = draw(self.out_channels, c_in, *self.kernel)
+        bias = draw(self.out_channels) if self.bias else None
+        axes = ("C_O", "C_I", *self.spatial)
+        return {
+            "conv_params": self._params(c_in, bias),
+            "conv_weights": Tensor(TensorShape(zip(axes, weights.shape)), weights),
+        }
+
+    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
+        return Tensor(rt.out_shape, activation(sigma)(self._direct(rt, value).data))
+
+    def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+        lower = lower_conv2d_I_O if len(self.spatial) == 2 else lower_conv3d
+        return [lower(value, rt.conv_params, rt.conv_weights)]
+
+    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
+        (form,) = self.lower(rt, value, sigma)
+        direct = self._direct(rt, value)
+        diff = np.max(np.abs(form.evaluate() - flatten(direct, self.out_order)))
+        return LayerCheck(rt.index, self.kind, float(diff), [form])
+
+    def receptive_window(self) -> tuple[tuple[str, ...], tuple[int, ...], int]:
+        return self.spatial, self.kernel, self.stride
+
+    def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
+        # the kernel as its (C_O) x (C_I*kh*kw[*kd]) reshaping; target unused
+        w = rt.conv_weights.data
+        return w.reshape(w.shape[0], -1)
+
+    def set_lora_matrix(self, rt: RtLayer, target: str, matrix: np.ndarray) -> None:
+        kshape = rt.conv_weights.data.shape
+        rt.conv_weights = Tensor(rt.conv_weights.shape, matrix.reshape(kshape))
+
+    def keep_channels(self, rt: RtLayer, keep: list[int], axis: int) -> None:
+        """Keep only the ``keep`` output (axis 0) or input (axis 1) channels."""
+        dims = list(rt.conv_weights.shape.dims)
+        dims[axis] = (dims[axis][0], len(keep))
+        rt.conv_weights = Tensor(TensorShape(dims), rt.conv_weights.data.take(keep, axis=axis))
+        if axis == 0:
+            bias = None if rt.conv_params.bias is None else rt.conv_params.bias[keep]
+            rt.conv_params = replace(rt.conv_params, out_channels=len(keep), bias=bias)
+        else:
+            rt.conv_params = replace(rt.conv_params, in_channels=len(keep))
+
+    def follow_pruning(self, rt: RtLayer, keep: list[int]) -> bool:
+        self.keep_channels(rt, keep, axis=1)
+        return True
+
 
 @dataclass(frozen=True)
-class Conv3dSpec:
+class Conv2dSpec(_ConvSpec):
+    kind = "conv2d"
+    spatial = ("H", "W")
+    out_order = None
+
+
+@dataclass(frozen=True)
+class Conv3dSpec(_ConvSpec):
     kind = "conv3d"
-    out_channels: int
-    kernel: tuple[int, int, int]
-    stride: int = 1
-    padding: int = 0
-    bias: bool = False
-    in_channels: int | None = None
+    spatial = ("H", "W", "D")
+    out_order = ("C_O", "D", "H", "W")
 
 
 @dataclass(frozen=True)
-class MeanPoolSpec:
+class MeanPoolSpec(LayerSpec):
     kind = "mean_pool"
     window: tuple[int, int]
     stride: int = 1
 
+    def validate(self, where: str) -> None:
+        if len(self.window) != 2 or any(k < 1 for k in self.window):
+            raise ValidationError(f"{where}: window needs 2 extents >= 1, got {self.window}")
+        if self.stride < 1:
+            raise ValidationError(f"{where}: stride must be >= 1")
+
+    def infer(self, shape: TensorShape, where: str, producer: str) -> TensorShape:
+        if shape.axes != ("C_I", "H", "W"):
+            raise ValidationError(
+                f"{where}: needs input axes (C_I, H, W), previous layer produced {shape}"
+            )
+        params = PoolParams(window=self.window, stride=self.stride)
+        h_out, w_out = params.out_extents(shape.extents[1:])
+        return TensorShape([("C_I", shape.extent("C_I")), ("H", h_out), ("W", w_out)])
+
+    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
+        return {"pool_params": PoolParams(window=self.window, stride=self.stride)}
+
+    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
+        return Tensor(rt.out_shape, mean_pool_direct(value, rt.pool_params).data)
+
+    def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+        return [lower_mean_pool(value, rt.pool_params)]
+
+    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
+        (form,) = self.lower(rt, value, sigma)
+        direct = mean_pool_direct(value, rt.pool_params)
+        diff = np.max(np.abs(form.evaluate() - flatten(direct)))
+        return LayerCheck(rt.index, self.kind, float(diff), [form])
+
+    def receptive_window(self) -> tuple[tuple[str, ...], tuple[int, ...], int]:
+        return ("H", "W"), self.window, self.stride
+
+    def follow_pruning(self, rt: RtLayer, keep: list[int]) -> bool:
+        return False  # pooling passes channels through
+
 
 @dataclass(frozen=True)
-class ResidualBlockSpec:
+class ResidualBlockSpec(LayerSpec):
     kind = "residual_block"
     hidden_dim: int | None = None
 
+    def validate(self, where: str) -> None:
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ValidationError(f"{where}: hidden_dim must be >= 1")
+
+    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
+        dim = in_shape.size
+        hidden = self.hidden_dim if self.hidden_dim is not None else dim
+        w_1, b_1 = draw(hidden, dim), draw(hidden)
+        w_2, b_2 = draw(dim, hidden), draw(dim)
+        return {"residual": ResidualWeights(w_1=w_1, b_1=b_1, w_2=w_2, b_2=b_2)}
+
+    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
+        act = activation(sigma)
+        v = value.flat
+        r = rt.residual
+        out = v + r.w_2 @ act(r.w_1 @ v + r.b_1) + r.b_2
+        return Tensor(rt.out_shape, out.reshape(rt.out_shape.extents))
+
+    def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+        act = activation(sigma)
+        r = rt.residual
+        stage1 = _dense_form(r.w_1, r.b_1, value.flat)
+        stage2 = _dense_form(r.w_2, r.b_2, act(stage1.evaluate()))
+        return [stage1, stage2]
+
+    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
+        act = activation(sigma)
+        r = rt.residual
+        v = value.flat
+        direct = v + r.w_2 @ act(r.w_1 @ v + r.b_1) + r.b_2
+        stage1, stage2 = self.lower(rt, value, sigma)
+        lowered = v + stage2.evaluate()
+        diff = np.max(np.abs(direct - lowered))
+        return LayerCheck(rt.index, self.kind, float(diff), [stage1, stage2], note="dense stages")
+
+    def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
+        if target not in ("w_1", "w_2"):
+            raise SpecError(f"unknown residual target {target!r} (have ('w_1', 'w_2'))")
+        return getattr(rt.residual, target)
+
+    def set_lora_matrix(self, rt: RtLayer, target: str, matrix: np.ndarray) -> None:
+        rt.residual = replace(rt.residual, **{target: matrix})
+
 
 @dataclass(frozen=True)
-class PatchifySpec:
+class PatchifySpec(LayerSpec):
     kind = "patchify"
     patch: tuple[int, int]
 
+    def validate(self, where: str) -> None:
+        if len(self.patch) != 2 or any(k < 1 for k in self.patch):
+            raise ValidationError(f"{where}: patch needs 2 extents >= 1, got {self.patch}")
+
+    def infer(self, shape: TensorShape, where: str, producer: str) -> TensorShape:
+        if shape.axes not in (("H", "W"), ("H", "W", "C_I")):
+            raise ValidationError(
+                f"{where}: needs input axes (H, W[, C_I]), previous layer produced {shape}"
+            )
+        ph, pw = self.patch
+        h, w = shape.extent("H"), shape.extent("W")
+        if h % ph != 0 or w % pw != 0:
+            raise ValidationError(f"{where}: patch {self.patch} does not divide ({h}, {w})")
+        c = shape.extent("C_I") if "C_I" in shape.axes else 1
+        return TensorShape([("token", (h // ph) * (w // pw)), ("feature", ph * pw * c)])
+
+    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
+        return Tensor(rt.out_shape, patchify(value, self.patch))
+
+    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
+        rows = patchify(value, self.patch)
+        back = unpatchify(rows, value.shape, self.patch)
+        diff = np.max(np.abs(back.data - value.data))
+        return LayerCheck(rt.index, self.kind, float(diff), [], note="reassembly")
+
+
+_ATTN_TARGETS = ("w_q", "w_k", "w_v", "w_o", "w_2", "w_3")
+
+
+class _TokenSpec(LayerSpec):
+    """Shared by the kinds that act on a (token, feature) matrix: attention
+    when the kind has ``heads``, a row-wise FFN when it has ``hidden_dim``.
+    Parameters a kind lacks stay zero in its AttnParams."""
+
+    heads: int | None
+    hidden_dim: int | None
+
+    def validate(self, where: str) -> None:
+        if self.heads is not None and self.heads < 1:
+            raise ValidationError(f"{where}: heads must be >= 1")
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ValidationError(f"{where}: hidden_dim must be >= 1")
+
+    def infer(self, shape: TensorShape, where: str, producer: str) -> TensorShape:
+        if shape.axes != ("token", "feature"):
+            raise ValidationError(
+                f"{where}: needs input axes (token, feature), previous layer produced {shape}"
+            )
+        d = shape.extent("feature")
+        if self.heads is not None and d % self.heads != 0:
+            raise ValidationError(f"{where}: heads {self.heads} must divide feature dim {d}")
+        return shape
+
+    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
+        d = in_shape.extent("feature")
+        zero = np.zeros((d, d))
+        q, k, v, o = (zero if self.heads is None else draw(d, d) for _ in range(4))
+        h = self.hidden_dim
+        if h is not None:
+            w2, w3, b2, b3 = draw(d, h), draw(h, d), draw(h), draw(d)
+        else:
+            w2, w3, b2, b3 = np.zeros((d, 1)), np.zeros((1, d)), np.zeros(1), np.zeros(d)
+        return {
+            "attn_params": AttnParams(
+                model_dim=d, heads=self.heads or 1, w_q=q, w_k=k, w_v=v, w_o=o,
+                w_2=w2, w_3=w3, b_2=b2, b_3=b3,
+            )
+        }
+
+    def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
+        if target not in _ATTN_TARGETS:
+            raise SpecError(f"unknown attention target {target!r} (have {_ATTN_TARGETS})")
+        return getattr(rt.attn_params, target)
+
+    def set_lora_matrix(self, rt: RtLayer, target: str, matrix: np.ndarray) -> None:
+        rt.attn_params = replace(rt.attn_params, **{target: matrix})
+
 
 @dataclass(frozen=True)
-class MhaSpec:
+class MhaSpec(_TokenSpec):
     kind = "mha"
+    hidden_dim: ClassVar[None] = None
     heads: int
 
+    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
+        return Tensor(rt.out_shape, mha_direct(_tokens(value), rt.attn_params))
+
+    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
+        tokens = _tokens(value)
+        m = extract_mha_effective_matrix(tokens, rt.attn_params)
+        direct = mha_direct(tokens, rt.attn_params)
+        diff = np.max(np.abs(m @ tokens.reshape(-1) - direct.reshape(-1)))
+        return LayerCheck(rt.index, self.kind, float(diff), [], note="effective matrix")
+
 
 @dataclass(frozen=True)
-class FfnSpec:
+class FfnSpec(_TokenSpec):
     kind = "ffn"
+    heads: ClassVar[None] = None
     hidden_dim: int
 
+    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
+        return Tensor(rt.out_shape, ffn_direct(_tokens(value), rt.attn_params, sigma))
+
+    def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+        return list(lower_ffn(_tokens(value), rt.attn_params, sigma))
+
+    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
+        stage1, stage2 = self.lower(rt, value, sigma)
+        direct = ffn_direct(_tokens(value), rt.attn_params, sigma)
+        diff = np.max(np.abs(stage2.evaluate() - direct.reshape(-1)))
+        return LayerCheck(rt.index, self.kind, float(diff), [stage1, stage2])
+
 
 @dataclass(frozen=True)
-class TransformerBlockSpec:
+class TransformerBlockSpec(_TokenSpec):
     kind = "transformer_block"
     heads: int
     hidden_dim: int
 
+    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
+        out = transformer_block_direct(_tokens(value), rt.attn_params, sigma)
+        return Tensor(rt.out_shape, out)
 
-LayerSpec = (
-    Conv2dSpec
-    | Conv3dSpec
-    | MeanPoolSpec
-    | ResidualBlockSpec
-    | PatchifySpec
-    | MhaSpec
-    | FfnSpec
-    | TransformerBlockSpec
-)
+    def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+        # the FFN stages at h = M(X) X, with M the effective attention matrix
+        tokens = _tokens(value)
+        m = extract_mha_effective_matrix(tokens, rt.attn_params)
+        h = (m @ tokens.reshape(-1)).reshape(tokens.shape)
+        return list(lower_ffn(h, rt.attn_params, sigma))
 
-_LAYER_KINDS: dict[str, type] = {
+    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
+        stage1, stage2 = self.lower(rt, value, sigma)
+        lowered = stage1.input_vector + stage2.evaluate()  # h + FFN(h)
+        direct = transformer_block_direct(_tokens(value), rt.attn_params, sigma)
+        diff = np.max(np.abs(lowered - direct.reshape(-1)))
+        return LayerCheck(rt.index, self.kind, float(diff), [stage1, stage2], note="mha+ffn")
+
+
+_LAYER_KINDS: dict[str, type[LayerSpec]] = {
     cls.kind: cls
     for cls in (
         Conv2dSpec,
@@ -193,11 +520,9 @@ class NetworkSpec:
 # ---------------------------------------------------------------------------
 
 
-def _require_int(value, what: str, minimum: int | None = None) -> int:
+def _require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{what} must be >= {minimum}, got {value}")
     return value
 
 
@@ -208,7 +533,7 @@ def _parse_layer(index: int, obj) -> LayerSpec:
     if "kind" not in obj:
         raise ParseError(f"{where}: missing 'kind'")
     kind = obj["kind"]
-    if kind not in _LAYER_KINDS:
+    if not isinstance(kind, str) or kind not in _LAYER_KINDS:
         raise ParseError(f"{where}: unknown kind {kind!r} (allowed: {sorted(_LAYER_KINDS)})")
     cls = _LAYER_KINDS[kind]
     spec_fields = {f.name: f for f in fields(cls)}
@@ -228,7 +553,7 @@ def _parse_layer(index: int, obj) -> LayerSpec:
             if not isinstance(value, bool):
                 raise ParseError(f"{where}: bias must be a boolean")
             kwargs[key] = value
-        elif key in ("hidden_dim", "in_channels") and value is None:
+        elif value is None and spec_fields[key].default is None:
             kwargs[key] = None
         else:
             kwargs[key] = _require_int(value, f"{where}: {key}")
@@ -236,44 +561,8 @@ def _parse_layer(index: int, obj) -> LayerSpec:
         spec = cls(**kwargs)
     except TypeError as exc:
         raise ParseError(f"{where}: {exc}") from None
-    _validate_layer_fields(index, spec)
+    spec.validate(f"layer {index} ({kind})")
     return spec
-
-
-def _validate_layer_fields(index: int, spec: LayerSpec) -> None:
-    where = f"layer {index} ({spec.kind})"
-    if isinstance(spec, (Conv2dSpec, Conv3dSpec)):
-        want = 2 if isinstance(spec, Conv2dSpec) else 3
-        if len(spec.kernel) != want:
-            raise ValidationError(f"{where}: kernel needs {want} extents, got {spec.kernel}")
-        if any(k < 1 for k in spec.kernel):
-            raise ValidationError(f"{where}: kernel extents must be >= 1")
-        if spec.out_channels < 1:
-            raise ValidationError(f"{where}: out_channels must be >= 1")
-        if spec.in_channels is not None and spec.in_channels < 1:
-            raise ValidationError(f"{where}: in_channels must be >= 1")
-        if spec.stride < 1 or spec.padding < 0:
-            raise ValidationError(f"{where}: stride must be >= 1 and padding >= 0")
-    elif isinstance(spec, MeanPoolSpec):
-        if len(spec.window) != 2 or any(k < 1 for k in spec.window):
-            raise ValidationError(f"{where}: window needs 2 extents >= 1, got {spec.window}")
-        if spec.stride < 1:
-            raise ValidationError(f"{where}: stride must be >= 1")
-    elif isinstance(spec, PatchifySpec):
-        if len(spec.patch) != 2 or any(k < 1 for k in spec.patch):
-            raise ValidationError(f"{where}: patch needs 2 extents >= 1, got {spec.patch}")
-    elif isinstance(spec, ResidualBlockSpec):
-        if spec.hidden_dim is not None and spec.hidden_dim < 1:
-            raise ValidationError(f"{where}: hidden_dim must be >= 1")
-    elif isinstance(spec, MhaSpec):
-        if spec.heads < 1:
-            raise ValidationError(f"{where}: heads must be >= 1")
-    elif isinstance(spec, FfnSpec):
-        if spec.hidden_dim < 1:
-            raise ValidationError(f"{where}: hidden_dim must be >= 1")
-    elif isinstance(spec, TransformerBlockSpec):
-        if spec.heads < 1 or spec.hidden_dim < 1:
-            raise ValidationError(f"{where}: heads and hidden_dim must be >= 1")
 
 
 def parse_spec_text(text: str | bytes) -> NetworkSpec:
@@ -342,15 +631,7 @@ def parse_spec(path: str | Path) -> NetworkSpec:
 def emit_spec(net: NetworkSpec) -> str:
     """Canonical JSON text for a network description (round-trips through
     :func:`parse_spec_text`)."""
-    layers = []
-    for spec in net.layers:
-        obj: dict = {"kind": spec.kind}
-        for f in fields(spec):
-            value = getattr(spec, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            obj[f.name] = value
-        layers.append(obj)
+    layers = [{"kind": spec.kind, **asdict(spec)} for spec in net.layers]
     doc = {
         "input_shape": [[a, n] for a, n in net.input_shape.dims],
         "seed": net.seed,
@@ -365,79 +646,17 @@ def emit_spec(net: NetworkSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _infer_one(index: int, spec: LayerSpec, shape: TensorShape) -> TensorShape:
-    where = f"layer {index} ({spec.kind})"
-    try:
-        if isinstance(spec, (Conv2dSpec, Conv3dSpec)):
-            want = ("C_I", "H", "W") if isinstance(spec, Conv2dSpec) else ("C_I", "H", "W", "D")
-            if shape.axes != want:
-                raise ValidationError(
-                    f"{where}: needs input axes {want}, previous layer produced {shape}"
-                )
-            if spec.in_channels is not None and spec.in_channels != shape.extent("C_I"):
-                producer = f"layer {index - 1}" if index > 0 else "the network input"
-                raise ValidationError(
-                    f"{where}: declares in_channels={spec.in_channels} but {producer} "
-                    f"produces {shape.extent('C_I')} channels"
-                )
-            params = ConvParams(
-                in_channels=shape.extent("C_I"),
-                out_channels=spec.out_channels,
-                kernel=spec.kernel,
-                stride=spec.stride,
-                padding=spec.padding,
-            )
-            outs = params.out_extents(shape.extents[1:])
-            dims = [("C_I", spec.out_channels), ("H", outs[0]), ("W", outs[1])]
-            if isinstance(spec, Conv3dSpec):
-                dims.append(("D", outs[2]))
-            return TensorShape(dims)
-        if isinstance(spec, MeanPoolSpec):
-            if shape.axes != ("C_I", "H", "W"):
-                raise ValidationError(
-                    f"{where}: needs input axes (C_I, H, W), previous layer produced {shape}"
-                )
-            params = PoolParams(window=spec.window, stride=spec.stride)
-            h_out, w_out = params.out_extents(shape.extents[1:])
-            return TensorShape([("C_I", shape.extent("C_I")), ("H", h_out), ("W", w_out)])
-        if isinstance(spec, PatchifySpec):
-            if shape.axes not in (("H", "W"), ("H", "W", "C_I")):
-                raise ValidationError(
-                    f"{where}: needs input axes (H, W[, C_I]), previous layer produced {shape}"
-                )
-            ph, pw = spec.patch
-            h, w = shape.extent("H"), shape.extent("W")
-            if h % ph != 0 or w % pw != 0:
-                raise ValidationError(f"{where}: patch {spec.patch} does not divide ({h}, {w})")
-            c = shape.extent("C_I") if "C_I" in shape.axes else 1
-            return TensorShape(
-                [("token", (h // ph) * (w // pw)), ("feature", ph * pw * c)]
-            )
-        if isinstance(spec, ResidualBlockSpec):
-            return shape
-        if isinstance(spec, (MhaSpec, FfnSpec, TransformerBlockSpec)):
-            if shape.axes != ("token", "feature"):
-                raise ValidationError(
-                    f"{where}: needs input axes (token, feature), previous layer produced {shape}"
-                )
-            if isinstance(spec, (MhaSpec, TransformerBlockSpec)):
-                d = shape.extent("feature")
-                if d % spec.heads != 0:
-                    raise ValidationError(
-                        f"{where}: heads {spec.heads} must divide feature dim {d}"
-                    )
-            return shape
-    except (ShapeError, CapacityError) as exc:
-        raise ValidationError(f"{where}: {exc}") from None
-    raise ParseError(f"{where}: unknown layer kind")
-
-
 def infer_shapes(net: NetworkSpec) -> list[TensorShape]:
     """Shapes through the network: element 0 is the input shape, element
     i + 1 the output of layer i.  Raises ValidationError on a broken chain."""
     shapes = [net.input_shape]
     for i, spec in enumerate(net.layers):
-        shapes.append(_infer_one(i, spec, shapes[-1]))
+        where = f"layer {i} ({spec.kind})"
+        producer = f"layer {i - 1}" if i > 0 else "the network input"
+        try:
+            shapes.append(spec.infer(shapes[-1], where, producer))
+        except (ShapeError, CapacityError) as exc:
+            raise ValidationError(f"{where}: {exc}") from None
     return shapes
 
 
@@ -480,87 +699,34 @@ class MaterializedNetwork:
         return self.spec.activation
 
 
-def _draw(gen: SplitMix64, *shape: int) -> np.ndarray:
-    n = int(np.prod(shape)) if shape else 1
+def draw_weights(gen: SplitMix64, where: str, *shape: int) -> np.ndarray:
+    """A uniform [-1, 1) array from ``gen``; an array over the element cap
+    is a ValidationError naming ``where``, raised before it is allocated."""
+    n = math.prod(shape)
+    if n > element_cap():
+        raise ValidationError(
+            f"{where}: weight array of shape {shape} has {n} elements, cap is {element_cap()}"
+        )
     return gen.uniform(n, -1.0, 1.0).reshape(shape)
-
-
-def _materialize_layer(
-    gen: SplitMix64, index: int, spec: LayerSpec, in_shape: TensorShape, out_shape: TensorShape
-) -> RtLayer:
-    rt = RtLayer(index=index, spec=spec, in_shape=in_shape, out_shape=out_shape)
-    if isinstance(spec, (Conv2dSpec, Conv3dSpec)):
-        c_in = in_shape.extent("C_I")
-        weights = _draw(gen, spec.out_channels, c_in, *spec.kernel)
-        bias = _draw(gen, spec.out_channels) if spec.bias else None
-        rt.conv_params = ConvParams(
-            in_channels=c_in,
-            out_channels=spec.out_channels,
-            kernel=spec.kernel,
-            stride=spec.stride,
-            padding=spec.padding,
-            bias=bias,
-        )
-        axes = ["C_O", "C_I", "H", "W"] + (["D"] if isinstance(spec, Conv3dSpec) else [])
-        rt.conv_weights = Tensor(
-            TensorShape(list(zip(axes, weights.shape))), weights
-        )
-    elif isinstance(spec, MeanPoolSpec):
-        rt.pool_params = PoolParams(window=spec.window, stride=spec.stride)
-    elif isinstance(spec, ResidualBlockSpec):
-        dim = in_shape.size
-        hidden = spec.hidden_dim if spec.hidden_dim is not None else dim
-        rt.residual = ResidualWeights(
-            w_1=_draw(gen, hidden, dim),
-            b_1=_draw(gen, hidden),
-            w_2=_draw(gen, dim, hidden),
-            b_2=_draw(gen, dim),
-        )
-    elif isinstance(spec, (MhaSpec, FfnSpec, TransformerBlockSpec)):
-        d = in_shape.extent("feature")
-        heads = spec.heads if isinstance(spec, (MhaSpec, TransformerBlockSpec)) else 1
-        if isinstance(spec, MhaSpec):
-            q, k, v, o = (_draw(gen, d, d) for _ in range(4))
-            w2 = np.zeros((d, 1))
-            w3 = np.zeros((1, d))
-            b2 = np.zeros(1)
-            b3 = np.zeros(d)
-        elif isinstance(spec, FfnSpec):
-            q = k = v = o = np.zeros((d, d))
-            w2 = _draw(gen, d, spec.hidden_dim)
-            w3 = _draw(gen, spec.hidden_dim, d)
-            b2 = _draw(gen, spec.hidden_dim)
-            b3 = _draw(gen, d)
-        else:
-            q, k, v, o = (_draw(gen, d, d) for _ in range(4))
-            w2 = _draw(gen, d, spec.hidden_dim)
-            w3 = _draw(gen, spec.hidden_dim, d)
-            b2 = _draw(gen, spec.hidden_dim)
-            b3 = _draw(gen, d)
-        rt.attn_params = AttnParams(
-            model_dim=d, heads=heads, w_q=q, w_k=k, w_v=v, w_o=o,
-            w_2=w2, w_3=w3, b_2=b2, b_3=b3,
-        )
-    return rt
 
 
 def materialize(net: NetworkSpec) -> MaterializedNetwork:
     """Draw every layer's weights from the description's seed."""
     shapes = infer_shapes(net)
     gen = SplitMix64(net.seed)
-    layers = [
-        _materialize_layer(gen, i, spec, shapes[i], shapes[i + 1])
-        for i, spec in enumerate(net.layers)
-    ]
+    layers = []
+    for i, spec in enumerate(net.layers):
+        draw = partial(draw_weights, gen, f"layer {i} ({spec.kind})")
+        layers.append(
+            RtLayer(index=i, spec=spec, in_shape=shapes[i], out_shape=shapes[i + 1],
+                    **spec.draw(shapes[i], draw))
+        )
     return MaterializedNetwork(spec=net, shapes=shapes, layers=layers)
 
 
 def random_input(net: NetworkSpec, seed: int) -> Tensor:
     """Deterministic uniform [-1, 1) input tensor for the network."""
-    gen = SplitMix64(seed)
-    return Tensor(net.input_shape, gen.uniform(net.input_shape.size, -1.0, 1.0).reshape(
-        net.input_shape.extents
-    ))
+    return random_uniform(net.input_shape, seed, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -574,33 +740,7 @@ def _tokens(value: Tensor) -> np.ndarray:
 
 def apply_layer(rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
     """Run one materialized layer on a stage value."""
-    act = activation(sigma)
-    spec = rt.spec
-    if isinstance(spec, Conv2dSpec):
-        out = conv2d_direct(value, rt.conv_params, rt.conv_weights)
-        arr = act(out.data)
-        return Tensor(rt.out_shape, arr)
-    if isinstance(spec, Conv3dSpec):
-        out = conv3d_direct(value, rt.conv_params, rt.conv_weights)
-        return Tensor(rt.out_shape, act(out.data))
-    if isinstance(spec, MeanPoolSpec):
-        return Tensor(rt.out_shape, mean_pool_direct(value, rt.pool_params).data)
-    if isinstance(spec, PatchifySpec):
-        return Tensor(rt.out_shape, patchify(value, spec.patch))
-    if isinstance(spec, ResidualBlockSpec):
-        v = value.flat
-        r = rt.residual
-        out = v + r.w_2 @ act(r.w_1 @ v + r.b_1) + r.b_2
-        return Tensor(rt.out_shape, out.reshape(rt.out_shape.extents))
-    if isinstance(spec, MhaSpec):
-        return Tensor(rt.out_shape, mha_direct(_tokens(value), rt.attn_params))
-    if isinstance(spec, FfnSpec):
-        return Tensor(rt.out_shape, ffn_direct(_tokens(value), rt.attn_params, sigma))
-    if isinstance(spec, TransformerBlockSpec):
-        return Tensor(
-            rt.out_shape, transformer_block_direct(_tokens(value), rt.attn_params, sigma)
-        )
-    raise SpecError(f"layer {rt.index}: unknown kind {spec.kind!r}")
+    return rt.spec.apply(rt, value, sigma)
 
 
 def forward(net: MaterializedNetwork, x: Tensor, sigma: str | None = None) -> list[Tensor]:
@@ -653,63 +793,7 @@ def _dense_form(matrix: np.ndarray, bias: np.ndarray | None, x: np.ndarray) -> L
 def check_layer(rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
     """Compare the layer's matrix-vector path against the direct path at
     ``value`` (pre-activation for convolutions)."""
-    spec = rt.spec
-    if isinstance(spec, Conv2dSpec):
-        form = lower_conv2d_I_O(value, rt.conv_params, rt.conv_weights)
-        direct = conv2d_direct(value, rt.conv_params, rt.conv_weights)
-        diff = np.max(np.abs(form.evaluate() - flatten(direct)))
-        return LayerCheck(rt.index, spec.kind, float(diff), [form])
-    if isinstance(spec, Conv3dSpec):
-        form = lower_conv3d(value, rt.conv_params, rt.conv_weights)
-        direct = conv3d_direct(value, rt.conv_params, rt.conv_weights)
-        target = flatten(direct, ("C_O", "D", "H", "W"))
-        diff = np.max(np.abs(form.evaluate() - target))
-        return LayerCheck(rt.index, spec.kind, float(diff), [form])
-    if isinstance(spec, MeanPoolSpec):
-        form = lower_mean_pool(value, rt.pool_params)
-        direct = mean_pool_direct(value, rt.pool_params)
-        diff = np.max(np.abs(form.evaluate() - flatten(direct)))
-        return LayerCheck(rt.index, spec.kind, float(diff), [form])
-    if isinstance(spec, PatchifySpec):
-        from .reference import unpatchify
-
-        rows = patchify(value, spec.patch)
-        back = unpatchify(rows, value.shape, spec.patch)
-        diff = np.max(np.abs(back.data - value.data))
-        return LayerCheck(rt.index, spec.kind, float(diff), [], note="reassembly")
-    if isinstance(spec, ResidualBlockSpec):
-        act = activation(sigma)
-        r = rt.residual
-        v = value.flat
-        direct = v + r.w_2 @ act(r.w_1 @ v + r.b_1) + r.b_2
-        stage1 = _dense_form(r.w_1, r.b_1, v)
-        stage2 = _dense_form(r.w_2, r.b_2, act(stage1.evaluate()))
-        lowered = v + stage2.evaluate()
-        diff = np.max(np.abs(direct - lowered))
-        return LayerCheck(rt.index, spec.kind, float(diff), [stage1, stage2], note="dense stages")
-    if isinstance(spec, MhaSpec):
-        tokens = _tokens(value)
-        m = extract_mha_effective_matrix(tokens, rt.attn_params)
-        direct = mha_direct(tokens, rt.attn_params)
-        diff = np.max(np.abs(m @ tokens.reshape(-1) - direct.reshape(-1)))
-        return LayerCheck(rt.index, spec.kind, float(diff), [], note="effective matrix")
-    if isinstance(spec, FfnSpec):
-        tokens = _tokens(value)
-        stage1, stage2 = lower_ffn(tokens, rt.attn_params, sigma)
-        direct = ffn_direct(tokens, rt.attn_params, sigma)
-        diff = np.max(np.abs(stage2.evaluate() - direct.reshape(-1)))
-        return LayerCheck(rt.index, spec.kind, float(diff), [stage1, stage2])
-    if isinstance(spec, TransformerBlockSpec):
-        tokens = _tokens(value)
-        m = extract_mha_effective_matrix(tokens, rt.attn_params)
-        h_flat = m @ tokens.reshape(-1)
-        h = h_flat.reshape(tokens.shape)
-        stage1, stage2 = lower_ffn(h, rt.attn_params, sigma)
-        lowered = h_flat + stage2.evaluate()
-        direct = transformer_block_direct(tokens, rt.attn_params, sigma)
-        diff = np.max(np.abs(lowered - direct.reshape(-1)))
-        return LayerCheck(rt.index, spec.kind, float(diff), [stage1, stage2], note="mha+ffn")
-    raise SpecError(f"layer {rt.index}: unknown kind {spec.kind!r}")
+    return rt.spec.check(rt, value, sigma)
 
 
 def verify_network(
@@ -756,40 +840,31 @@ class ExpandableNetwork:
 
 
 def _conv_chain(net: MaterializedNetwork) -> ExpandableNetwork:
+    # only conv and pool layers get here (see to_expandable)
     stages: list[ChainStage] = []
     binding: dict[str, np.ndarray] = {}
     pending: list[tuple] = []  # pool atoms waiting to fold into the next stage
-    stage_idx = 0
     pool_idx = 0
     for rt in net.layers:
-        value_shape = rt.in_shape
-        probe = Tensor(value_shape, np.zeros(value_shape.extents))
-        if isinstance(rt.spec, (Conv2dSpec, Conv3dSpec)):
-            lower = lower_conv2d_I_O if isinstance(rt.spec, Conv2dSpec) else lower_conv3d
-            form = lower(probe, rt.conv_params, rt.conv_weights)
-            sub = symbolic._sub(stage_idx)
-            w = weight_atom(symbolic._name("W", sub))
-            binding[w.name] = form.weight_matrix.T
-            weights = [w]
-            for p_atom, p_matrix in pending:
-                weights.append(p_atom)
-                binding[p_atom.name] = p_matrix
-            pending = []
-            b = None
-            if form.bias is not None:
-                b = bias_atom(symbolic._name("b", sub))
-                binding[b.name] = form.bias
-            stages.append(ChainStage(weights=tuple(weights), bias=b))
-            stage_idx += 1
-        elif isinstance(rt.spec, MeanPoolSpec):
-            form = lower_mean_pool(probe, rt.pool_params)
+        (form,) = rt.spec.lower(rt, zeros(rt.in_shape), net.activation)
+        if rt.spec.kind == "mean_pool":
             p_atom = weight_atom(symbolic._name("P", symbolic._sub(pool_idx)))
             pool_idx += 1
             pending.insert(0, (p_atom, form.weight_matrix.T))
-        else:
-            raise SpecError(
-                f"layer {rt.index} ({rt.spec.kind}) breaks the feed-forward chain"
-            )
+            continue
+        sub = symbolic._sub(len(stages))
+        w = weight_atom(symbolic._name("W", sub))
+        binding[w.name] = form.weight_matrix.T
+        weights = [w]
+        for p_atom, p_matrix in pending:
+            weights.append(p_atom)
+            binding[p_atom.name] = p_matrix
+        pending = []
+        b = None
+        if form.bias is not None:
+            b = bias_atom(symbolic._name("b", sub))
+            binding[b.name] = form.bias
+        stages.append(ChainStage(weights=tuple(weights), bias=b))
     if pending:
         raise SpecError("chain must end with an activation stage, not pooling")
     if not stages:
@@ -800,12 +875,10 @@ def _conv_chain(net: MaterializedNetwork) -> ExpandableNetwork:
 
 def _residual_chain(net: MaterializedNetwork) -> ExpandableNetwork:
     dim = net.spec.input_shape.size
-    hiddens = []
-    for rt in net.layers:
-        hiddens.append(len(rt.residual.b_1))
-    if len(set(hiddens)) != 1:
+    hiddens = {len(rt.residual.b_1) for rt in net.layers}
+    if len(hiddens) != 1:
         raise SpecError("residual chains with mixed hidden dims are not expandable")
-    chain = build_residual_chain(len(net.layers), dim, hiddens[0])
+    chain = build_residual_chain(len(net.layers), dim, hiddens.pop())
     binding: dict[str, np.ndarray] = {}
     for k, rt in enumerate(net.layers):
         r = rt.residual
@@ -820,12 +893,12 @@ def _residual_chain(net: MaterializedNetwork) -> ExpandableNetwork:
 def _transformer_chain(net: MaterializedNetwork) -> ExpandableNetwork:
     layers = list(net.layers)
     preprocessing = None
-    if layers and isinstance(layers[0].spec, PatchifySpec):
+    if layers and layers[0].spec.kind == "patchify":
         preprocessing = (
             f"patchify {layers[0].spec.patch} reshapes the image into the token matrix"
         )
         layers = layers[1:]
-    if not layers or not all(isinstance(rt.spec, TransformerBlockSpec) for rt in layers):
+    if not layers or any(rt.spec.kind != "transformer_block" for rt in layers):
         raise SpecError("transformer expansion needs patchify? + transformer_block+ layers")
     shape = layers[0].in_shape
     tokens, d = shape.extent("token"), shape.extent("feature")
@@ -834,21 +907,7 @@ def _transformer_chain(net: MaterializedNetwork) -> ExpandableNetwork:
     if len(heads) != 1 or len(hidden) != 1:
         raise SpecError("transformer chains with mixed heads/hidden dims are not expandable")
     chain = build_transformer_chain(len(layers), tokens, d, heads.pop(), hidden.pop())
-    binding: dict[str, np.ndarray] = {}
-    eye = np.eye(tokens)
-    for k, rt in enumerate(layers):
-        p = rt.attn_params
-        q_key, k_key, v_key, o_key = chain.proj_keys[k]
-        binding[q_key], binding[k_key] = p.w_q, p.w_k
-        binding[v_key], binding[o_key] = p.w_v, p.w_o
-        w2_key, w3_key, b2_key, b3_key = chain.raw_keys[k]
-        binding[w2_key], binding[w3_key] = p.w_2, p.w_3
-        binding[b2_key], binding[b3_key] = p.b_2, p.b_3
-        w2a, w3a, b2a, b3a = chain.ffn_atoms[k]
-        binding[w2a.name] = np.kron(eye, p.w_2.T)
-        binding[w3a.name] = np.kron(eye, p.w_3.T)
-        binding[b2a.name] = np.tile(p.b_2, tokens)
-        binding[b3a.name] = np.tile(p.b_3, tokens)
+    binding = chain.binding([rt.attn_params for rt in layers])
     return ExpandableNetwork(
         family="transformer", chain=chain, binding=binding, preprocessing=preprocessing
     )
@@ -885,7 +944,7 @@ def _chain_order(shape: TensorShape) -> tuple[str, ...] | None:
 def expandable_input(net: MaterializedNetwork, x: Tensor) -> np.ndarray:
     """The flat vector the expanded form consumes for input ``x`` (patchify
     preprocessing applied when present)."""
-    if net.layers and isinstance(net.layers[0].spec, PatchifySpec):
+    if net.layers and net.layers[0].spec.kind == "patchify":
         return patchify(x, net.layers[0].spec.patch).reshape(-1)
     return flatten(x, _chain_order(x.shape))
 

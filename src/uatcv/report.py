@@ -23,6 +23,7 @@ from .analysis import (
 from .errors import SpecError
 from .netspec import (
     MaterializedNetwork,
+    apply_layer,
     check_layer,
     emit_spec,
     random_input,
@@ -66,8 +67,6 @@ def layer_section(net: MaterializedNetwork, sigma: str) -> list[dict]:
                 "forms": [_form_stats(f) for f in check.forms],
             }
         )
-        from .netspec import apply_layer
-
         value = apply_layer(rt, value, sigma)
     return rows
 

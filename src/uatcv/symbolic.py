@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ShapeError, SpecError
 from .lowering import effective_matrix_from_projections
-from .reference import activation, random_attn_params
+from .reference import AttnParams, activation, random_attn_params
 
 INPUT_NAME = "x'_i"
 
@@ -585,8 +585,19 @@ class ChainStage:
     bias: ParamAtom | None
 
 
+class _PrimitiveChain:
+    """A chain over an ``input_dim`` input whose parameters are all primitive
+    atoms (``param_shapes``)."""
+
+    def random_binding(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        env: dict[str, np.ndarray] = {INPUT_NAME: rng.normal(size=self.input_dim)}
+        for name, shape in self.param_shapes.items():
+            env[name] = rng.normal(scale=1.0 / np.sqrt(max(shape[-1], 1)), size=shape)
+        return env
+
+
 @dataclass
-class DenseChain:
+class DenseChain(_PrimitiveChain):
     """Feed-forward chain sigma(W_k ... sigma(W_0 x + b_0) ... + b_k)."""
 
     input_dim: int
@@ -598,12 +609,6 @@ class DenseChain:
     @property
     def depth(self) -> int:
         return len(self.stages)
-
-    def random_binding(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        env: dict[str, np.ndarray] = {INPUT_NAME: rng.normal(size=self.input_dim)}
-        for name, shape in self.param_shapes.items():
-            env[name] = rng.normal(scale=1.0 / np.sqrt(max(shape[-1], 1)), size=shape)
-        return env
 
 
 def dense_chain(stages: Sequence[ChainStage], input_dim: int,
@@ -668,23 +673,17 @@ def build_vgg_chain(dims: Sequence[int]) -> DenseChain:
 
 
 @dataclass
-class ResidualChain:
+class ResidualChain(_PrimitiveChain):
     """Stack of residual units v + W_2 sigma(W_1 v + b_1) + b_2, expanded into
     a flat canonical form whose later sigma-stage biases absorb the input."""
 
     depth: int
-    dim: int
+    input_dim: int
     hidden: int
     shared: bool
     expression: VectorExpr
     canonical: CanonicalUAT
     param_shapes: dict[str, tuple[int, ...]]
-
-    def random_binding(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        env: dict[str, np.ndarray] = {INPUT_NAME: rng.normal(size=self.dim)}
-        for name, shape in self.param_shapes.items():
-            env[name] = rng.normal(scale=1.0 / np.sqrt(max(shape[-1], 1)), size=shape)
-        return env
 
 
 def build_residual_chain(
@@ -758,7 +757,7 @@ def build_residual_chain(
     )
     return ResidualChain(
         depth=depth,
-        dim=dim,
+        input_dim=dim,
         hidden=hidden,
         shared=shared,
         expression=expr,
@@ -793,12 +792,18 @@ class TransformerChain:
         return self.tokens * self.model_dim
 
     def random_binding(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        env: dict[str, np.ndarray] = {
-            INPUT_NAME: rng.normal(size=self.flat_dim)
-        }
+        x = rng.normal(size=self.flat_dim)  # the input is drawn first
+        blocks = [random_attn_params(self.model_dim, self.heads, self.ffn_dim, rng)
+                  for _ in range(self.depth)]
+        return self.binding(blocks, x)
+
+    def binding(
+        self, blocks: Sequence[AttnParams], x: np.ndarray | None = None
+    ) -> dict[str, np.ndarray]:
+        """Bind each block's AttnParams (and the input ``x``, if given)."""
+        env: dict[str, np.ndarray] = {} if x is None else {INPUT_NAME: x}
         eye = np.eye(self.tokens)
-        for k in range(self.depth):
-            p = random_attn_params(self.model_dim, self.heads, self.ffn_dim, rng)
+        for k, p in enumerate(blocks):
             q_key, k_key, v_key, o_key = self.proj_keys[k]
             env[q_key], env[k_key] = p.w_q, p.w_k
             env[v_key], env[o_key] = p.w_v, p.w_o
@@ -812,10 +817,8 @@ class TransformerChain:
             env[b3a.name] = np.tile(p.b_3, self.tokens)
         return env
 
-    def block_params(self, env: Binding, k: int):
+    def block_params(self, env: Binding, k: int) -> AttnParams:
         """Reassemble the k-th block's attention/FFN parameters from a binding."""
-        from .reference import AttnParams
-
         q_key, k_key, v_key, o_key = self.proj_keys[k]
         w2_key, w3_key, b2_key, b3_key = self.raw_keys[k]
         return AttnParams(

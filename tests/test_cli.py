@@ -172,6 +172,31 @@ def test_cap_flag_and_env(capsys, tmp_path, monkeypatch):
         set_element_cap(None)
 
 
+def test_weight_draw_over_cap_is_validation_error(capsys, tmp_path):
+    from uatcv.tensor import set_element_cap
+
+    wide = tmp_path / "wide.json"
+    wide.write_text(
+        json.dumps(
+            {
+                "input_shape": [["feature", 8]],
+                "seed": 1,
+                "activation": "relu",
+                "layers": [{"kind": "residual_block", "hidden_dim": 200}],
+            }
+        )
+    )
+    try:
+        # the input and every stage hold 8 elements; w_1 and w_2 hold 1600
+        code, _, err = run(capsys, "verify", str(wide), "--cap", "1000")
+        assert code == EXIT_PARSE
+        assert "error[validation]" in err and "layer 0 (residual_block)" in err
+        code, _, _ = run(capsys, "verify", str(wide), "--cap", "1600", "--trials", "1")
+        assert code == EXIT_OK
+    finally:
+        set_element_cap(None)
+
+
 def test_missing_file_is_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert code == EXIT_PARSE

@@ -1,9 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uatcv.errors import ParseError, SpecError, ValidationError
+from uatcv.errors import ParseError, SpecError, UatcvError, ValidationError
 from uatcv.netspec import (
     Conv2dSpec,
     ResidualBlockSpec,
@@ -172,7 +175,44 @@ def test_verify_network_fixtures(specs_dir):
         assert result["passed"], (name, result)
 
 
+# one minimal network per layer kind: (input_shape, layer object)
+KIND_EXAMPLES = {
+    "conv2d": (
+        [["C_I", 2], ["H", 4], ["W", 4]],
+        {"kind": "conv2d", "out_channels": 3, "kernel": [2, 2], "padding": 1, "bias": True},
+    ),
+    "conv3d": (
+        [["C_I", 2], ["H", 3], ["W", 4], ["D", 3]],
+        {"kind": "conv3d", "out_channels": 2, "kernel": [2, 2, 2], "bias": True},
+    ),
+    "mean_pool": ([["C_I", 2], ["H", 4], ["W", 4]], {"kind": "mean_pool", "window": [2, 2]}),
+    "residual_block": ([["feature", 5]], {"kind": "residual_block", "hidden_dim": 3}),
+    "patchify": ([["H", 4], ["W", 6], ["C_I", 2]], {"kind": "patchify", "patch": [2, 3]}),
+    "mha": ([["token", 3], ["feature", 4]], {"kind": "mha", "heads": 2}),
+    "ffn": ([["token", 3], ["feature", 4]], {"kind": "ffn", "hidden_dim": 5}),
+    "transformer_block": (
+        [["token", 3], ["feature", 4]],
+        {"kind": "transformer_block", "heads": 2, "hidden_dim": 5},
+    ),
+}
+
+
 def test_check_layer_covers_every_kind(specs_dir):
+    from uatcv.netspec import _LAYER_KINDS, apply_layer
+
+    for kind in _LAYER_KINDS:
+        input_shape, layer = KIND_EXAMPLES[kind]  # a new kind needs an example here
+        spec = parse_spec_text(
+            json.dumps(
+                {"input_shape": input_shape, "seed": 3, "activation": "relu", "layers": [layer]}
+            )
+        )
+        assert parse_spec_text(emit_spec(spec)) == spec, kind
+        rt = materialize(spec).layers[0]
+        x = random_input(spec, 4)
+        assert check_layer(rt, x, "relu").max_abs_diff <= 1e-9, kind
+        assert apply_layer(rt, x, "relu").shape == infer_shapes(spec)[-1], kind
+
     net = materialize(
         parse_spec_text(
             """
@@ -275,3 +315,63 @@ def test_vit_fixture_canonical_matches_forward(specs_dir):
     got = eval_canonical(exp.chain.canonical, env, "relu")
     want = expandable_output(net, forward(net, x)[-1])
     assert np.max(np.abs(got - want)) <= 1e-8
+
+
+# Values a hand-written description might put in a layer field: a
+# plausible value of the field's type, or (one time in four) junk: zero,
+# negative, huge, null, bool, float, string or list.
+_PLAUSIBLE = {
+    "kernel": st.sampled_from([[1, 1], [2, 2], [3, 3], [1, 1, 1], [2, 1, 2]]),
+    "window": st.sampled_from([[1, 1], [2, 2], [2, 1]]),
+    "patch": st.sampled_from([[1, 1], [2, 2], [4, 2]]),
+    "bias": st.booleans(),
+}
+_JUNK = st.sampled_from(
+    [0, -1, 2**40, None, True, 0.5, 2.0, "2", "x", [], [2], [0, 2], [-1, 2], [2**40, 2],
+     [None], [True, 2], [1.5, 2], [[2]], {}]
+)
+_INPUT_SHAPES = [
+    [["C_I", 2], ["H", 6], ["W", 6]],
+    [["C_I", 1], ["H", 4], ["W", 4], ["D", 4]],
+    [["H", 4], ["W", 4], ["C_I", 2]],
+    [["token", 4], ["feature", 4]],
+    [["feature", 8]],
+]
+
+
+@st.composite
+def _layer_objects(draw):
+    from uatcv.netspec import _LAYER_KINDS
+
+    kind = draw(st.sampled_from(sorted(_LAYER_KINDS)) if draw(st.integers(0, 7)) else _JUNK)
+    known = isinstance(kind, str) and kind in _LAYER_KINDS
+    obj = {"kind": kind}
+    for f in fields(_LAYER_KINDS[kind]) if known else ():
+        choice = draw(st.integers(0, 7))
+        if choice == 0:
+            continue  # left out
+        ints = [1, 2, 4] if f.default is not None else [1, 2, 4, None]
+        plausible = _PLAUSIBLE.get(f.name, st.sampled_from(ints))
+        obj[f.name] = draw(_JUNK if choice < 3 else plausible)
+    return obj
+
+
+@st.composite
+def _descriptions(draw):
+    layers = draw(st.lists(_layer_objects(), min_size=1, max_size=2))
+    first = layers[0]["kind"]
+    if isinstance(first, str) and first in KIND_EXAMPLES and draw(st.integers(0, 3)):
+        input_shape = KIND_EXAMPLES[first][0]  # usually an input the first layer takes
+    else:
+        input_shape = draw(st.sampled_from(_INPUT_SHAPES))
+    return json.dumps({"input_shape": input_shape, "seed": 1, "activation": "relu", "layers": layers})
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(text=_descriptions())
+def test_parse_spec_text_raises_only_uatcv_errors(text):
+    try:
+        net = parse_spec_text(text)
+    except UatcvError:
+        return
+    assert parse_spec_text(emit_spec(net)) == net
