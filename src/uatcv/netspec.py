@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, ClassVar
 
@@ -92,6 +92,7 @@ from .tensor import (
 from . import symbolic
 from .symbolic import (
     ChainStage,
+    ParamAtom,
     bias_atom,
     build_residual_chain,
     build_transformer_chain,
@@ -129,7 +130,7 @@ class LayerSpec:
 
     def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
         """The matrix a low-rank update of ``target`` adds to."""
-        raise SpecError(f"layer {rt.index} ({self.kind}) has no adjustable matrix")
+        raise ValidationError(f"layer {rt.index} ({self.kind}) has no adjustable matrix")
 
     def follow_pruning(self, rt: RtLayer, keep: list[int]) -> bool:
         """Follow an upstream pruning to ``keep``; True once it is absorbed."""
@@ -338,9 +339,7 @@ class ResidualBlockSpec(LayerSpec):
         return LayerCheck(rt.index, self.kind, float(diff), [stage1, stage2], note="dense stages")
 
     def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
-        if target not in ("w_1", "w_2"):
-            raise SpecError(f"unknown residual target {target!r} (have ('w_1', 'w_2'))")
-        return getattr(rt.residual, target)
+        return getattr(rt.residual, _lora_target(rt, target, ("w_1", "w_2")))
 
     def set_lora_matrix(self, rt: RtLayer, target: str, matrix: np.ndarray) -> None:
         rt.residual = replace(rt.residual, **{target: matrix})
@@ -377,13 +376,18 @@ class PatchifySpec(LayerSpec):
         return LayerCheck(rt.index, self.kind, float(diff), [], note="reassembly")
 
 
-_ATTN_TARGETS = ("w_q", "w_k", "w_v", "w_o", "w_2", "w_3")
+def _lora_target(rt: RtLayer, target: str, targets: tuple[str, ...]) -> str:
+    if target not in targets:  # a command-line value
+        raise ValidationError(
+            f"layer {rt.index} ({rt.spec.kind}) has no LoRA target {target!r} (have {targets})"
+        )
+    return target
 
 
 class _TokenSpec(LayerSpec):
     """Shared by the kinds that act on a (token, feature) matrix: attention
     when the kind has ``heads``, a row-wise FFN when it has ``hidden_dim``.
-    Parameters a kind lacks stay zero in its AttnParams."""
+    Parameters a kind lacks stay zero in its AttnParams and are no LoRA targets."""
 
     heads: int | None
     hidden_dim: int | None
@@ -421,9 +425,10 @@ class _TokenSpec(LayerSpec):
         }
 
     def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
-        if target not in _ATTN_TARGETS:
-            raise SpecError(f"unknown attention target {target!r} (have {_ATTN_TARGETS})")
-        return getattr(rt.attn_params, target)
+        targets = (("w_q", "w_k", "w_v", "w_o") if self.heads is not None else ()) + (
+            ("w_2", "w_3") if self.hidden_dim is not None else ()
+        )
+        return getattr(rt.attn_params, _lora_target(rt, target, targets))
 
     def set_lora_matrix(self, rt: RtLayer, target: str, matrix: np.ndarray) -> None:
         rt.attn_params = replace(rt.attn_params, **{target: matrix})
@@ -831,46 +836,55 @@ def verify_network(
 @dataclass
 class ExpandableNetwork:
     """A network mapped onto one of the expandable chain families, together
-    with the numeric binding of its primitive atoms."""
+    with the numeric binding of its primitive atoms.  The binding is built by
+    ``bind`` on first read and then kept: reading only the chain lowers no
+    layer (conv and pooling layers are lowered as they are at that read)."""
 
     family: str  # "vgg" | "residual" | "transformer"
     chain: object
-    binding: dict[str, np.ndarray]
+    bind: Callable[[], dict[str, np.ndarray]]
     preprocessing: str | None = None  # e.g. patchify note for token models
+
+    @cached_property
+    def binding(self) -> dict[str, np.ndarray]:
+        return self.bind()
 
 
 def _conv_chain(net: MaterializedNetwork) -> ExpandableNetwork:
     # only conv and pool layers get here (see to_expandable)
     stages: list[ChainStage] = []
-    binding: dict[str, np.ndarray] = {}
-    pending: list[tuple] = []  # pool atoms waiting to fold into the next stage
+    atoms: list[tuple[RtLayer, ParamAtom, ParamAtom | None]] = []  # per layer, to bind
+    pending: list[ParamAtom] = []  # pool atoms waiting to fold into the next stage
     pool_idx = 0
     for rt in net.layers:
-        (form,) = rt.spec.lower(rt, zeros(rt.in_shape), net.activation)
         if rt.spec.kind == "mean_pool":
             p_atom = weight_atom(symbolic._name("P", symbolic._sub(pool_idx)))
             pool_idx += 1
-            pending.insert(0, (p_atom, form.weight_matrix.T))
+            pending.insert(0, p_atom)
+            atoms.append((rt, p_atom, None))
             continue
         sub = symbolic._sub(len(stages))
         w = weight_atom(symbolic._name("W", sub))
-        binding[w.name] = form.weight_matrix.T
-        weights = [w]
-        for p_atom, p_matrix in pending:
-            weights.append(p_atom)
-            binding[p_atom.name] = p_matrix
+        b = None if rt.conv_params.bias is None else bias_atom(symbolic._name("b", sub))
+        atoms.append((rt, w, b))
+        stages.append(ChainStage(weights=(w, *pending), bias=b))
         pending = []
-        b = None
-        if form.bias is not None:
-            b = bias_atom(symbolic._name("b", sub))
-            binding[b.name] = form.bias
-        stages.append(ChainStage(weights=tuple(weights), bias=b))
     if pending:
         raise SpecError("chain must end with an activation stage, not pooling")
     if not stages:
         raise SpecError("nothing to expand: no activation stages")
+
+    def bind() -> dict[str, np.ndarray]:
+        binding = {}
+        for rt, w, b in atoms:
+            (form,) = rt.spec.lower(rt, zeros(rt.in_shape), net.activation)
+            binding[w.name] = form.weight_matrix.T
+            if b is not None:
+                binding[b.name] = form.bias
+        return binding
+
     chain = dense_chain(stages, net.spec.input_shape.size, {})
-    return ExpandableNetwork(family="vgg", chain=chain, binding=binding)
+    return ExpandableNetwork(family="vgg", chain=chain, bind=bind)
 
 
 def _residual_chain(net: MaterializedNetwork) -> ExpandableNetwork:
@@ -879,15 +893,9 @@ def _residual_chain(net: MaterializedNetwork) -> ExpandableNetwork:
     if len(hiddens) != 1:
         raise SpecError("residual chains with mixed hidden dims are not expandable")
     chain = build_residual_chain(len(net.layers), dim, hiddens.pop())
-    binding: dict[str, np.ndarray] = {}
-    for k, rt in enumerate(net.layers):
-        r = rt.residual
-        sub = symbolic._sub(k)
-        binding[symbolic._name("W", f"{sub},1")] = r.w_1
-        binding[symbolic._name("W", f"{sub},2")] = r.w_2
-        binding[symbolic._name("b", f"{sub},1", prime=False)] = r.b_1
-        binding[symbolic._name("b", f"{sub},2", prime=False)] = r.b_2
-    return ExpandableNetwork(family="residual", chain=chain, binding=binding)
+    weights = ((r.w_1, r.b_1, r.w_2, r.b_2) for r in (rt.residual for rt in net.layers))
+    pairs = [(a.name, v) for atoms, w in zip(chain.block_atoms, weights) for a, v in zip(atoms, w)]
+    return ExpandableNetwork(family="residual", chain=chain, bind=partial(dict, pairs))
 
 
 def _transformer_chain(net: MaterializedNetwork) -> ExpandableNetwork:
@@ -907,9 +915,9 @@ def _transformer_chain(net: MaterializedNetwork) -> ExpandableNetwork:
     if len(heads) != 1 or len(hidden) != 1:
         raise SpecError("transformer chains with mixed heads/hidden dims are not expandable")
     chain = build_transformer_chain(len(layers), tokens, d, heads.pop(), hidden.pop())
-    binding = chain.binding([rt.attn_params for rt in layers])
+    bind = partial(chain.binding, [rt.attn_params for rt in layers])
     return ExpandableNetwork(
-        family="transformer", chain=chain, binding=binding, preprocessing=preprocessing
+        family="transformer", chain=chain, bind=bind, preprocessing=preprocessing
     )
 
 

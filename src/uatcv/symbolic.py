@@ -1,9 +1,9 @@
 """Symbolic composition of matrix-vector layers and canonical-form expansion.
 
-A network built from lowered layers is a tree over: the input vector symbol,
-parameter atoms (weights and biases), linear application, addition, and an
-opaque elementwise activation ``sigma``.  Expanding a composition rewrites it
-into a canonical approximator form
+A network built from lowered layers is an expression graph over: the input
+vector symbol, parameter atoms (weights and biases), linear application,
+addition, and an opaque elementwise activation ``sigma``.  Expanding a
+composition rewrites it into a canonical approximator form
 
     G(x) = [L x] + sum_j outer_j sigma(inner_j x + bias_j) + [const]
 
@@ -20,14 +20,20 @@ pure-parameter subexpressions in bias position into fixed atoms, and fold
 input-reaching subexpressions in bias position into input-dependent atoms.
 ``sigma`` is never rewritten.
 
-All expression values are immutable; evaluation is pure, so independent
+Each node class holds its own rules (children, value, rendering).  A node
+is hashed once, when it is built, and so is whether it reaches the input.
+Each evaluation call memoizes per node: it computes every node once for its
+binding and drops the memo on return.  No cache outlives the call; all
+expression values are immutable and evaluation is pure, so independent
 bindings can be evaluated concurrently.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -52,15 +58,87 @@ class Dependence(Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Input:
+def _render_name(name: str, fmt: str, decoration: str | None = None) -> str:
+    """A symbol name, split into its leading letter and the trailing
+    primes/subscript (e.g. "W'_{i,1}"), with an optional hat or bar."""
+    if fmt == "text":
+        marks = {"hat": TEXT_HAT, "bar": TEXT_BAR}
+        return name if decoration is None else name[0] + marks[decoration] + name[1:]
+    core = rf"\mathbf{{{name[0]}}}"
+    if decoration == "hat":
+        core = rf"\hat{{{core}}}"
+    elif decoration == "bar":
+        core = rf"\overline{{{core}}}"
+    return core + name[1:]
+
+
+def _sigma_symbol(fmt: str) -> str:
+    return "σ" if fmt == "text" else r"\sigma"
+
+
+class Node:
+    """Base of the expression nodes, each a frozen dataclass with structural
+    equality.  A subclass overrides ``children`` (the nodes its value reads),
+    ``value`` (from its children's values, read through ``ev``) and
+    ``render``."""
+
+    def __post_init__(self) -> None:
+        # the generated __init__ has set exactly the fields; the derived
+        # values go straight into __dict__, past the frozen guard
+        fields = self.__dict__
+        fields["_hash"] = hash(tuple(fields.values()))
+        fields["reaches_input"] = self._reaches_input()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            type(other) is type(self) and self._hash == other._hash
+            and self.__dict__ == other.__dict__
+        )
+
+    def _reaches_input(self) -> bool:
+        for c in self.children():
+            if c.reaches_input:
+                return True
+        return False
+
+    def children(self) -> tuple[Node, ...]:
+        return ()
+
+    def nesting(self) -> int:
+        """How deeply sigmas nest along the vector path (sets brackets)."""
+        return 0
+
+    def distribute(self) -> Node:
+        """Normal form: linear maps distributed over sums, nested sums
+        flattened, nested applications merged into products."""
+        return self
+
+    def applied(self, weight: MatrixExpr) -> Node:
+        """The normal form of ``Apply(weight, self)``, self being normal."""
+        return Apply(weight, self)
+
+
+@dataclass(frozen=True, eq=False)
+class Input(Node):
     """The network input vector symbol."""
 
     name: str = INPUT_NAME
 
+    def _reaches_input(self) -> bool:
+        return True
 
-@dataclass(frozen=True)
-class ParamAtom:
+    def value(self, ev: _Evaluation) -> np.ndarray:
+        return ev.lookup(self.name)
+
+    def render(self, fmt: str) -> str:
+        return _render_name(self.name, fmt)
+
+
+@dataclass(frozen=True, eq=False)
+class ParamAtom(Node):
     """A named parameter: primitive (bound directly) or merged (carrying the
     folding expression that defines it)."""
 
@@ -75,44 +153,133 @@ class ParamAtom:
 
     @property
     def display(self) -> str:
-        if not self.merged:
-            return self.name
-        mark = TEXT_HAT if self.dependence is Dependence.INPUT_DEPENDENT else TEXT_BAR
-        return self.name[0] + mark + self.name[1:]
+        return self.render("text")
+
+    def children(self) -> tuple[Node, ...]:
+        return () if self.provenance is None else (self.provenance,)
+
+    def value(self, ev: _Evaluation) -> np.ndarray:
+        return ev.lookup(self.name) if self.provenance is None else ev(self.provenance)
+
+    def render(self, fmt: str) -> str:
+        mark = "hat" if self.dependence is Dependence.INPUT_DEPENDENT else "bar"
+        return _render_name(self.name, fmt, mark if self.merged else None)
 
 
-@dataclass(frozen=True)
-class Apply:
+@dataclass(frozen=True, eq=False)
+class Apply(Node):
     """Linear application: weight value times the argument vector."""
 
     weight: "MatrixExpr"
     arg: "VectorExpr"
 
+    def children(self) -> tuple[Node, ...]:
+        return (self.weight, self.arg)
 
-@dataclass(frozen=True)
-class Add:
+    def nesting(self) -> int:
+        return self.arg.nesting()
+
+    def distribute(self) -> Node:
+        arg = self.arg.distribute()
+        if arg is self.arg and not isinstance(arg, (Add, Apply)):
+            return self  # already normal
+        return arg.applied(self.weight)
+
+    def applied(self, weight: MatrixExpr) -> Node:
+        return Apply(_product(_mat_factors(weight) + _mat_factors(self.weight)), self.arg)
+
+    def value(self, ev: _Evaluation) -> np.ndarray:
+        return ev(self.weight) @ ev(self.arg)
+
+    def render(self, fmt: str) -> str:
+        w, arg = self.weight.render(fmt), self.arg.render(fmt)
+        if isinstance(self.arg, Input):
+            return f"{w} {arg}"
+        if isinstance(self.arg, Activate):
+            return f"{w}[{arg}]" if self.arg.nesting() >= 2 else f"{w}{arg}"
+        if isinstance(self.arg, ParamAtom):
+            return f"{w}{arg}"
+        return f"{w}({arg})"
+
+
+@dataclass(frozen=True, eq=False)
+class Add(Node):
     terms: tuple["VectorExpr", ...]
 
+    def children(self) -> tuple[Node, ...]:
+        return self.terms
 
-@dataclass(frozen=True)
-class Activate:
+    def nesting(self) -> int:
+        return max((t.nesting() for t in self.terms), default=0)
+
+    def distribute(self) -> Node:
+        flat: list[VectorExpr] = []
+        for t in self.terms:
+            t = t.distribute()
+            flat.extend(t.terms if isinstance(t, Add) else (t,))
+        flat = tuple(flat)
+        return self if flat == self.terms else Add(flat)
+
+    def applied(self, weight: MatrixExpr) -> Node:
+        return Add(tuple(t.applied(weight) for t in self.terms))  # terms are normal, no sums
+
+    def value(self, ev: _Evaluation) -> np.ndarray:
+        return reduce(operator.add, map(ev, self.terms))  # in term order
+
+    def render(self, fmt: str) -> str:
+        return " + ".join(t.render(fmt) for t in self.terms)
+
+
+@dataclass(frozen=True, eq=False)
+class Activate(Node):
     """Elementwise sigma; kept opaque, resolved only at evaluation time."""
 
     arg: "VectorExpr"
 
+    def children(self) -> tuple[Node, ...]:
+        return (self.arg,)
 
-@dataclass(frozen=True)
-class MatProduct:
+    def nesting(self) -> int:
+        return 1 + self.arg.nesting()
+
+    def distribute(self) -> Node:
+        arg = self.arg.distribute()
+        return self if arg is self.arg else Activate(arg)
+
+    def value(self, ev: _Evaluation) -> np.ndarray:
+        return ev.act(ev(self.arg))
+
+    def render(self, fmt: str) -> str:
+        return f"{_sigma_symbol(fmt)}({self.arg.render(fmt)})"
+
+
+@dataclass(frozen=True, eq=False)
+class MatProduct(Node):
     factors: tuple["MatrixExpr", ...]
 
+    def children(self) -> tuple[Node, ...]:
+        return self.factors
 
-@dataclass(frozen=True)
-class IdentityMat:
+    def value(self, ev: _Evaluation) -> np.ndarray:
+        return reduce(operator.matmul, map(ev, self.factors))  # left to right
+
+    def render(self, fmt: str) -> str:
+        return "".join(f.render(fmt) for f in self.factors)
+
+
+@dataclass(frozen=True, eq=False)
+class IdentityMat(Node):
     dim: int
 
+    def value(self, ev: _Evaluation) -> np.ndarray:
+        return np.eye(self.dim)
 
-@dataclass(frozen=True)
-class AttnMatrix:
+    def render(self, fmt: str) -> str:
+        return _render_name("I", fmt)
+
+
+@dataclass(frozen=True, eq=False)
+class AttnMatrix(Node):
     """The attention effective matrix of one block, as a matrix-valued node.
 
     Evaluation recomputes the block's input from ``arg``, reshapes it to a
@@ -122,38 +289,27 @@ class AttnMatrix:
 
     label: str  # display label, e.g. "A_{i+1}"
     arg_label: str  # short display for the block input, e.g. "x'_{i+1}"
-    q_key: str
-    k_key: str
-    v_key: str
-    o_key: str
+    proj_keys: tuple[str, str, str, str]  # binding keys of W_Q, W_K, W_V, W_O
     heads: int
     tokens: int
     model_dim: int
     arg: "VectorExpr"
 
+    def children(self) -> tuple[Node, ...]:
+        return (self.arg,)
+
+    def value(self, ev: _Evaluation) -> np.ndarray:
+        x = ev(self.arg).reshape(self.tokens, self.model_dim)
+        projections = [ev.lookup(key) for key in self.proj_keys]
+        # called through the module global, so a wrapper installed on it sees every call
+        return effective_matrix_from_projections(x, *projections, self.heads)
+
+    def render(self, fmt: str) -> str:
+        return f"{_render_name(self.label, fmt)}({_render_name(self.arg_label, fmt)})"
+
 
 VectorExpr = Union[Input, ParamAtom, Apply, Add, Activate]
 MatrixExpr = Union[ParamAtom, MatProduct, IdentityMat, AttnMatrix]
-
-
-def contains_input(expr) -> bool:
-    """Whether the expression reaches the input symbol."""
-    if isinstance(expr, Input):
-        return True
-    if isinstance(expr, ParamAtom):
-        return expr.provenance is not None and contains_input(expr.provenance)
-    if isinstance(expr, Apply):
-        return contains_input(expr.weight) or contains_input(expr.arg)
-    if isinstance(expr, (Add, MatProduct)):
-        items = expr.terms if isinstance(expr, Add) else expr.factors
-        return any(contains_input(t) for t in items)
-    if isinstance(expr, Activate):
-        return contains_input(expr.arg)
-    if isinstance(expr, AttnMatrix):
-        return contains_input(expr.arg)
-    if isinstance(expr, IdentityMat):
-        return False
-    raise SpecError(f"unknown expression node {type(expr).__name__}")
 
 
 def weight_atom(name: str) -> ParamAtom:
@@ -174,37 +330,15 @@ def _product(factors: tuple[MatrixExpr, ...]) -> MatrixExpr:
     return factors[0] if len(factors) == 1 else MatProduct(factors)
 
 
-def distribute_linear(expr: VectorExpr) -> VectorExpr:
-    """Normalize a vector expression: distribute linear maps over sums,
-    flatten nested sums, and merge nested applications into products."""
-    if isinstance(expr, Add):
-        flat: list[VectorExpr] = []
-        for t in expr.terms:
-            t = distribute_linear(t)
-            if isinstance(t, Add):
-                flat.extend(t.terms)
-            else:
-                flat.append(t)
-        return Add(tuple(flat))
-    if isinstance(expr, Activate):
-        return Activate(distribute_linear(expr.arg))
-    if isinstance(expr, Apply):
-        arg = distribute_linear(expr.arg)
-        if isinstance(arg, Add):
-            return distribute_linear(
-                Add(tuple(Apply(expr.weight, t) for t in arg.terms))
-            )
-        if isinstance(arg, Apply):
-            merged = _product(_mat_factors(expr.weight) + _mat_factors(arg.weight))
-            return Apply(merged, arg.arg)
-        return Apply(expr.weight, arg)
-    return expr
+def _wrap_weight(factors: tuple[ParamAtom, ...], name: str) -> ParamAtom:
+    """The single factor itself, or the product merged into atom ``name``."""
+    return factors[0] if len(factors) == 1 else merged_atom(name, "weight", MatProduct(factors))
 
 
 def merged_atom(name: str, kind: str, provenance) -> ParamAtom:
     if kind == "bias":
-        provenance = distribute_linear(provenance)
-    dep = Dependence.INPUT_DEPENDENT if contains_input(provenance) else Dependence.FIXED
+        provenance = provenance.distribute()
+    dep = Dependence.INPUT_DEPENDENT if provenance.reaches_input else Dependence.FIXED
     return ParamAtom(name, kind, dep, provenance)
 
 
@@ -223,66 +357,59 @@ def is_identity(atom: ParamAtom | None) -> bool:
 Binding = Mapping[str, np.ndarray]
 
 
-def _lookup(env: Binding, name: str) -> np.ndarray:
-    try:
-        return np.asarray(env[name], dtype=np.float64)
-    except KeyError:
-        raise SpecError(f"binding for {name!r} missing") from None
+class _Evaluation:
+    """The memo of one evaluation call under one binding: ``value(root)``
+    computes each node under ``root`` once, children first and without
+    recursion; ``ev(node)`` reads a computed value.  Reads are counted up
+    front and a value is dropped at its last read."""
+
+    def __init__(self, env: Binding, sigma: str, roots: Sequence[Node]):
+        self.env = env
+        self.act = activation(sigma)
+        self.held: dict[Node, np.ndarray] = {}
+        self.reads: dict[Node, int] = {}
+        todo = list(roots)
+        while todo:
+            node = todo.pop()
+            seen = self.reads.get(node, 0)
+            self.reads[node] = seen + 1
+            if not seen:
+                todo.extend(node.children())
+
+    def lookup(self, name: str) -> np.ndarray:
+        try:
+            return np.asarray(self.env[name], dtype=np.float64)
+        except KeyError:
+            raise SpecError(f"binding for {name!r} missing") from None
+
+    def __call__(self, node: Node) -> np.ndarray:
+        out = self.held[node]
+        self.reads[node] -= 1
+        if not self.reads[node]:
+            del self.held[node]
+        return out
+
+    def value(self, root: Node) -> np.ndarray:
+        todo = [root]
+        while todo:
+            node = todo[-1]
+            if node in self.held:
+                todo.pop()
+                continue
+            missing = [c for c in node.children() if c not in self.held]
+            if missing:
+                todo.extend(missing)
+            else:
+                self.held[todo.pop()] = node.value(self)
+        return self(root)
 
 
 def atom_value(atom: ParamAtom, env: Binding, sigma: str = "relu") -> np.ndarray:
-    if atom.provenance is None:
-        return _lookup(env, atom.name)
-    if atom.kind == "weight":
-        return eval_matrix(atom.provenance, env, sigma)
-    return eval_vector(atom.provenance, env, sigma)
-
-
-def eval_matrix(expr: MatrixExpr, env: Binding, sigma: str = "relu") -> np.ndarray:
-    if isinstance(expr, ParamAtom):
-        if expr.kind != "weight":
-            raise ShapeError(f"atom {expr.name} is not matrix-valued")
-        return atom_value(expr, env, sigma)
-    if isinstance(expr, MatProduct):
-        vals = [eval_matrix(f, env, sigma) for f in expr.factors]
-        out = vals[0]
-        for v in vals[1:]:
-            out = out @ v
-        return out
-    if isinstance(expr, IdentityMat):
-        return np.eye(expr.dim)
-    if isinstance(expr, AttnMatrix):
-        flat = eval_vector(expr.arg, env, sigma)
-        x = flat.reshape(expr.tokens, expr.model_dim)
-        return effective_matrix_from_projections(
-            x,
-            _lookup(env, expr.q_key),
-            _lookup(env, expr.k_key),
-            _lookup(env, expr.v_key),
-            _lookup(env, expr.o_key),
-            expr.heads,
-        )
-    raise SpecError(f"not a matrix expression: {type(expr).__name__}")
+    return _Evaluation(env, sigma, [atom]).value(atom)
 
 
 def eval_vector(expr: VectorExpr, env: Binding, sigma: str = "relu") -> np.ndarray:
-    if isinstance(expr, Input):
-        return _lookup(env, expr.name)
-    if isinstance(expr, ParamAtom):
-        if expr.kind != "bias":
-            raise ShapeError(f"atom {expr.name} is not vector-valued")
-        return atom_value(expr, env, sigma)
-    if isinstance(expr, Apply):
-        return eval_matrix(expr.weight, env, sigma) @ eval_vector(expr.arg, env, sigma)
-    if isinstance(expr, Add):
-        vals = [eval_vector(t, env, sigma) for t in expr.terms]
-        out = vals[0]
-        for v in vals[1:]:
-            out = out + v
-        return out
-    if isinstance(expr, Activate):
-        return activation(sigma)(eval_vector(expr.arg, env, sigma))
-    raise SpecError(f"not a vector expression: {type(expr).__name__}")
+    return _Evaluation(env, sigma, [expr]).value(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +430,21 @@ class SigmaTerm:
     inner: ParamAtom
     bias: ParamAtom | None
     arg: str = "input"
+
+    def value(self, ev: _Evaluation, x: np.ndarray) -> np.ndarray:
+        pre = ev.value(self.inner) @ x
+        if self.bias is not None:
+            pre = pre + ev.value(self.bias)
+        out = ev.act(pre)
+        return out if self.outer is None else ev.value(self.outer) @ out
+
+    def render(self, fmt: str, arg_text: str, bracket: bool) -> str:
+        sep = "" if bracket else " "
+        inner = f"{self.inner.render(fmt)}{sep}{arg_text}"
+        if self.bias is not None:
+            inner += f" + {self.bias.render(fmt)}"
+        body = f"{_sigma_symbol(fmt)}({inner})"
+        return body if self.outer is None else f"{self.outer.render(fmt)}{body}"
 
 
 @dataclass(frozen=True)
@@ -338,157 +480,57 @@ class CanonicalUAT:
     def n_terms(self) -> int:
         return len(self.sigma_terms)
 
+    def slots(self) -> list[tuple[str, ParamAtom]]:
+        """(role, atom) for every filled slot of the form, in display order."""
+        slots = [("linear", self.linear_term)]
+        for j, t in enumerate(self.sigma_terms):
+            slots += [(f"sigma[{j}].outer", t.outer), (f"sigma[{j}].inner", t.inner),
+                      (f"sigma[{j}].bias", t.bias)]
+        slots.append(("constant", self.constant_term))
+        return [(role, atom) for role, atom in slots if atom is not None]
+
+    def render(self, fmt: str) -> str:
+        x = _render_name(self.input_name, fmt)
+        if self.structure == "chain":
+            cur = ""
+            for k, t in enumerate(self.sigma_terms):
+                if k == 0:
+                    cur = t.render(fmt, x, bracket=False)
+                else:
+                    cur = t.render(fmt, f"[{cur}]" if k >= 2 else cur, bracket=True)
+            return cur
+        parts: list[str] = []
+        if self.linear_term is not None:
+            if is_identity(self.linear_term):
+                parts.append(x)
+            else:
+                parts.append(f"{self.linear_term.render(fmt)} {x}")
+        parts.extend(t.render(fmt, x, bracket=False) for t in self.sigma_terms)
+        if self.constant_term is not None:
+            parts.append(self.constant_term.render(fmt))
+        return " + ".join(parts)
+
 
 def eval_canonical(form: CanonicalUAT, env: Binding, sigma: str = "relu") -> np.ndarray:
     """Numeric value of the canonical form under a primitive-atom binding."""
-    act = activation(sigma)
-    x = _lookup(env, form.input_name)
+    ev = _Evaluation(env, sigma, [atom for _, atom in form.slots()])
+    x = ev.lookup(form.input_name)
     if form.structure == "chain":
-        cur = x
         for t in form.sigma_terms:
-            pre = atom_value(t.inner, env, sigma) @ cur
-            if t.bias is not None:
-                pre = pre + atom_value(t.bias, env, sigma)
-            cur = act(pre)
-            if t.outer is not None:
-                cur = atom_value(t.outer, env, sigma) @ cur
-        return cur
-    acc: np.ndarray | None = None
-    if form.linear_term is not None:
-        acc = atom_value(form.linear_term, env, sigma) @ x
-    for t in form.sigma_terms:
-        pre = atom_value(t.inner, env, sigma) @ x
-        if t.bias is not None:
-            pre = pre + atom_value(t.bias, env, sigma)
-        val = act(pre)
-        if t.outer is not None:
-            val = atom_value(t.outer, env, sigma) @ val
-        acc = val if acc is None else acc + val
+            x = t.value(ev, x)
+        return x
+    parts = [] if form.linear_term is None else [ev.value(form.linear_term) @ x]
+    parts += [t.value(ev, x) for t in form.sigma_terms]
     if form.constant_term is not None:
-        cval = atom_value(form.constant_term, env, sigma)
-        acc = cval if acc is None else acc + cval
-    if acc is None:
+        parts.append(ev.value(form.constant_term))
+    if not parts:
         raise SpecError("canonical form has no terms")
-    return acc
+    return reduce(operator.add, parts)
 
 
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
-
-
-def _split_name(name: str) -> tuple[str, str]:
-    """Split a symbol name into its leading letter and the trailing
-    primes/subscript, e.g. "W'_{i,1}" -> ("W", "'_{i,1}")."""
-    return name[0], name[1:]
-
-
-def _render_name(name: str, fmt: str, decoration: str | None = None) -> str:
-    if fmt == "text":
-        if decoration == "hat":
-            return name[0] + TEXT_HAT + name[1:]
-        if decoration == "bar":
-            return name[0] + TEXT_BAR + name[1:]
-        return name
-    head, tail = _split_name(name)
-    core = rf"\mathbf{{{head}}}"
-    if decoration == "hat":
-        core = rf"\hat{{{core}}}"
-    elif decoration == "bar":
-        core = rf"\overline{{{core}}}"
-    return core + tail
-
-
-def _atom_text(atom: ParamAtom, fmt: str) -> str:
-    if not atom.merged:
-        return _render_name(atom.name, fmt)
-    mark = "hat" if atom.dependence is Dependence.INPUT_DEPENDENT else "bar"
-    return _render_name(atom.name, fmt, mark)
-
-
-def _sigma_depth(expr) -> int:
-    if isinstance(expr, Activate):
-        return 1 + _sigma_depth(expr.arg)
-    if isinstance(expr, Apply):
-        return _sigma_depth(expr.arg)
-    if isinstance(expr, Add):
-        return max((_sigma_depth(t) for t in expr.terms), default=0)
-    return 0
-
-
-def _render_matrix(expr: MatrixExpr, fmt: str) -> str:
-    if isinstance(expr, ParamAtom):
-        return _atom_text(expr, fmt)
-    if isinstance(expr, MatProduct):
-        return "".join(_render_matrix(f, fmt) for f in expr.factors)
-    if isinstance(expr, IdentityMat):
-        return _render_name("I", fmt)
-    if isinstance(expr, AttnMatrix):
-        return f"{_render_name(expr.label, fmt)}({_render_name(expr.arg_label, fmt)})"
-    raise SpecError(f"not a matrix expression: {type(expr).__name__}")
-
-
-def _render_vector(expr: VectorExpr, fmt: str) -> str:
-    sigma_sym = "σ" if fmt == "text" else r"\sigma"
-    if isinstance(expr, Input):
-        return _render_name(expr.name, fmt)
-    if isinstance(expr, ParamAtom):
-        return _atom_text(expr, fmt)
-    if isinstance(expr, Activate):
-        return f"{sigma_sym}({_render_vector(expr.arg, fmt)})"
-    if isinstance(expr, Add):
-        return " + ".join(_render_vector(t, fmt) for t in expr.terms)
-    if isinstance(expr, Apply):
-        w = _render_matrix(expr.weight, fmt)
-        if isinstance(expr.arg, Input):
-            return f"{w} {_render_vector(expr.arg, fmt)}"
-        if isinstance(expr.arg, Activate):
-            body = _render_vector(expr.arg, fmt)
-            if _sigma_depth(expr.arg) >= 2:
-                return f"{w}[{body}]"
-            return f"{w}{body}"
-        if isinstance(expr.arg, ParamAtom):
-            return f"{w}{_render_vector(expr.arg, fmt)}"
-        return f"{w}({_render_vector(expr.arg, fmt)})"
-    raise SpecError(f"not a vector expression: {type(expr).__name__}")
-
-
-def _render_canonical(form: CanonicalUAT, fmt: str) -> str:
-    sigma_sym = "σ" if fmt == "text" else r"\sigma"
-    x = _render_name(form.input_name, fmt)
-
-    def stage(t: SigmaTerm, arg_text: str, bracket: bool) -> str:
-        inner = f"{_atom_text(t.inner, fmt)} {arg_text}" if not bracket else (
-            f"{_atom_text(t.inner, fmt)}{arg_text}"
-        )
-        if t.bias is not None:
-            inner += f" + {_atom_text(t.bias, fmt)}"
-        body = f"{sigma_sym}({inner})"
-        if t.outer is not None:
-            body = f"{_atom_text(t.outer, fmt)}{body}"
-        return body
-
-    if form.structure == "chain":
-        cur = ""
-        for k, t in enumerate(form.sigma_terms):
-            if k == 0:
-                cur = stage(t, x, bracket=False)
-            else:
-                arg = f"[{cur}]" if k >= 2 else cur
-                cur = stage(t, arg, bracket=True)
-        return cur
-
-    parts: list[str] = []
-    if form.linear_term is not None:
-        if is_identity(form.linear_term):
-            parts.append(x)
-        else:
-            parts.append(f"{_atom_text(form.linear_term, fmt)} {x}")
-    for t in form.sigma_terms:
-        parts.append(stage(t, x, bracket=False))
-    if form.constant_term is not None:
-        parts.append(_atom_text(form.constant_term, fmt))
-    return " + ".join(parts)
 
 
 def emit(obj, fmt: str = "text") -> str:
@@ -498,9 +540,7 @@ def emit(obj, fmt: str = "text") -> str:
     """
     if fmt not in ("text", "latex"):
         raise SpecError(f"unknown emit format {fmt!r}")
-    if isinstance(obj, CanonicalUAT):
-        return _render_canonical(obj, fmt)
-    return _render_vector(obj, fmt)
+    return obj.render(fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -521,43 +561,21 @@ class ClassifiedParam:
 def classify_params(form: CanonicalUAT) -> tuple[ClassifiedParam, ...]:
     """Label every atom of the canonical form with its dependence and, for
     merged atoms, the folding expression that produced it."""
-    slots: list[tuple[str, ParamAtom | None]] = [("linear", form.linear_term)]
-    for j, t in enumerate(form.sigma_terms):
-        slots.append((f"sigma[{j}].outer", t.outer))
-        slots.append((f"sigma[{j}].inner", t.inner))
-        slots.append((f"sigma[{j}].bias", t.bias))
-    slots.append(("constant", form.constant_term))
-
-    ordered: list[ParamAtom] = []
     roles: dict[ParamAtom, list[str]] = {}
-    for role, atom in slots:
-        if atom is None or is_identity(atom):
-            continue
-        if atom not in roles:
-            roles[atom] = []
-            ordered.append(atom)
-        roles[atom].append(role)
-
-    rows = []
-    for atom in ordered:
-        prov = "primitive"
-        if atom.merged:
-            prov = (
-                _render_matrix(atom.provenance, "text")
-                if atom.kind == "weight"
-                else _render_vector(atom.provenance, "text")
-            )
-        rows.append(
-            ClassifiedParam(
-                atom=atom,
-                display=atom.display,
-                kind=atom.kind,
-                dependence=atom.dependence,
-                provenance=prov,
-                roles=tuple(roles[atom]),
-            )
+    for role, atom in form.slots():
+        if not is_identity(atom):
+            roles.setdefault(atom, []).append(role)
+    return tuple(
+        ClassifiedParam(
+            atom=atom,
+            display=atom.display,
+            kind=atom.kind,
+            dependence=atom.dependence,
+            provenance=atom.provenance.render("text") if atom.merged else "primitive",
+            roles=tuple(atom_roles),
         )
-    return tuple(rows)
+        for atom, atom_roles in roles.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -628,15 +646,9 @@ def dense_chain(stages: Sequence[ChainStage], input_dim: int,
             inner_expr = Apply(w, inner_expr)
         pre = Add((inner_expr, st.bias)) if st.bias is not None else inner_expr
         expr = Activate(pre)
-        if len(st.weights) == 1:
-            inner_atom = st.weights[0]
-        else:
-            inner_atom = merged_atom(
-                st.weights[0].name, "weight", MatProduct(st.weights)
-            )
         terms.append(
-            SigmaTerm(outer=None, inner=inner_atom, bias=st.bias,
-                      arg="input" if k == 0 else "previous")
+            SigmaTerm(outer=None, inner=_wrap_weight(st.weights, st.weights[0].name),
+                      bias=st.bias, arg="input" if k == 0 else "previous")
         )
     canonical = CanonicalUAT(
         linear_term=None,
@@ -684,6 +696,7 @@ class ResidualChain(_PrimitiveChain):
     expression: VectorExpr
     canonical: CanonicalUAT
     param_shapes: dict[str, tuple[int, ...]]
+    block_atoms: tuple[tuple[ParamAtom, ParamAtom, ParamAtom, ParamAtom], ...]  # w1, b1, w2, b2
 
 
 def build_residual_chain(
@@ -704,24 +717,22 @@ def build_residual_chain(
     expr: VectorExpr = Input()
     terms: list[SigmaTerm] = []
     term_exprs: list[VectorExpr] = []
-    const_expr: VectorExpr | None = None
     const_atoms: list[ParamAtom] = []
-    w1_0 = w2_0 = None
+    block_atoms = []
 
     for k in range(depth):
         if shared and k > 0:
-            w1, w2 = w1_0, w2_0
+            w1, _, w2, _ = block_atoms[0]
         else:
             w1 = weight_atom(_name("W", f"{_sub(k)},1"))
             w2 = weight_atom(_name("W", f"{_sub(k)},2"))
             shapes[w1.name] = (hidden, dim)
             shapes[w2.name] = (dim, hidden)
-            if k == 0:
-                w1_0, w2_0 = w1, w2
         b1 = bias_atom(_name("b", f"{_sub(k)},1", prime=False))
         b2 = bias_atom(_name("b", f"{_sub(k)},2", prime=False))
         shapes[b1.name] = (hidden,)
         shapes[b2.name] = (dim,)
+        block_atoms.append((w1, b1, w2, b2))
 
         # composed expression: v + W2 sigma(W1 v + b1) + b2
         expr = Add((expr, Apply(w2, Activate(Add((Apply(w1, expr), b1)))), b2))
@@ -731,7 +742,7 @@ def build_residual_chain(
         if k == 0:
             stage_bias = b1
         else:
-            carried = Add((*term_exprs, const_expr))
+            carried = Add((*term_exprs, *const_atoms))
             stage_bias = merged_atom(
                 _name("b", f"{_sub(k)},2", prime=False),
                 "bias",
@@ -740,7 +751,6 @@ def build_residual_chain(
         terms.append(SigmaTerm(outer=w2, inner=w1, bias=stage_bias))
         term_exprs.append(Apply(w2, Activate(Add((Apply(w1, Input()), stage_bias)))))
         const_atoms.append(b2)
-        const_expr = b2 if const_expr is None else Add((const_expr, b2))
 
     if depth == 1:
         constant = const_atoms[0]
@@ -763,6 +773,7 @@ def build_residual_chain(
         expression=expr,
         canonical=canonical,
         param_shapes=shapes,
+        block_atoms=tuple(block_atoms),
     )
 
 
@@ -835,12 +846,6 @@ class TransformerChain:
         )
 
 
-def _wrap_weight(factors: tuple, name: str) -> ParamAtom:
-    if len(factors) == 1 and isinstance(factors[0], ParamAtom):
-        return factors[0]
-    return merged_atom(name, "weight", MatProduct(tuple(factors)))
-
-
 def build_transformer_chain(
     depth: int, tokens: int, model_dim: int, heads: int, ffn_dim: int
 ) -> TransformerChain:
@@ -863,8 +868,8 @@ def build_transformer_chain(
 
     for k in range(depth):
         sub = _sub(k)
-        q_key, k_key, v_key, o_key = (f"W_Q[{sub}]", f"W_K[{sub}]", f"W_V[{sub}]", f"W_O[{sub}]")
-        proj_keys.append((q_key, k_key, v_key, o_key))
+        keys = (f"W_Q[{sub}]", f"W_K[{sub}]", f"W_V[{sub}]", f"W_O[{sub}]")
+        proj_keys.append(keys)
         raw_keys.append((f"w2[{sub}]", f"w3[{sub}]", f"b2[{sub}]", f"b3[{sub}]"))
 
         attn = merged_atom(
@@ -873,10 +878,7 @@ def build_transformer_chain(
             AttnMatrix(
                 label=_name("A", sub, prime=False),
                 arg_label=_name("x", sub),
-                q_key=q_key,
-                k_key=k_key,
-                v_key=v_key,
-                o_key=o_key,
+                proj_keys=keys,
                 heads=heads,
                 tokens=tokens,
                 model_dim=model_dim,
@@ -898,15 +900,12 @@ def build_transformer_chain(
         if k == 0:
             stage_bias = b2
         else:
-            pieces: list[VectorExpr] = []
-            for t in raw_terms:
-                outer_m = t["outer"][0] if len(t["outer"]) == 1 else MatProduct(t["outer"])
-                inner_m = t["inner"][0] if len(t["inner"]) == 1 else MatProduct(t["inner"])
-                pieces.append(
-                    Apply(outer_m, Activate(Add((Apply(inner_m, Input()), t["bias"]))))
-                )
-            if const_expr is not None:
-                pieces.append(const_expr)
+            pieces = [
+                Apply(_product(t["outer"]),
+                      Activate(Add((Apply(_product(t["inner"]), Input()), t["bias"]))))
+                for t in raw_terms
+            ]
+            pieces.append(const_expr)
             stage_bias = merged_atom(
                 _name("b", f"{sub},2"),
                 "bias",
@@ -916,7 +915,7 @@ def build_transformer_chain(
         for t in raw_terms:
             t["outer"] = (attn, *t["outer"])
         raw_terms.append(
-            {"outer": (w3,), "inner": (w2, attn, *linear_factors), "bias": stage_bias, "block": k}
+            {"outer": (w3,), "inner": (w2, attn, *linear_factors), "bias": stage_bias}
         )
         linear_factors = (attn, *linear_factors)
         const_expr = b3 if const_expr is None else Add((Apply(attn, const_expr), b3))
@@ -924,19 +923,10 @@ def build_transformer_chain(
     last = depth - 1
     linear = _wrap_weight(linear_factors, _name("W", f"{_sub(last)},1"))
     terms = []
-    for t in raw_terms:
-        j = t["block"]
-        if j == 0:
-            inner_name = _name("W", f"{_sub(0)},1")
-        else:
-            inner_name = _name("W", f"{_sub(j)},3")
-        inner = _wrap_weight(t["inner"], inner_name)
-        if j == last:
-            outer_name = t["outer"][0].name  # primitive, kept as-is
-        elif j == last - 1:
-            outer_name = _name("W", f"{_sub(last)},2")
-        else:
-            outer_name = _name("W", f"{_sub(last)},2;{j}")
+    for j, t in enumerate(raw_terms):  # term j comes from block j
+        inner = _wrap_weight(t["inner"], _name("W", f"{_sub(j)},{3 if j else 1}"))
+        # the last block's outer factor is its primitive W3, kept as it is
+        outer_name = _name("W", f"{_sub(last)},2" + ("" if j >= last - 1 else f";{j}"))
         outer = _wrap_weight(t["outer"], outer_name)
         terms.append(SigmaTerm(outer=outer, inner=inner, bias=t["bias"]))
 

@@ -201,3 +201,26 @@ def test_missing_file_is_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert code == EXIT_PARSE
     assert "error[parse]" in err
+
+
+TOKENS = [["token", 3], ["feature", 4]]
+
+
+@pytest.mark.parametrize(
+    "shape, layer, target",
+    [
+        (TOKENS, {"kind": "mha", "heads": 2}, "w_2"),  # mha has no FFN
+        (TOKENS, {"kind": "ffn", "hidden_dim": 3}, "w_q"),  # ffn has no projections
+        (TOKENS, {"kind": "mha", "heads": 2}, "nope"),
+        ([["feature", 4]], {"kind": "residual_block"}, "w_3"),
+        ([["H", 4], ["W", 4]], {"kind": "patchify", "patch": [2, 2]}, "w_2"),  # no matrix
+    ],
+)
+def test_lora_target_must_name_a_part_of_the_layer(capsys, tmp_path, shape, layer, target):
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps({"input_shape": shape, "seed": 1, "activation": "relu",
+                                "layers": [layer]}))
+    code, _, err = run(capsys, "analyze", str(spec), "--lora-layer", "0", "--lora-rank", "1",
+                       "--lora-target", target)
+    assert code == EXIT_PARSE
+    assert "error[validation]" in err and f"layer 0 ({layer['kind']})" in err

@@ -375,3 +375,24 @@ def test_parse_spec_text_raises_only_uatcv_errors(text):
     except UatcvError:
         return
     assert parse_spec_text(emit_spec(net)) == net
+
+
+def test_bridge_lowers_only_when_binding_is_read(specs_dir, monkeypatch):
+    import uatcv.netspec as netspec
+
+    calls = []
+    for name in ("lower_conv2d_I_O", "lower_mean_pool"):
+        original = getattr(netspec, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(netspec, name, counted)
+    net = materialize(parse_spec(specs_dir / "vgg3.json"))
+    exp = to_expandable(net)
+    assert calls == []
+    first = exp.binding
+    assert calls == ["lower_conv2d_I_O"] * len(net.layers)
+    assert exp.binding is first
+    assert len(calls) == len(net.layers)

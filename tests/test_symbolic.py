@@ -337,3 +337,42 @@ def test_residual_canonical_text_shape():
         "x'_i + W'_{i,2}σ(W'_{i,1} x'_i + b_{i,1})"
         " + W'_{i+1,2}σ(W'_{i+1,1} x'_i + b̂_{i+1,2}) + b̄_{i+1,2}"
     )
+
+
+# ---------------------------------------------------------------------------
+# evaluation cost: each shared node once per binding
+# ---------------------------------------------------------------------------
+
+
+def test_one_effective_matrix_per_block_per_evaluation(monkeypatch):
+    import uatcv.symbolic as symbolic
+
+    calls = []
+    original = symbolic.effective_matrix_from_projections
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(symbolic, "effective_matrix_from_projections", counted)
+    chain = build_transformer_chain(3, tokens=4, model_dim=4, heads=2, ffn_dim=6)
+    env = chain.random_binding(np.random.default_rng(9))
+    eval_canonical(chain.canonical, env, "relu")
+    assert len(calls) == 3
+    calls.clear()
+    eval_vector(chain.expression, env, "relu")
+    assert len(calls) == 3
+
+
+def test_residual_evaluation_reads_binding_linearly():
+    class CountingDict(dict):
+        reads = 0
+
+        def __getitem__(self, key):
+            CountingDict.reads += 1
+            return super().__getitem__(key)
+
+    chain = build_residual_chain(10, 5, 4)
+    env = CountingDict(chain.random_binding(np.random.default_rng(10)))
+    eval_canonical(chain.canonical, env, "relu")
+    assert CountingDict.reads <= 2 * len(env)
