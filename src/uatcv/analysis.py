@@ -44,11 +44,17 @@ def count_uat_terms(net: NetworkSpec) -> list[TermCountRow]:
     Prefixes that do not form an expandable network on their own (e.g. a
     conv stack cut mid-pooling) get ``n_terms=None`` with the reason.
     """
+    # weights are drawn layer by layer, so a prefix's are the full network's first k
+    full = materialize(net)
     rows = []
     for k in range(1, len(net.layers) + 1):
-        prefix = replace(net, layers=net.layers[:k])
+        prefix = MaterializedNetwork(
+            spec=replace(net, layers=net.layers[:k]),
+            shapes=full.shapes[: k + 1],
+            layers=full.layers[:k],
+        )
         try:
-            exp = to_expandable(materialize(prefix))
+            exp = to_expandable(prefix)
             rows.append(TermCountRow(prefix_len=k, n_terms=exp.chain.canonical.n_terms))
         except SpecError as exc:
             rows.append(TermCountRow(prefix_len=k, n_terms=None, note=str(exc)))
@@ -155,10 +161,11 @@ def apply_lora(net: MaterializedNetwork, delta: LoraDelta) -> MaterializedNetwor
     return new
 
 
-def _conv_wprime(rt: RtLayer, sigma: str) -> np.ndarray:
-    """W' of a conv layer at its input shape (W' does not depend on the values)."""
+def _conv_wvalues(rt: RtLayer, sigma: str) -> np.ndarray:
+    """The structural cell values of a conv layer's W' at its input shape (W'
+    does not depend on the input values, and the cells only on the shapes)."""
     (form,) = rt.spec.lower(rt, zeros(rt.in_shape), sigma)
-    return form.weight_matrix
+    return form.weight_values
 
 
 def lora_equivalence_check(
@@ -167,9 +174,10 @@ def lora_equivalence_check(
     """Verify the low-rank update behaves linearly through the lowering.
 
     Checks (for conv targets) that lowering the patched kernel equals the
-    lowered original plus the lowered update, entrywise; that untouched
-    layers lower to bit-identical matrices; and that the patched network's
-    output matches direct evaluation with W + BA.
+    lowered original plus the lowered update, cell by cell; that untouched
+    layers lower to bit-identical cell values; and that the patched network's
+    output matches direct evaluation with W + BA.  Every form of a layer has
+    the same structural cells, so comparing the values compares the W'.
     """
     sigma = net.activation if sigma is None else sigma
     patched = apply_lora(net, delta)
@@ -177,18 +185,18 @@ def lora_equivalence_check(
 
     rt = net.layers[delta.layer]
     if rt.conv_weights is not None:
-        base = _conv_wprime(rt, sigma)
-        patched_wprime = _conv_wprime(patched.layers[delta.layer], sigma)
+        base = _conv_wvalues(rt, sigma)
+        patched_values = _conv_wvalues(patched.layers[delta.layer], sigma)
         delta_rt = copy.deepcopy(rt)
         rt.spec.set_lora_matrix(delta_rt, delta.target, delta.update())
-        lin = np.max(np.abs(patched_wprime - (base + _conv_wprime(delta_rt, sigma))))
+        lin = np.max(np.abs(patched_values - (base + _conv_wvalues(delta_rt, sigma))), initial=0.0)
         report["lowering_linearity_max_abs"] = float(lin)
 
     untouched = []
     for i, (a, b) in enumerate(zip(net.layers, patched.layers)):
         if i == delta.layer or a.conv_weights is None:
             continue
-        untouched.append(bool(np.array_equal(_conv_wprime(a, sigma), _conv_wprime(b, sigma))))
+        untouched.append(bool(np.array_equal(_conv_wvalues(a, sigma), _conv_wvalues(b, sigma))))
     report["untouched_layers_identical"] = all(untouched) if untouched else True
 
     out_base = forward(net, x, sigma)[-1].flat

@@ -11,19 +11,22 @@ diamond product ``W' <> x' = W'^T x'`` reproduces the direct computation of
 * FFN stages and attention operate on token matrices flattened row-major
   (token, feature).
 
-W' is stored dense.  Structural entries (the cells that carry a kernel
-element, whatever its value) are recorded in index maps so weight sharing
-stays inspectable: every structural cell traces to exactly one kernel
-element, and a kernel element generally occupies many cells.
+W' is stored as its structural cells (the positions that carry a kernel
+element, whatever its value) with one value each; the cells' index map keeps
+weight sharing inspectable: every cell traces to exactly one kernel element,
+and a kernel element generally occupies many cells.  A stage evaluates in
+O(cells) as a weighted ``bincount``, and the dense W' is built only when read.
+Every index grid a lowering enumerates counts against the element cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import CapacityError, RangeError, ShapeError
 from .reference import (
     AttnParams,
     ConvParams,
@@ -34,7 +37,7 @@ from .reference import (
     activation,
     attention_probabilities_raw,
 )
-from .tensor import Tensor, as_matrix, as_vector, flatten, matvec
+from .tensor import Tensor, as_matrix, as_vector, element_cap, flatten, matvec
 
 
 def diamond(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -59,21 +62,28 @@ class WeightIndexMap:
         return len(self.rows)
 
     def sharing_counts(self) -> np.ndarray:
-        """How many cells each distinct kernel element occupies."""
-        _, counts = np.unique(self.sources, axis=0, return_counts=True)
-        return counts
+        """How many cells each distinct kernel element occupies, in the
+        lexicographic order of the kernel coordinates."""
+        if not len(self):
+            return np.zeros(0, dtype=np.intp)
+        flat = np.ravel_multi_index(tuple(self.sources.T), tuple(self.sources.max(axis=0) + 1))
+        counts = np.bincount(flat)
+        return counts[counts > 0]
 
 
 @dataclass(frozen=True)
 class LoweredForm:
     """One matrix-vector stage: y' = W' <> x' (+ bias).
 
-    ``input_index_map`` gives, for each x' position, the source coordinate it
-    was read from; a source appearing at several positions is a replica.
-    ``weight_index_map`` records the structural cells of W'.
+    W' has shape ``(len(x'), output_len)`` and is held as its structural
+    cells: ``weight_index_map`` gives each cell's (row, col) and the kernel
+    coordinate it carries, and ``weight_values[k]`` is the value of cell k.
+    Every other entry of W' is zero.  ``input_index_map`` gives, for each x'
+    position, the source coordinate it was read from; a source appearing at
+    several positions is a replica.
     """
 
-    weight_matrix: np.ndarray
+    weight_values: np.ndarray
     input_vector: np.ndarray
     output_len: int
     input_index_map: np.ndarray  # (len(x'), coord_ndim)
@@ -82,17 +92,38 @@ class LoweredForm:
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        w = as_matrix(self.weight_matrix)
         x = as_vector(self.input_vector)
-        if w.shape != (x.shape[0], self.output_len):
+        cells = self.weight_index_map
+        if len(self.weight_values) != len(cells):
             raise ShapeError(
-                f"W' shape {w.shape} must be (len(x'), output_len) = "
+                f"{len(self.weight_values)} weight values for {len(cells)} structural cells"
+            )
+        if len(cells) and not (
+            0 <= cells.rows.min() and cells.rows.max() < x.shape[0]
+            and 0 <= cells.cols.min() and cells.cols.max() < self.output_len
+        ):
+            raise ShapeError(
+                f"structural cells must lie inside W' of shape (len(x'), output_len) = "
                 f"({x.shape[0]}, {self.output_len})"
             )
+        if not np.all(np.isfinite(self.weight_values)):
+            raise RangeError("W' entries must be finite")
         if self.bias is not None and as_vector(self.bias).shape[0] != self.output_len:
             raise ShapeError("bias length must equal output_len")
         if len(self.input_index_map) != x.shape[0]:
             raise ShapeError("input_index_map must cover every x' position")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of W': (len(x'), output_len)."""
+        return len(self.input_vector), self.output_len
+
+    @property
+    def weight_matrix(self) -> np.ndarray:
+        """W' as a dense array, built anew on every read."""
+        w = np.zeros(self.shape)
+        w[self.weight_index_map.rows, self.weight_index_map.cols] = self.weight_values
+        return w
 
     @property
     def nnz(self) -> int:
@@ -105,17 +136,33 @@ class LoweredForm:
         return uniq[counts > 1]
 
     def evaluate(self) -> np.ndarray:
-        out = diamond(self.weight_matrix, self.input_vector)
+        """``W'^T x'`` (+ bias), summed over the structural cells."""
+        cells = self.weight_index_map
+        products = self.weight_values * self.input_vector[cells.rows]
+        out = np.bincount(cells.cols, products, minlength=self.output_len)
+        out = out.astype(np.float64, copy=False)  # bincount over no cells gives ints
         if self.bias is not None:
             out = out + self.bias
         return out
 
 
+def _index_grid(dims: tuple[int, ...]) -> list[np.ndarray]:
+    """The flat coordinates of every point of a grid with extents ``dims``.
+
+    A grid over the element cap is a CapacityError, raised before it is
+    allocated."""
+    n = math.prod(dims)
+    if n > element_cap():
+        raise CapacityError(
+            f"lowering index grid of shape {dims} has {n} elements, cap is {element_cap()}"
+        )
+    return [g.reshape(-1) for g in np.indices(dims)]
+
+
 def _conv_index_grids(p: ConvParams, spatial: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """All (channel, output, kernel-offset) combinations plus validity mask."""
     outs = p.out_extents(spatial)
-    grid_dims = (p.out_channels, p.in_channels, *outs, *p.kernel)
-    idx = [g.reshape(-1) for g in np.indices(grid_dims)]
+    idx = _index_grid((p.out_channels, p.in_channels, *outs, *p.kernel))
     nd = p.ndim
     o, c = idx[0], idx[1]
     out_pos = idx[2 : 2 + nd]
@@ -162,16 +209,13 @@ def _lower_conv(x: Tensor, p: ConvParams, w: Tensor) -> LoweredForm:
     rows = c * per_chan_in + _ravel(in_pos, in_extents)
     cols = o * per_chan_out + _ravel(out_pos, outs)
     k_sources = np.stack([o, c, *k_off], axis=1)
-
     rows, cols, k_sources = rows[mask], cols[mask], k_sources[mask]
-    wmat = np.zeros((p.in_channels * per_chan_in, p.out_channels * per_chan_out))
-    wmat[rows, cols] = weights[tuple(k_sources.T)]
 
     bias = None
     if p.bias is not None:
         bias = np.repeat(p.bias, per_chan_out)
     return LoweredForm(
-        weight_matrix=wmat,
+        weight_values=weights[tuple(k_sources.T)],
         input_vector=flatten(x, input_order),
         output_len=p.out_channels * per_chan_out,
         input_index_map=coord_grid,
@@ -213,16 +257,13 @@ def lower_mean_pool(x: Tensor, p: PoolParams) -> LoweredForm:
     chans, h, wd = x.shape.extents
     h_out, w_out = p.out_extents((h, wd))
     kh, kw = p.window
-    grid = (chans, h_out, w_out, kh, kw)
-    c, i, j, a, b = (g.reshape(-1) for g in np.indices(grid))
+    c, i, j, a, b = _index_grid((chans, h_out, w_out, kh, kw))
     y = i * p.stride + a
     xx = j * p.stride + b
     rows = c * (h * wd) + y * wd + xx
     cols = c * (h_out * w_out) + i * w_out + j
-    wmat = np.zeros((chans * h * wd, chans * h_out * w_out))
-    wmat[rows, cols] = 1.0 / (kh * kw)
     return LoweredForm(
-        weight_matrix=wmat,
+        weight_values=np.full(len(rows), 1.0 / (kh * kw)),
         input_vector=flatten(x),
         output_len=chans * h_out * w_out,
         input_index_map=np.indices((chans, h, wd)).reshape(3, -1).T,
@@ -233,10 +274,6 @@ def lower_mean_pool(x: Tensor, p: PoolParams) -> LoweredForm:
     )
 
 
-def _block_repeat(m: np.ndarray, copies: int) -> np.ndarray:
-    return np.kron(np.eye(copies), m)
-
-
 def _ffn_stage(
     weight: np.ndarray,
     bias: np.ndarray,
@@ -245,11 +282,11 @@ def _ffn_stage(
     note: str,
 ) -> LoweredForm:
     rows_in, cols_out = weight.shape
-    t, i, j = (g.reshape(-1) for g in np.indices((tokens, rows_in, cols_out)))
+    t, i, j = _index_grid((tokens, rows_in, cols_out))
     rows = t * rows_in + i
     cols = t * cols_out + j
     return LoweredForm(
-        weight_matrix=_block_repeat(weight, tokens),
+        weight_values=np.tile(np.ravel(weight), tokens),
         input_vector=input_vector,
         output_len=tokens * cols_out,
         input_index_map=np.indices((tokens, rows_in)).reshape(2, -1).T,

@@ -65,6 +65,7 @@ from .errors import (
 )
 from .lowering import (
     LoweredForm,
+    _ffn_stage,
     extract_mha_effective_matrix,
     lower_conv2d_I_O,
     lower_conv3d,
@@ -110,8 +111,9 @@ class LayerSpec:
     """Base of the layer kinds; each kind's class holds all of its rules:
     ``validate``, ``infer`` (output shape), ``draw`` (RtLayer weight fields,
     each array from ``draw(*shape)``), ``apply`` (direct computation),
-    ``lower`` (matrix-vector stages at a value) and ``check``.  Defaults
-    here serve the kinds that lack a part or refuse an analysis."""
+    ``stages`` (matrix-vector stages at a value, returned by ``lower``) and
+    ``check``.  Defaults here serve the kinds that lack a part or refuse an
+    analysis."""
 
     kind: ClassVar[str]
 
@@ -122,6 +124,14 @@ class LayerSpec:
         return {}
 
     def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+        """The layer's stages at ``value``; a lowering whose index grid is over
+        the element cap is a ValidationError naming the layer."""
+        try:
+            return self.stages(rt, value, sigma)
+        except CapacityError as exc:
+            raise ValidationError(f"layer {rt.index} ({self.kind}): {exc}") from None
+
+    def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
         return []
 
     def receptive_window(self) -> tuple[tuple[str, ...], tuple[int, ...], int] | None:
@@ -203,7 +213,7 @@ class _ConvSpec(LayerSpec):
     def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
         return Tensor(rt.out_shape, activation(sigma)(self._direct(rt, value).data))
 
-    def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+    def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
         lower = lower_conv2d_I_O if len(self.spatial) == 2 else lower_conv3d
         return [lower(value, rt.conv_params, rt.conv_weights)]
 
@@ -282,7 +292,7 @@ class MeanPoolSpec(LayerSpec):
     def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
         return Tensor(rt.out_shape, mean_pool_direct(value, rt.pool_params).data)
 
-    def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+    def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
         return [lower_mean_pool(value, rt.pool_params)]
 
     def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
@@ -321,7 +331,7 @@ class ResidualBlockSpec(LayerSpec):
         out = v + r.w_2 @ act(r.w_1 @ v + r.b_1) + r.b_2
         return Tensor(rt.out_shape, out.reshape(rt.out_shape.extents))
 
-    def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+    def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
         act = activation(sigma)
         r = rt.residual
         stage1 = _dense_form(r.w_1, r.b_1, value.flat)
@@ -460,7 +470,7 @@ class FfnSpec(_TokenSpec):
     def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
         return Tensor(rt.out_shape, ffn_direct(_tokens(value), rt.attn_params, sigma))
 
-    def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+    def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
         return list(lower_ffn(_tokens(value), rt.attn_params, sigma))
 
     def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
@@ -480,7 +490,7 @@ class TransformerBlockSpec(_TokenSpec):
         out = transformer_block_direct(_tokens(value), rt.attn_params, sigma)
         return Tensor(rt.out_shape, out)
 
-    def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+    def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
         # the FFN stages at h = M(X) X, with M the effective attention matrix
         tokens = _tokens(value)
         m = extract_mha_effective_matrix(tokens, rt.attn_params)
@@ -777,22 +787,10 @@ class LayerCheck:
     note: str = ""
 
 
-def _dense_form(matrix: np.ndarray, bias: np.ndarray | None, x: np.ndarray) -> LoweredForm:
+def _dense_form(matrix: np.ndarray, bias: np.ndarray, x: np.ndarray) -> LoweredForm:
     """A dense matrix as a lowered stage: W' = matrix^T so the diamond
-    product reproduces ``matrix @ x``."""
-    from .lowering import WeightIndexMap
-
-    m, n = matrix.shape
-    i, j = (g.reshape(-1) for g in np.indices((m, n)))
-    return LoweredForm(
-        weight_matrix=matrix.T.copy(),
-        input_vector=np.asarray(x, dtype=np.float64),
-        output_len=m,
-        input_index_map=np.arange(n).reshape(-1, 1),
-        weight_index_map=WeightIndexMap(rows=j, cols=i, sources=np.stack([i, j], axis=1)),
-        layout_note="dense stage: W' = matrix^T over the flat input",
-        bias=None if bias is None else np.asarray(bias, dtype=np.float64),
-    )
+    product reproduces ``matrix @ x`` (a one-token FFN stage)."""
+    return _ffn_stage(matrix.T, bias, x, 1, "dense stage: W' = matrix^T over the flat input")
 
 
 def check_layer(rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
@@ -807,7 +805,7 @@ def verify_network(
     """Run ``trials`` random-input sweeps, checking every layer per trial.
 
     Returns a summary dict; ``passed`` is False as soon as any layer's
-    max-abs diff exceeds ``tol`` in any trial.
+    max-abs diff exceeds ``tol`` or is NaN in any trial.
     """
     sigma = net.activation if sigma is None else sigma
     per_layer = [0.0] * len(net.layers)
@@ -816,9 +814,10 @@ def verify_network(
         values = [x]
         for rt in net.layers:
             check = check_layer(rt, values[-1], sigma)
-            per_layer[rt.index] = max(per_layer[rt.index], check.max_abs_diff)
+            # np.maximum keeps NaN, so a non-finite diff fails the run
+            per_layer[rt.index] = float(np.maximum(per_layer[rt.index], check.max_abs_diff))
             values.append(apply_layer(rt, values[-1], sigma))
-    worst = max(per_layer) if per_layer else 0.0
+    worst = float(np.max(per_layer)) if per_layer else 0.0
     return {
         "trials": trials,
         "tolerance": tol,

@@ -36,9 +36,10 @@ from .tensor import element_cap
 
 def _form_stats(form) -> dict:
     counts = form.weight_index_map.sharing_counts()
+    rows, cols = form.shape
     return {
-        "rows": int(form.weight_matrix.shape[0]),
-        "cols": int(form.weight_matrix.shape[1]),
+        "rows": int(rows),
+        "cols": int(cols),
         "structural_nonzeros": int(form.nnz),
         "distinct_kernel_elements": int(len(counts)),
         "sharing_min": int(counts.min()) if len(counts) else 0,

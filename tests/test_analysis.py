@@ -335,3 +335,20 @@ def test_prune_mask_validation():
         PruneMask(layer=0)
     with pytest.raises(SpecError):
         PruneMask(layer=0, channels=(0,), threshold=0.5)
+
+
+def test_count_uat_terms_draws_weights_once(specs_dir, monkeypatch):
+    import uatcv.analysis as analysis
+    from uatcv.netspec import parse_spec
+
+    spec = parse_spec(specs_dir / "resblock2.json")
+    calls = []
+
+    def counting(net):
+        calls.append(len(net.layers))
+        return materialize(net)
+
+    monkeypatch.setattr(analysis, "materialize", counting)
+    rows = count_uat_terms(spec)
+    assert calls == [2]
+    assert [(r.prefix_len, r.n_terms) for r in rows] == [(1, 1), (2, 2)]

@@ -224,3 +224,57 @@ def test_lora_target_must_name_a_part_of_the_layer(capsys, tmp_path, shape, laye
                        "--lora-target", target)
     assert code == EXIT_PARSE
     assert "error[validation]" in err and f"layer 0 ({layer['kind']})" in err
+
+
+@pytest.mark.parametrize("command", ["lower", "verify", "report"])
+def test_lowering_over_cap_is_validation_error(capsys, tmp_path, monkeypatch, command):
+    from uatcv.tensor import set_element_cap
+
+    # the input holds 262,144 elements; the conv's index grid 2,359,296
+    big = tmp_path / "bigconv.json"
+    big.write_text(json.dumps({
+        "input_shape": [["C_I", 1], ["H", 512], ["W", 512]],
+        "seed": 1,
+        "activation": "relu",
+        "layers": [{"kind": "conv2d", "out_channels": 1, "kernel": [3, 3], "padding": 1}],
+    }))
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    set_element_cap(None)
+    code, _, err = run(capsys, command, str(big))
+    assert code == EXIT_PARSE
+    assert "error[validation]" in err and "layer 0 (conv2d)" in err
+
+
+# sha256 of each report with the round-off fields masked (see _mask_roundoff)
+REPORT_LAYOUT = {
+    ("resblock2", "text"): "269c67e118fd818da06e7f12b6bae968bf4f6c3cb5daed04b09a80152f526b13",
+    ("resblock2", "latex"): "b2d3699becde994d628968802f4f769672ca40cbca4aab729f95cad0c7d7ca3b",
+    ("vgg3", "text"): "b3a8abc28aff043fb8145a88571873a95d64390ab8a096e70460d237fbfa526e",
+    ("vgg3", "latex"): "1bf70550c316e6e68fad4f6d416cdefa4038192eaf254f89c28a0e4d31e27f8e",
+    ("vit1", "text"): "43a81b5f7f4380854bf1ba011b1d79d5385ab5c8d38a30897d90863285c880c5",
+    ("vit1", "latex"): "079612516788c24785244b679306b83840572ec36a22ca697307949ddeefc46a",
+}
+
+
+def _mask_roundoff(text):
+    """Replace every max_abs_diff* value and per_layer_max_abs_diff entry by #."""
+    import re
+
+    text = re.sub(r'("max_abs_diff\w*": )[^,\n]+', r"\1#", text)
+    return re.sub(
+        r'("per_layer_max_abs_diff": \[)([^\]]*)\]',
+        lambda m: m.group(1) + re.sub(r"[^\s,]+", "#", m.group(2)) + "]",
+        text,
+    )
+
+
+@pytest.mark.parametrize("name, fmt", sorted(REPORT_LAYOUT))
+def test_report_layout_is_pinned(capsys, specs_dir, monkeypatch, name, fmt):
+    import hashlib
+
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    code, out, _ = run(capsys, "report", str(specs_dir / f"{name}.json"), "--format", fmt)
+    assert code == EXIT_OK
+    masked = _mask_roundoff(out)
+    assert masked.count("#") >= 2  # the masked fields are there
+    assert hashlib.sha256(masked.encode()).hexdigest() == REPORT_LAYOUT[name, fmt]

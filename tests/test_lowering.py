@@ -412,3 +412,142 @@ def test_effective_matrix_is_frozen_at_its_input():
     stale = m @ (x + delta).reshape(-1)
     fresh = mha_direct(x + delta, p).reshape(-1)
     assert np.max(np.abs(stale - fresh)) > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# structural cells: evaluation, sharing counts, dense only on request
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _small_stage_forms(draw):
+    """The forms of one small conv2d, conv3d, pool, FFN or dense stage."""
+    from uatcv.netspec import _dense_form
+
+    kind = draw(st.sampled_from(["conv2d", "conv3d", "pool", "ffn", "dense"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("conv2d", "conv3d"):
+        nd = 2 if kind == "conv2d" else 3
+        c_in, c_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        kernel = tuple(draw(st.integers(1, 3)) for _ in range(nd))
+        stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+        spatial = tuple(
+            draw(st.integers(max(k - 2 * padding, 1), k + 3)) for k in kernel
+        )
+        bias = rng.normal(size=c_out) if draw(st.booleans()) else None
+        p = ConvParams(c_in, c_out, kernel, stride, padding, bias=bias)
+        axes = ("H", "W", "D")[:nd]
+        x = _t(("C_I", *axes), rng.normal(size=(c_in, *spatial)))
+        kern = _t(("C_O", "C_I", *axes), rng.normal(size=(c_out, c_in, *kernel)))
+        return [(lower_conv2d_I_O if nd == 2 else lower_conv3d)(x, p, kern)]
+    if kind == "pool":
+        window = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        h, w = (draw(st.integers(k, k + 3)) for k in window)
+        x = _t(("C_I", "H", "W"), rng.normal(size=(draw(st.integers(1, 3)), h, w)))
+        return [lower_mean_pool(x, PoolParams(window, draw(st.integers(1, 2))))]
+    if kind == "ffn":
+        d, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        p = random_attn_params(d, 1, draw(st.integers(1, 5)), rng)
+        return list(lower_ffn(rng.normal(size=(n, d)), p, "relu"))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return [_dense_form(rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=n))]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_small_stage_forms())
+def test_cell_evaluation_matches_dense_diamond(forms):
+    # each result is within gamma_n * (|W'|^T |x'| + |b|) of the exact value
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
+    # with n = len(x') + 1 for the bias; so the two are within twice that
+    for form in forms:
+        w, x = form.weight_matrix, form.input_vector
+        bias = np.zeros(form.output_len) if form.bias is None else form.bias
+        dense = diamond(w, x) + bias
+        nu = (len(x) + 1) * np.finfo(np.float64).eps / 2
+        bound = 2 * nu / (1 - nu) * (np.abs(w).T @ np.abs(x) + np.abs(bias))
+        assert np.all(np.abs(form.evaluate() - dense) <= bound)
+        _, counts = np.unique(form.weight_index_map.sources, axis=0, return_counts=True)
+        assert np.array_equal(form.weight_index_map.sharing_counts(), counts)
+
+
+def test_conv_lowering_memory_is_linear_in_cells():
+    # the dense W' of this layer is 4096 x 4096 float64, 128 MB
+    import tracemalloc
+
+    rng = np.random.default_rng(24)
+    x = _t(("C_I", "H", "W"), rng.normal(size=(1, 64, 64)))
+    p = ConvParams(1, 1, (3, 3), 1, 1)
+    kern = _t(("C_O", "C_I", "H", "W"), rng.normal(size=(1, 1, 3, 3)))
+    tracemalloc.start()
+    try:
+        form = lower_conv2d_I_O(x, p, kern)
+        out = form.evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.max(np.abs(out - flatten(conv2d_direct(x, p, kern)))) <= 1e-9
+
+
+def test_lowering_index_grid_is_capped(monkeypatch):
+    from uatcv.errors import CapacityError
+    from uatcv.tensor import set_element_cap
+
+    rng = np.random.default_rng(25)
+    x = _t(("C_I", "H", "W"), rng.normal(size=(2, 5, 5)))
+    p = ConvParams(2, 3, (2, 2))
+    kern = _t(("C_O", "C_I", "H", "W"), rng.normal(size=(3, 2, 2, 2)))
+    grid = 3 * 2 * 4 * 4 * 2 * 2  # out_ch * in_ch * outputs * kernel, before the mask
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    try:
+        set_element_cap(grid)
+        lower_conv2d_I_O(x, p, kern)
+        set_element_cap(grid - 1)
+        with pytest.raises(CapacityError, match=f"has {grid} elements"):
+            lower_conv2d_I_O(x, p, kern)
+        with pytest.raises(CapacityError):
+            lower_ffn(rng.normal(size=(grid, 1)), random_attn_params(1, 1, 1, rng), "relu")
+    finally:
+        set_element_cap(None)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "vgg3.json"],
+        ["report", "resblock2.json"],
+        ["report", "vit1.json"],
+        ["analyze", "vgg3.json", "--lora-layer", "1", "--lora-rank", "1",
+         "--prune-layer", "0", "--prune-channels", "0"],
+    ],
+)
+def test_commands_never_read_dense_wprime(argv, specs_dir, monkeypatch, capsys):
+    from uatcv import cli
+    from uatcv.lowering import LoweredForm
+
+    def refuse(form):
+        raise AssertionError("dense W' was read")
+
+    monkeypatch.setattr(LoweredForm, "weight_matrix", property(refuse))
+    assert cli.main([argv[0], str(specs_dir / argv[1]), *argv[2:]]) == 0
+
+
+def test_stage_without_structural_cells():
+    # stride 7 and padding 3 put the only window over a 1x1 input in the padding
+    from uatcv.analysis import LoraDelta, lora_equivalence_check
+    from uatcv.netspec import materialize, parse_spec_text, random_input
+
+    x = _t(("C_I", "H", "W"), [[[0.7]]])
+    p = ConvParams(1, 1, (1, 1), 7, 3, bias=np.array([0.5]))
+    form = lower_conv2d_I_O(x, p, _t(("C_O", "C_I", "H", "W"), np.ones((1, 1, 1, 1))))
+    assert form.nnz == 0 and len(form.weight_index_map.sharing_counts()) == 0
+    out = form.evaluate()
+    assert out.dtype == np.float64 and out.tolist() == [0.5]
+    net = materialize(parse_spec_text(
+        '{"input_shape": [["C_I", 1], ["H", 1], ["W", 1]], "seed": 1, "activation": "relu",'
+        ' "layers": [{"kind": "conv2d", "out_channels": 1, "kernel": [1, 1],'
+        ' "stride": 7, "padding": 3}]}'
+    ))
+    delta = LoraDelta(layer=0, a=np.ones((1, 1)), b=np.ones((1, 1)))
+    check = lora_equivalence_check(net, delta, random_input(net.spec, 2))
+    assert check["lowering_linearity_max_abs"] == 0.0

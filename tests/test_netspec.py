@@ -396,3 +396,30 @@ def test_bridge_lowers_only_when_binding_is_read(specs_dir, monkeypatch):
     assert calls == ["lower_conv2d_I_O"] * len(net.layers)
     assert exp.binding is first
     assert len(calls) == len(net.layers)
+
+
+
+def test_verify_network_fails_on_nan_diff(specs_dir, monkeypatch, capsys):
+    # a diff of inf - inf is NaN, and max(0.0, nan) is 0.0: the gate must keep it
+    import uatcv.netspec as netspec
+    from uatcv.cli import EXIT_VERIFY, main
+
+    real = netspec.check_layer
+    calls = []
+
+    def nan_after_first_trial(rt, value, sigma):
+        check = real(rt, value, sigma)
+        calls.append(rt.index)
+        if len(calls) > 2 and rt.index == 1:  # resblock2 has two layers
+            check.max_abs_diff = float("nan")
+        return check
+
+    net = materialize(parse_spec(specs_dir / "resblock2.json"))
+    monkeypatch.setattr(netspec, "check_layer", nan_after_first_trial)
+    result = verify_network(net, trials=3, tol=1e-9)
+    assert np.isnan(result["per_layer_max_abs_diff"][-1])
+    assert np.isnan(result["max_abs_diff"]) and not result["passed"]
+
+    calls.clear()
+    assert main(["verify", str(specs_dir / "resblock2.json"), "--trials", "3"]) == EXIT_VERIFY
+    assert "layer 1 (residual_block): max abs diff nan [FAIL]" in capsys.readouterr().out
