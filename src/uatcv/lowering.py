@@ -17,12 +17,17 @@ weight sharing inspectable: every cell traces to exactly one kernel element,
 and a kernel element generally occupies many cells.  A stage evaluates in
 O(cells) as a weighted ``bincount``, and the dense W' is built only when read.
 Every index grid a lowering enumerates counts against the element cap.
+
+The expansion binds every matrix as a :class:`LinearMap` in its own structure
+(``W'^T`` as cells, ``I_n (x) W`` as ``W``, attention as per-head factors),
+applied to vectors; only ``dense()`` builds an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +52,40 @@ def diamond(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     if w.shape[0] != x.shape[0]:
         raise ShapeError(f"diamond mismatch: {w.shape} <> {x.shape}")
     return matvec(w.T, x)
+
+
+class LinearMap:
+    """A (rows, cols) linear map in its kind's structure: ``m @ v`` applies it,
+    ``m @ n`` composes (``n`` first), ``dense()`` builds it within the cap."""
+
+    def __init__(self, shape: tuple[int, int], apply: Callable, dense: Callable):
+        self.shape, self._apply, self._dense = shape, apply, dense
+
+    def __matmul__(self, other):
+        if isinstance(other, LinearMap):
+            if other.shape[0] != self.shape[1]:
+                raise ShapeError(f"cannot compose maps of shapes {self.shape} and {other.shape}")
+            return LinearMap((self.shape[0], other.shape[1]), lambda v: self @ (other @ v),
+                             lambda: self.dense() @ other.dense())
+        if np.shape(other) != (self.shape[1],):
+            raise ShapeError(f"map of shape {self.shape} applied to shape {np.shape(other)}")
+        return self._apply(other)
+
+    def dense(self) -> np.ndarray:
+        _check_cap("dense map", self.shape)
+        return self._dense()
+
+
+def identity_map(dim: int) -> LinearMap:
+    return LinearMap((dim, dim), lambda v: v, lambda: np.eye(dim))
+
+
+def tokenwise_map(weight: np.ndarray, tokens: int) -> LinearMap:
+    """``I_tokens (x) weight^T``: X maps to ``X @ weight``, both flattened row-major."""
+    rows, cols = weight.shape
+    return LinearMap((tokens * cols, tokens * rows),
+                     lambda v: (v.reshape(tokens, rows) @ weight).ravel(),
+                     lambda: np.kron(np.eye(tokens), weight.T))
 
 
 @dataclass(frozen=True)
@@ -137,25 +176,35 @@ class LoweredForm:
 
     def evaluate(self) -> np.ndarray:
         """``W'^T x'`` (+ bias), summed over the structural cells."""
-        cells = self.weight_index_map
-        products = self.weight_values * self.input_vector[cells.rows]
-        out = np.bincount(cells.cols, products, minlength=self.output_len)
-        out = out.astype(np.float64, copy=False)  # bincount over no cells gives ints
+        out = self._cell_sum(self.input_vector)
         if self.bias is not None:
             out = out + self.bias
         return out
 
+    def _cell_sum(self, v: np.ndarray) -> np.ndarray:
+        cells = self.weight_index_map
+        out = np.bincount(cells.cols, self.weight_values * v[cells.rows], minlength=self.output_len)
+        return out.astype(np.float64, copy=False)  # bincount over no cells gives ints
 
-def _index_grid(dims: tuple[int, ...]) -> list[np.ndarray]:
-    """The flat coordinates of every point of a grid with extents ``dims``.
+    def linear_map(self) -> LinearMap:
+        """``W'^T`` as a map: the stage without its input and bias, applied by
+        the same sum over the structural cells (W' does not depend on x')."""
+        n_in, n_out = self.shape
+        return LinearMap((n_out, n_in), self._cell_sum, lambda: self.weight_matrix.T)
 
-    A grid over the element cap is a CapacityError, raised before it is
-    allocated."""
+
+def _check_cap(what: str, dims: tuple[int, ...]) -> None:
+    """An array of extents ``dims`` over the element cap is a CapacityError,
+    raised before it is allocated."""
     n = math.prod(dims)
     if n > element_cap():
-        raise CapacityError(
-            f"lowering index grid of shape {dims} has {n} elements, cap is {element_cap()}"
-        )
+        raise CapacityError(f"{what} of shape {dims} has {n} elements, cap is {element_cap()}")
+
+
+def _index_grid(dims: tuple[int, ...]) -> list[np.ndarray]:
+    """The flat coordinates of every point of a grid with extents ``dims``,
+    within the element cap."""
+    _check_cap("lowering index grid", dims)
     return [g.reshape(-1) for g in np.indices(dims)]
 
 
@@ -325,29 +374,32 @@ def effective_matrix_from_projections(
     w_v: np.ndarray,
     w_o: np.ndarray,
     heads: int,
-) -> np.ndarray:
-    """See :func:`extract_mha_effective_matrix`; takes bare projections."""
+) -> LinearMap:
+    """M(X) of :func:`extract_mha_effective_matrix` from bare projections, as
+    a map held as its factors: ``M vec(Y) = vec(sum_k A_k Y B_k)``."""
     x = as_matrix(x)
     n, d = x.shape
     dh = d // heads
     probs = attention_probabilities_raw(x, w_q, w_k, heads)
-    m = np.zeros((n * d, n * d))
-    for head, a in enumerate(probs):
-        s = slice(head * dh, (head + 1) * dh)
-        b = w_v[:, s] @ w_o[s, :]
-        m += np.kron(a, b.T)
-    return m
+    bs = [w_v[:, k * dh : (k + 1) * dh] @ w_o[k * dh : (k + 1) * dh, :] for k in range(heads)]
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        return sum(a @ v.reshape(n, d) @ b for a, b in zip(probs, bs)).ravel()
+
+    return LinearMap((n * d, n * d), apply, lambda: np.einsum(
+        "kij,kqp->ipjq", np.array(probs), np.array(bs)).reshape(n * d, n * d))
 
 
 def extract_mha_effective_matrix(x: np.ndarray, p: AttnParams) -> np.ndarray:
-    """The matrix M(X) realizing multi-head attention as a linear map at X.
+    """The dense matrix M(X) realizing multi-head attention as a linear map at X.
 
     With the per-head attention probabilities A_k frozen at X,
     ``MHA(X) = sum_k A_k X (W_V[:,k] W_O[k,:])``, so on the row-major
     flattening of X the map is ``M = sum_k kron(A_k, B_k^T)`` with
-    ``B_k = W_V[:, head k] @ W_O[head k, :]``.  M is exact at X and only
-    at X: it keeps the probabilities frozen while true attention re-mixes
-    them for each new input.
+    ``B_k = W_V[:, head k] @ W_O[head k, :]`` (Van Loan, The ubiquitous
+    Kronecker product, J. Comput. Appl. Math. 123, 2000).  M is exact at X
+    and only at X: it keeps the probabilities frozen while true attention
+    re-mixes them for each new input.
     """
     x = _check_tokens(x, p)
-    return effective_matrix_from_projections(x, p.w_q, p.w_k, p.w_v, p.w_o, p.heads)
+    return effective_matrix_from_projections(x, p.w_q, p.w_k, p.w_v, p.w_o, p.heads).dense()

@@ -64,9 +64,10 @@ from .errors import (
     ValidationError,
 )
 from .lowering import (
+    LinearMap,
     LoweredForm,
     _ffn_stage,
-    extract_mha_effective_matrix,
+    effective_matrix_from_projections,
     lower_conv2d_I_O,
     lower_conv3d,
     lower_ffn,
@@ -397,7 +398,7 @@ def _lora_target(rt: RtLayer, target: str, targets: tuple[str, ...]) -> str:
 class _TokenSpec(LayerSpec):
     """Shared by the kinds that act on a (token, feature) matrix: attention
     when the kind has ``heads``, a row-wise FFN when it has ``hidden_dim``.
-    Parameters a kind lacks stay zero in its AttnParams and are no LoRA targets."""
+    Parts a kind lacks are None in its AttnParams and are no LoRA targets."""
 
     heads: int | None
     hidden_dim: int | None
@@ -419,20 +420,13 @@ class _TokenSpec(LayerSpec):
         return shape
 
     def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
-        d = in_shape.extent("feature")
-        zero = np.zeros((d, d))
-        q, k, v, o = (zero if self.heads is None else draw(d, d) for _ in range(4))
-        h = self.hidden_dim
+        d, h = in_shape.extent("feature"), self.hidden_dim
+        parts = {}
+        if self.heads is not None:
+            parts.update(w_q=draw(d, d), w_k=draw(d, d), w_v=draw(d, d), w_o=draw(d, d))
         if h is not None:
-            w2, w3, b2, b3 = draw(d, h), draw(h, d), draw(h), draw(d)
-        else:
-            w2, w3, b2, b3 = np.zeros((d, 1)), np.zeros((1, d)), np.zeros(1), np.zeros(d)
-        return {
-            "attn_params": AttnParams(
-                model_dim=d, heads=self.heads or 1, w_q=q, w_k=k, w_v=v, w_o=o,
-                w_2=w2, w_3=w3, b_2=b2, b_3=b3,
-            )
-        }
+            parts.update(w_2=draw(d, h), w_3=draw(h, d), b_2=draw(h), b_3=draw(d))
+        return {"attn_params": AttnParams(model_dim=d, heads=self.heads or 1, **parts)}
 
     def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
         targets = (("w_q", "w_k", "w_v", "w_o") if self.heads is not None else ()) + (
@@ -454,9 +448,9 @@ class MhaSpec(_TokenSpec):
         return Tensor(rt.out_shape, mha_direct(_tokens(value), rt.attn_params))
 
     def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
-        tokens = _tokens(value)
-        m = extract_mha_effective_matrix(tokens, rt.attn_params)
-        direct = mha_direct(tokens, rt.attn_params)
+        tokens, p = _tokens(value), rt.attn_params
+        m = effective_matrix_from_projections(tokens, p.w_q, p.w_k, p.w_v, p.w_o, p.heads)
+        direct = mha_direct(tokens, p)
         diff = np.max(np.abs(m @ tokens.reshape(-1) - direct.reshape(-1)))
         return LayerCheck(rt.index, self.kind, float(diff), [], note="effective matrix")
 
@@ -492,10 +486,10 @@ class TransformerBlockSpec(_TokenSpec):
 
     def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
         # the FFN stages at h = M(X) X, with M the effective attention matrix
-        tokens = _tokens(value)
-        m = extract_mha_effective_matrix(tokens, rt.attn_params)
+        tokens, p = _tokens(value), rt.attn_params
+        m = effective_matrix_from_projections(tokens, p.w_q, p.w_k, p.w_v, p.w_o, p.heads)
         h = (m @ tokens.reshape(-1)).reshape(tokens.shape)
-        return list(lower_ffn(h, rt.attn_params, sigma))
+        return list(lower_ffn(h, p, sigma))
 
     def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
         stage1, stage2 = self.lower(rt, value, sigma)
@@ -837,15 +831,18 @@ class ExpandableNetwork:
     """A network mapped onto one of the expandable chain families, together
     with the numeric binding of its primitive atoms.  The binding is built by
     ``bind`` on first read and then kept: reading only the chain lowers no
-    layer (conv and pooling layers are lowered as they are at that read)."""
+    layer (conv and pooling layers are lowered as they are at that read).
+    Conv and pooling weights are bound as the maps ``W'^T`` of their
+    structural cells, and transformer FFN weights as row-wise maps; no
+    dense matrix is built for either."""
 
     family: str  # "vgg" | "residual" | "transformer"
     chain: object
-    bind: Callable[[], dict[str, np.ndarray]]
+    bind: Callable[[], dict[str, np.ndarray | LinearMap]]
     preprocessing: str | None = None  # e.g. patchify note for token models
 
     @cached_property
-    def binding(self) -> dict[str, np.ndarray]:
+    def binding(self) -> dict[str, np.ndarray | LinearMap]:
         return self.bind()
 
 
@@ -873,11 +870,11 @@ def _conv_chain(net: MaterializedNetwork) -> ExpandableNetwork:
     if not stages:
         raise SpecError("nothing to expand: no activation stages")
 
-    def bind() -> dict[str, np.ndarray]:
+    def bind() -> dict[str, np.ndarray | LinearMap]:
         binding = {}
         for rt, w, b in atoms:
             (form,) = rt.spec.lower(rt, zeros(rt.in_shape), net.activation)
-            binding[w.name] = form.weight_matrix.T
+            binding[w.name] = form.linear_map()
             if b is not None:
                 binding[b.name] = form.bias
         return binding

@@ -116,32 +116,39 @@ class PoolParams:
 
 @dataclass(frozen=True)
 class AttnParams:
-    """Multi-head attention projections plus the two FFN stages.
+    """Multi-head attention projections, the two FFN stages, or both.
 
     Matrices act on row vectors: for a token matrix X (n x d) the queries are
-    ``X @ w_q`` and the FFN hidden layer is ``sigma(X @ w_2 + b_2)``.
+    ``X @ w_q`` and the FFN hidden layer is ``sigma(X @ w_2 + b_2)``.  A part
+    a layer lacks (all four projections, or all four FFN arrays) is None.
     """
 
     model_dim: int
     heads: int
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-    w_2: np.ndarray
-    w_3: np.ndarray
-    b_2: np.ndarray
-    b_3: np.ndarray
+    w_q: np.ndarray | None = None
+    w_k: np.ndarray | None = None
+    w_v: np.ndarray | None = None
+    w_o: np.ndarray | None = None
+    w_2: np.ndarray | None = None
+    w_3: np.ndarray | None = None
+    b_2: np.ndarray | None = None
+    b_3: np.ndarray | None = None
 
     def __post_init__(self):
         d = self.model_dim
         if d < 1 or self.heads < 1 or d % self.heads != 0:
             raise ShapeError(f"head count {self.heads} must divide model dim {d}")
-        for name in ("w_q", "w_k", "w_v", "w_o"):
+        projections = ("w_q", "w_k", "w_v", "w_o")
+        for part in (projections, ("w_2", "w_3", "b_2", "b_3")):
+            if len({getattr(self, name) is None for name in part}) > 1:
+                raise ShapeError(f"give all of {part} or none")
+        for name in projections if self.w_q is not None else ():
             m = as_matrix(getattr(self, name))
             if m.shape != (d, d):
                 raise ShapeError(f"{name} must be {d}x{d}, got {m.shape}")
             object.__setattr__(self, name, m)
+        if self.w_2 is None:
+            return
         w2 = as_matrix(self.w_2)
         w3 = as_matrix(self.w_3)
         if w2.shape[0] != d:

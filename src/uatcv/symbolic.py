@@ -26,6 +26,10 @@ Each evaluation call memoizes per node: it computes every node once for its
 binding and drops the memo on return.  No cache outlives the call; all
 expression values are immutable and evaluation is pure, so independent
 bindings can be evaluated concurrently.
+
+A matrix-valued node evaluates to an array or a
+:class:`~uatcv.lowering.LinearMap`, only ever combined by ``@``: a product
+of maps composes them, so each is applied to vectors and never densified.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import ShapeError, SpecError
-from .lowering import effective_matrix_from_projections
+from .lowering import LinearMap, effective_matrix_from_projections, identity_map, tokenwise_map
 from .reference import AttnParams, activation, random_attn_params
 
 INPUT_NAME = "x'_i"
@@ -271,8 +275,8 @@ class MatProduct(Node):
 class IdentityMat(Node):
     dim: int
 
-    def value(self, ev: _Evaluation) -> np.ndarray:
-        return np.eye(self.dim)
+    def value(self, ev: _Evaluation) -> LinearMap:
+        return identity_map(self.dim)
 
     def render(self, fmt: str) -> str:
         return _render_name("I", fmt)
@@ -283,8 +287,9 @@ class AttnMatrix(Node):
     """The attention effective matrix of one block, as a matrix-valued node.
 
     Evaluation recomputes the block's input from ``arg``, reshapes it to a
-    token matrix, and freezes the softmax probabilities there; the node is
-    therefore input-dependent whenever ``arg`` reaches the input symbol.
+    token matrix, and freezes the softmax probabilities there; the value is
+    the attention map at that input, held as its per-head factors.  The node
+    is therefore input-dependent whenever ``arg`` reaches the input symbol.
     """
 
     label: str  # display label, e.g. "A_{i+1}"
@@ -298,7 +303,7 @@ class AttnMatrix(Node):
     def children(self) -> tuple[Node, ...]:
         return (self.arg,)
 
-    def value(self, ev: _Evaluation) -> np.ndarray:
+    def value(self, ev: _Evaluation) -> LinearMap:
         x = ev(self.arg).reshape(self.tokens, self.model_dim)
         projections = [ev.lookup(key) for key in self.proj_keys]
         # called through the module global, so a wrapper installed on it sees every call
@@ -354,7 +359,7 @@ def is_identity(atom: ParamAtom | None) -> bool:
 # evaluation
 # ---------------------------------------------------------------------------
 
-Binding = Mapping[str, np.ndarray]
+Binding = Mapping[str, "np.ndarray | LinearMap"]
 
 
 class _Evaluation:
@@ -376,11 +381,12 @@ class _Evaluation:
             if not seen:
                 todo.extend(node.children())
 
-    def lookup(self, name: str) -> np.ndarray:
+    def lookup(self, name: str) -> np.ndarray | LinearMap:
         try:
-            return np.asarray(self.env[name], dtype=np.float64)
+            value = self.env[name]
         except KeyError:
             raise SpecError(f"binding for {name!r} missing") from None
+        return value if isinstance(value, LinearMap) else np.asarray(value, dtype=np.float64)
 
     def __call__(self, node: Node) -> np.ndarray:
         out = self.held[node]
@@ -405,7 +411,9 @@ class _Evaluation:
 
 
 def atom_value(atom: ParamAtom, env: Binding, sigma: str = "relu") -> np.ndarray:
-    return _Evaluation(env, sigma, [atom]).value(atom)
+    """The atom's value as an array; a weight held as a map is made dense."""
+    value = _Evaluation(env, sigma, [atom]).value(atom)
+    return value.dense() if isinstance(value, LinearMap) else value
 
 
 def eval_vector(expr: VectorExpr, env: Binding, sigma: str = "relu") -> np.ndarray:
@@ -802,7 +810,7 @@ class TransformerChain:
     def flat_dim(self) -> int:
         return self.tokens * self.model_dim
 
-    def random_binding(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    def random_binding(self, rng: np.random.Generator) -> dict[str, np.ndarray | LinearMap]:
         x = rng.normal(size=self.flat_dim)  # the input is drawn first
         blocks = [random_attn_params(self.model_dim, self.heads, self.ffn_dim, rng)
                   for _ in range(self.depth)]
@@ -810,10 +818,10 @@ class TransformerChain:
 
     def binding(
         self, blocks: Sequence[AttnParams], x: np.ndarray | None = None
-    ) -> dict[str, np.ndarray]:
-        """Bind each block's AttnParams (and the input ``x``, if given)."""
-        env: dict[str, np.ndarray] = {} if x is None else {INPUT_NAME: x}
-        eye = np.eye(self.tokens)
+    ) -> dict[str, np.ndarray | LinearMap]:
+        """Bind each block's AttnParams (and the input ``x``, if given); the
+        row-wise FFN weights are bound as maps over the flattened tokens."""
+        env: dict[str, np.ndarray | LinearMap] = {} if x is None else {INPUT_NAME: x}
         for k, p in enumerate(blocks):
             q_key, k_key, v_key, o_key = self.proj_keys[k]
             env[q_key], env[k_key] = p.w_q, p.w_k
@@ -822,8 +830,8 @@ class TransformerChain:
             env[w2_key], env[w3_key] = p.w_2, p.w_3
             env[b2_key], env[b3_key] = p.b_2, p.b_3
             w2a, w3a, b2a, b3a = self.ffn_atoms[k]
-            env[w2a.name] = np.kron(eye, p.w_2.T)
-            env[w3a.name] = np.kron(eye, p.w_3.T)
+            env[w2a.name] = tokenwise_map(p.w_2, self.tokens)
+            env[w3a.name] = tokenwise_map(p.w_3, self.tokens)
             env[b2a.name] = np.tile(p.b_2, self.tokens)
             env[b3a.name] = np.tile(p.b_3, self.tokens)
         return env

@@ -145,6 +145,25 @@ def mha_naive(x: np.ndarray, w_q, w_k, w_v, w_o, heads: int) -> np.ndarray:
     return concat @ w_o
 
 
+def mha_kron_sum(x: np.ndarray, w_q, w_k, w_v, w_o, heads: int) -> np.ndarray:
+    """The attention effective matrix as the plain Kronecker sum
+    ``sum_k kron(A_k, (W_V[:, k] W_O[k, :])^T)``, with each head's
+    probabilities A_k computed row by row."""
+    n, d = x.shape
+    dh = d // heads
+    q = x @ w_q
+    k = x @ w_k
+    m = np.zeros((n * d, n * d))
+    for head in range(heads):
+        s = slice(head * dh, (head + 1) * dh)
+        a = np.stack([
+            _softmax_row(np.array([float(q[i, s] @ k[j, s]) / math.sqrt(dh) for j in range(n)]))
+            for i in range(n)
+        ])
+        m += np.kron(a, (w_v[:, s] @ w_o[s, :]).T)
+    return m
+
+
 def ffn_naive(x: np.ndarray, w_2, w_3, b_2, b_3, sigma) -> np.ndarray:
     """Row-at-a-time two-stage feed-forward."""
     n = x.shape[0]

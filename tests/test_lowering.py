@@ -3,15 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uatcv.errors import ShapeError
+from oracles import mha_kron_sum
+from uatcv.errors import CapacityError, ShapeError
 from uatcv.lowering import (
     diamond,
+    effective_matrix_from_projections,
     extract_mha_effective_matrix,
+    identity_map,
     lower_conv2d_1_O,
     lower_conv2d_I_O,
     lower_conv3d,
     lower_ffn,
     lower_mean_pool,
+    tokenwise_map,
 )
 from uatcv.reference import (
     ConvParams,
@@ -412,6 +416,77 @@ def test_effective_matrix_is_frozen_at_its_input():
     stale = m @ (x + delta).reshape(-1)
     fresh = mha_direct(x + delta, p).reshape(-1)
     assert np.max(np.abs(stale - fresh)) > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# linear maps: applied and composed in their own structure, dense on request
+# ---------------------------------------------------------------------------
+
+
+def _attention_map(x, p):
+    return effective_matrix_from_projections(x, p.w_q, p.w_k, p.w_v, p.w_o, p.heads)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(heads=st.integers(1, 3), head_dim=st.integers(1, 3), tokens=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_attention_map_dense_matches_kron_sum_oracle(heads, head_dim, tokens, seed):
+    rng = np.random.default_rng(seed)
+    p = random_attn_params(heads * head_dim, heads, 2, rng)
+    x = rng.normal(size=(tokens, heads * head_dim))
+    m = _attention_map(x, p)
+    want = mha_kron_sum(x, p.w_q, p.w_k, p.w_v, p.w_o, heads)
+    np.testing.assert_allclose(m.dense(), want, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(extract_mha_effective_matrix(x, p), m.dense())
+    v = rng.normal(size=x.size)
+    np.testing.assert_allclose(m @ v, want @ v, rtol=1e-12, atol=1e-13)
+
+
+def test_composition_dense_is_the_product_of_dense_factors():
+    rng = np.random.default_rng(26)
+    n, d, h = 3, 4, 5
+    p = random_attn_params(d, 2, h, rng)
+    x = rng.normal(size=(n, d))
+    stage1, _ = lower_ffn(x, p, "relu")
+    cells, w2, w3 = stage1.linear_map(), tokenwise_map(p.w_2, n), tokenwise_map(p.w_3, n)
+    attn, ident = _attention_map(x, p), identity_map(n * d)
+    # each kind's dense form is the matrix it stands for
+    assert np.array_equal(cells.dense(), stage1.weight_matrix.T)
+    assert np.array_equal(w2.dense(), np.kron(np.eye(n), p.w_2.T))
+    assert np.array_equal(cells.dense(), w2.dense())
+    assert np.array_equal(ident.dense(), np.eye(n * d))
+    assert np.array_equal(cells @ stage1.input_vector + stage1.bias, stage1.evaluate())
+    chain = w3 @ cells @ attn @ ident
+    want = w3.dense() @ cells.dense() @ attn.dense() @ ident.dense()
+    assert chain.shape == want.shape == (n * d, n * d)
+    np.testing.assert_allclose(chain.dense(), want, rtol=1e-12, atol=1e-14)
+    v = rng.normal(size=n * d)
+    np.testing.assert_allclose(chain @ v, want @ v, rtol=1e-12, atol=1e-13)
+    with pytest.raises(ShapeError):
+        w2 @ w2
+    with pytest.raises(ShapeError):
+        attn @ np.ones(n * d + 1)
+
+
+def test_dense_over_the_cap_raises_before_allocating(monkeypatch):
+    # M alone would be 8192 x 8192 float64 (512 MB)
+    import tracemalloc
+
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    rng = np.random.default_rng(27)
+    p = random_attn_params(128, 4, 8, rng)
+    x = rng.normal(size=(64, 128))
+    attn, w2 = _attention_map(x, p), tokenwise_map(p.w_2, 64)
+    tracemalloc.start()
+    try:
+        for dense in (attn.dense, w2.dense, (w2 @ attn).dense,
+                      lambda: extract_mha_effective_matrix(x, p)):
+            with pytest.raises(CapacityError, match="cap is"):
+                dense()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

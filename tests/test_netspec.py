@@ -21,7 +21,7 @@ from uatcv.netspec import (
     to_expandable,
     verify_network,
 )
-from uatcv.tensor import TensorShape
+from uatcv.tensor import SplitMix64, TensorShape
 
 MINIMAL = """
 {"input_shape": [["C_I", 1], ["H", 2], ["W", 2]],
@@ -423,3 +423,96 @@ def test_verify_network_fails_on_nan_diff(specs_dir, monkeypatch, capsys):
     calls.clear()
     assert main(["verify", str(specs_dir / "resblock2.json"), "--trials", "3"]) == EXIT_VERIFY
     assert "layer 1 (residual_block): max abs diff nan [FAIL]" in capsys.readouterr().out
+
+
+def test_token_kinds_hold_only_their_parts():
+    projections, ffn = ("w_q", "w_k", "w_v", "w_o"), ("w_2", "w_3", "b_2", "b_3")
+    net = materialize(parse_spec_text(json.dumps({
+        "input_shape": [["token", 3], ["feature", 4]], "seed": 12, "activation": "relu",
+        "layers": [{"kind": "mha", "heads": 2}, {"kind": "ffn", "hidden_dim": 5},
+                   {"kind": "transformer_block", "heads": 2, "hidden_dim": 5}],
+    })))
+    held = {rt.spec.kind: [n for n in projections + ffn if getattr(rt.attn_params, n) is not None]
+            for rt in net.layers}
+    assert held == {"mha": list(projections), "ffn": list(ffn),
+                    "transformer_block": list(projections + ffn)}
+    # one stream, layer by layer and part by part; a missing part draws nothing
+    drawn = [getattr(rt.attn_params, n).ravel() for rt in net.layers
+             for n in held[rt.spec.kind]]
+    stream = SplitMix64(12).uniform(sum(len(a) for a in drawn), -1.0, 1.0)
+    assert np.array_equal(np.concatenate(drawn), stream)
+
+
+def _claim(net, x):
+    """The value of the network's expanded canonical form at input ``x``."""
+    from uatcv.netspec import expandable_input
+    from uatcv.symbolic import INPUT_NAME, eval_canonical
+
+    exp = to_expandable(net)
+    env = dict(exp.binding)
+    env[INPUT_NAME] = expandable_input(net, x)
+    return eval_canonical(exp.chain.canonical, env, net.activation)
+
+
+@pytest.mark.parametrize("layers, input_shape, limit_mb", [
+    # the dense W'^T of the first conv alone would be 8192 x 3072 float64 (200 MB)
+    ([{"kind": "conv2d", "out_channels": 8, "kernel": [3, 3], "padding": 1, "bias": True},
+      {"kind": "mean_pool", "window": [2, 2], "stride": 2},
+      {"kind": "conv2d", "out_channels": 4, "kernel": [3, 3]}],
+     [["C_I", 3], ["H", 32], ["W", 32]], 64),
+    # each block's dense attention matrix would be 768 x 768 float64 (4.7 MB)
+    ([{"kind": "patchify", "patch": [4, 4]}]
+     + [{"kind": "transformer_block", "heads": 4, "hidden_dim": 96}] * 3,
+     [["H", 16], ["W", 16], ["C_I", 3]], 8),
+], ids=["conv_pool_conv", "vit_tokens"])
+def test_claim_check_memory(layers, input_shape, limit_mb):
+    import tracemalloc
+
+    from uatcv.netspec import expandable_output
+
+    net = materialize(parse_spec_text(json.dumps(
+        {"input_shape": input_shape, "seed": 13, "activation": "relu", "layers": layers}
+    )))
+    x = random_input(net.spec, 14)
+    want = expandable_output(net, forward(net, x)[-1])
+    tracemalloc.start()
+    try:
+        got = _claim(net, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+VIT_224 = json.dumps({
+    "input_shape": [["H", 224], ["W", 224], ["C_I", 3]], "seed": 15, "activation": "relu",
+    "layers": [{"kind": "patchify", "patch": [16, 16]},
+               {"kind": "transformer_block", "heads": 12, "hidden_dim": 3072}],
+})
+
+
+def test_claim_check_at_vit_b16_size(monkeypatch, tmp_path, capsys):
+    # 196 tokens of 768 features: a dense attention matrix would be 150528^2
+    # float64 (181 GB), and the FFN stage's index grid has 196*768*3072 cells
+    from uatcv.cli import EXIT_PARSE, main
+    from uatcv.netspec import expandable_output
+    from uatcv.tensor import set_element_cap
+
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    spec = tmp_path / "vit224.json"
+    spec.write_text(VIT_224, encoding="utf-8")
+    set_element_cap(3_000_000)  # the largest weight array, W_2, has 2.36M elements
+    try:
+        net = materialize(parse_spec_text(VIT_224))
+        x = random_input(net.spec, 16)
+        want = expandable_output(net, forward(net, x)[-1])
+        got = _claim(net, x)
+        code = main(["lower", str(spec), "--cap", "3000000"])
+    finally:
+        set_element_cap(None)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error[validation]: layer 1 (transformer_block): ")
+    assert "index grid of shape (196, 768, 3072)" in err

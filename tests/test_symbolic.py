@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from uatcv.errors import SpecError
+from uatcv.lowering import extract_mha_effective_matrix
 from uatcv.reference import (
     ACTIVATIONS,
     attention_probabilities_raw,
     ffn_direct,
     mha_direct,
+    transformer_block_direct,
 )
 from uatcv.symbolic import (
     INPUT_NAME,
@@ -247,6 +249,23 @@ def test_transformer_zero_query_key_gives_uniform_attention():
     got = eval_canonical(chain.canonical, env, "relu")
     want = _sequential_transformer(env, chain, "relu")
     assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_atom_value_of_merged_weights_is_a_dense_array():
+    chain = build_transformer_chain(2, tokens=3, model_dim=4, heads=2, ffn_dim=5)
+    env = chain.random_binding(np.random.default_rng(11))
+    merged = [a for _, a in chain.canonical.slots() if a.kind == "weight" and a.merged]
+    assert merged
+    for atom in merged:
+        value = atom_value(atom, env, "relu")
+        assert isinstance(value, np.ndarray) and value.ndim == 2, atom.display
+    # the linear term A_{i+1} A_i: the two blocks' effective matrices at their inputs
+    x0 = env[INPUT_NAME].reshape(3, 4)
+    p0, p1 = chain.block_params(env, 0), chain.block_params(env, 1)
+    x1 = transformer_block_direct(x0, p0, "relu")
+    want = extract_mha_effective_matrix(x1, p1) @ extract_mha_effective_matrix(x0, p0)
+    got = atom_value(chain.canonical.linear_term, env, "relu")
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def test_transformer_depth1_structure():
