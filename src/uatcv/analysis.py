@@ -222,6 +222,8 @@ class PruneMask:
     def __post_init__(self):
         if (self.channels is None) == (self.threshold is None):
             raise SpecError("give exactly one of channels / threshold")
+        if self.threshold is not None and not np.isfinite(self.threshold):
+            raise SpecError(f"threshold must be finite, got {self.threshold}")
         if self.channels is not None:
             object.__setattr__(self, "channels", tuple(sorted(set(int(c) for c in self.channels))))
 

@@ -9,7 +9,7 @@
     uatcv report   SPEC [--out PATH] [--format text|latex] [--trials N] [--tol X]
 
 Common flags: ``--seed`` overrides the description's seed, ``--cap`` the
-element cap (the UATCV_CAP environment variable is the fallback).
+element cap for this call (the UATCV_CAP environment variable otherwise).
 
 Exit codes: 0 success; 2 parse/validation error, including a weight
 array over the element cap; 3 verification failure; 4 internal invariant
@@ -24,8 +24,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import LoraDelta, PruneMask
-from .errors import ParseError, UatcvError, ValidationError, VerificationError
+from .analysis import LoraDelta, PruneMask, resolve_mask
+from .errors import ParseError, SpecError, UatcvError, ValidationError, VerificationError
 from .netspec import draw_weights, materialize, parse_spec, to_expandable, verify_network
 from .report import build_report, report_json, report_latex
 from .symbolic import classify_params, emit
@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> "tuple":
-    set_element_cap(args.cap)
     spec = parse_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -106,6 +105,20 @@ def _random_lora(net, layer: int, rank: int, target: str) -> LoraDelta:
     b = draw_weights(gen, where, m, rank)
     a = draw_weights(gen, where, rank, n)
     return LoraDelta(layer=layer, a=a, b=b, target=target)
+
+
+def _prune_mask(net, layer: int, channels: str | None, threshold: float | None) -> PruneMask:
+    if channels is not None:
+        try:
+            channels = tuple(int(c) for c in channels.split(",") if c.strip())
+        except ValueError:
+            raise ValidationError(f"--prune-channels takes integers, got {channels!r}") from None
+    try:
+        mask = PruneMask(layer=layer, channels=channels, threshold=threshold)
+        resolve_mask(net, mask)  # an existing conv layer and channels, one channel left
+    except SpecError as exc:  # the library's own checks, here on command-line values
+        raise ValidationError(str(exc)) from None
+    return mask
 
 
 def _cmd_lower(args) -> int:
@@ -168,12 +181,7 @@ def _cmd_analyze(args) -> int:
         lora = _random_lora(net, args.lora_layer, args.lora_rank, args.lora_target)
     mask = None
     if args.prune_layer is not None:
-        channels = None
-        if args.prune_channels is not None:
-            channels = tuple(int(c) for c in args.prune_channels.split(",") if c.strip())
-        mask = PruneMask(
-            layer=args.prune_layer, channels=channels, threshold=args.prune_threshold
-        )
+        mask = _prune_mask(net, args.prune_layer, args.prune_channels, args.prune_threshold)
     doc = analysis_section(net, lora=lora, prune_mask=mask, impact_inputs=args.trials)
     sys.stdout.write(report_json(doc))
     return EXIT_OK
@@ -209,7 +217,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    previous_cap = set_element_cap(None)  # put back when main returns or raises
     try:
+        if args.cap is not None and args.cap < 1:
+            raise ValidationError(f"--cap must be >= 1, got {args.cap}")
+        if getattr(args, "trials", 1) < 1:
+            raise ValidationError(f"--trials must be >= 1, got {args.trials}")
+        set_element_cap(args.cap)
         return _COMMANDS[args.command](args)
     except (ParseError, ValidationError) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
@@ -220,6 +234,8 @@ def main(argv: list[str] | None = None) -> int:
     except UatcvError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        set_element_cap(previous_cap)
 
 
 if __name__ == "__main__":

@@ -51,8 +51,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, partial
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
@@ -113,10 +114,19 @@ class LayerSpec:
     ``validate``, ``infer`` (output shape), ``draw`` (RtLayer weight fields,
     each array from ``draw(*shape)``), ``apply`` (direct computation),
     ``stages`` (matrix-vector stages at a value, returned by ``lower``) and
-    ``check``.  Defaults here serve the kinds that lack a part or refuse an
+    ``check`` (by default ``lowered_output``, the stages' output, against
+    ``apply``).  Defaults here serve the kinds that lack a part or refuse an
     analysis."""
 
     kind: ClassVar[str]
+    note: ClassVar[str] = ""  # the report's note on what the check compares
+
+    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
+        """The lowered output at ``value`` against the direct one, ``apply``."""
+        forms = self.lower(rt, value, sigma)
+        out = self.apply(rt, value, sigma)
+        diff = np.max(np.abs(self.lowered_output(rt, value, forms) - out.flat))
+        return LayerCheck(rt.index, self.kind, float(diff), forms, out, self.note)
 
     def infer(self, shape: TensorShape, where: str, producer: str) -> TensorShape:
         return shape
@@ -222,7 +232,8 @@ class _ConvSpec(LayerSpec):
         (form,) = self.lower(rt, value, sigma)
         direct = self._direct(rt, value)
         diff = np.max(np.abs(form.evaluate() - flatten(direct, self.out_order)))
-        return LayerCheck(rt.index, self.kind, float(diff), [form])
+        out = Tensor(rt.out_shape, activation(sigma)(direct.data))  # as apply computes it
+        return LayerCheck(rt.index, self.kind, float(diff), [form], out)
 
     def receptive_window(self) -> tuple[tuple[str, ...], tuple[int, ...], int]:
         return self.spatial, self.kernel, self.stride
@@ -296,11 +307,8 @@ class MeanPoolSpec(LayerSpec):
     def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
         return [lower_mean_pool(value, rt.pool_params)]
 
-    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
-        (form,) = self.lower(rt, value, sigma)
-        direct = mean_pool_direct(value, rt.pool_params)
-        diff = np.max(np.abs(form.evaluate() - flatten(direct)))
-        return LayerCheck(rt.index, self.kind, float(diff), [form])
+    def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
+        return forms[0].evaluate()
 
     def receptive_window(self) -> tuple[tuple[str, ...], tuple[int, ...], int]:
         return ("H", "W"), self.window, self.stride
@@ -312,6 +320,7 @@ class MeanPoolSpec(LayerSpec):
 @dataclass(frozen=True)
 class ResidualBlockSpec(LayerSpec):
     kind = "residual_block"
+    note = "dense stages"
     hidden_dim: int | None = None
 
     def validate(self, where: str) -> None:
@@ -339,15 +348,8 @@ class ResidualBlockSpec(LayerSpec):
         stage2 = _dense_form(r.w_2, r.b_2, act(stage1.evaluate()))
         return [stage1, stage2]
 
-    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
-        act = activation(sigma)
-        r = rt.residual
-        v = value.flat
-        direct = v + r.w_2 @ act(r.w_1 @ v + r.b_1) + r.b_2
-        stage1, stage2 = self.lower(rt, value, sigma)
-        lowered = v + stage2.evaluate()
-        diff = np.max(np.abs(direct - lowered))
-        return LayerCheck(rt.index, self.kind, float(diff), [stage1, stage2], note="dense stages")
+    def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
+        return value.flat + forms[1].evaluate()
 
     def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
         return getattr(rt.residual, _lora_target(rt, target, ("w_1", "w_2")))
@@ -381,10 +383,10 @@ class PatchifySpec(LayerSpec):
         return Tensor(rt.out_shape, patchify(value, self.patch))
 
     def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
-        rows = patchify(value, self.patch)
-        back = unpatchify(rows, value.shape, self.patch)
+        out = self.apply(rt, value, sigma)
+        back = unpatchify(out.data, value.shape, self.patch)
         diff = np.max(np.abs(back.data - value.data))
-        return LayerCheck(rt.index, self.kind, float(diff), [], note="reassembly")
+        return LayerCheck(rt.index, self.kind, float(diff), [], out, "reassembly")
 
 
 def _lora_target(rt: RtLayer, target: str, targets: tuple[str, ...]) -> str:
@@ -441,18 +443,17 @@ class _TokenSpec(LayerSpec):
 @dataclass(frozen=True)
 class MhaSpec(_TokenSpec):
     kind = "mha"
+    note = "effective matrix"
     hidden_dim: ClassVar[None] = None
     heads: int
 
     def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
         return Tensor(rt.out_shape, mha_direct(_tokens(value), rt.attn_params))
 
-    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
+    def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
         tokens, p = _tokens(value), rt.attn_params
         m = effective_matrix_from_projections(tokens, p.w_q, p.w_k, p.w_v, p.w_o, p.heads)
-        direct = mha_direct(tokens, p)
-        diff = np.max(np.abs(m @ tokens.reshape(-1) - direct.reshape(-1)))
-        return LayerCheck(rt.index, self.kind, float(diff), [], note="effective matrix")
+        return m @ tokens.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -467,16 +468,14 @@ class FfnSpec(_TokenSpec):
     def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
         return list(lower_ffn(_tokens(value), rt.attn_params, sigma))
 
-    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
-        stage1, stage2 = self.lower(rt, value, sigma)
-        direct = ffn_direct(_tokens(value), rt.attn_params, sigma)
-        diff = np.max(np.abs(stage2.evaluate() - direct.reshape(-1)))
-        return LayerCheck(rt.index, self.kind, float(diff), [stage1, stage2])
+    def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
+        return forms[1].evaluate()
 
 
 @dataclass(frozen=True)
 class TransformerBlockSpec(_TokenSpec):
     kind = "transformer_block"
+    note = "mha+ffn"
     heads: int
     hidden_dim: int
 
@@ -491,12 +490,8 @@ class TransformerBlockSpec(_TokenSpec):
         h = (m @ tokens.reshape(-1)).reshape(tokens.shape)
         return list(lower_ffn(h, p, sigma))
 
-    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
-        stage1, stage2 = self.lower(rt, value, sigma)
-        lowered = stage1.input_vector + stage2.evaluate()  # h + FFN(h)
-        direct = transformer_block_direct(_tokens(value), rt.attn_params, sigma)
-        diff = np.max(np.abs(lowered - direct.reshape(-1)))
-        return LayerCheck(rt.index, self.kind, float(diff), [stage1, stage2], note="mha+ffn")
+    def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
+        return forms[0].input_vector + forms[1].evaluate()  # h + FFN(h)
 
 
 _LAYER_KINDS: dict[str, type[LayerSpec]] = {
@@ -772,12 +767,14 @@ def forward(net: MaterializedNetwork, x: Tensor, sigma: str | None = None) -> li
 @dataclass
 class LayerCheck:
     """Result of verifying one layer's matrix-vector realization against its
-    direct computation at one input."""
+    direct computation at one input; ``output`` is the layer's output there,
+    from that direct computation and bitwise equal to :func:`apply_layer`."""
 
     index: int
     kind: str
     max_abs_diff: float
     forms: list[LoweredForm]
+    output: Tensor
     note: str = ""
 
 
@@ -789,14 +786,26 @@ def _dense_form(matrix: np.ndarray, bias: np.ndarray, x: np.ndarray) -> LoweredF
 
 def check_layer(rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
     """Compare the layer's matrix-vector path against the direct path at
-    ``value`` (pre-activation for convolutions)."""
+    ``value`` (pre-activation for convolutions), which gives the output too."""
     return rt.spec.check(rt, value, sigma)
+
+
+def check_network(net: MaterializedNetwork, x: Tensor, sigma: str) -> Iterator[LayerCheck]:
+    """Check every layer in order, each at the output the previous check
+    carried (the first at ``x``).  A caller that keeps no yielded check (as
+    ``map`` does) holds one layer's lowered stages at a time."""
+    value = x
+    for rt in net.layers:
+        check = check_layer(rt, value, sigma)
+        value = check.output
+        yield check
+        del check  # freed before the next layer is lowered
 
 
 def verify_network(
     net: MaterializedNetwork, trials: int, tol: float, sigma: str | None = None
 ) -> dict:
-    """Run ``trials`` random-input sweeps, checking every layer per trial.
+    """Run ``trials`` random-input sweeps of :func:`check_network`.
 
     Returns a summary dict; ``passed`` is False as soon as any layer's
     max-abs diff exceeds ``tol`` or is NaN in any trial.
@@ -805,12 +814,9 @@ def verify_network(
     per_layer = [0.0] * len(net.layers)
     for t in range(trials):
         x = random_input(net.spec, seed=net.spec.seed + 1 + t)
-        values = [x]
-        for rt in net.layers:
-            check = check_layer(rt, values[-1], sigma)
+        for index, diff in map(attrgetter("index", "max_abs_diff"), check_network(net, x, sigma)):
             # np.maximum keeps NaN, so a non-finite diff fails the run
-            per_layer[rt.index] = float(np.maximum(per_layer[rt.index], check.max_abs_diff))
-            values.append(apply_layer(rt, values[-1], sigma))
+            per_layer[index] = float(np.maximum(per_layer[index], diff))
     worst = float(np.max(per_layer)) if per_layer else 0.0
     return {
         "trials": trials,

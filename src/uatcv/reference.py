@@ -2,8 +2,11 @@
 
 These are the ground truth the lowerings are verified against: plain
 sliding-window convolution, windowed mean pooling, patch extraction, and
-textbook multi-head attention / feed-forward blocks.  No clever data
-layouts; outputs are computed position by position.
+textbook multi-head attention / feed-forward blocks.  Each works on whole
+arrays straight from its definition: convolution and pooling read their
+windows from one strided view of the input, and nothing here uses a lowered
+matrix.  The per-position loops in ``tests/oracles.py`` are the reference
+for these.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import RangeError, ShapeError
 from .tensor import Tensor, TensorShape, as_matrix, as_vector
@@ -190,59 +194,40 @@ def _check_weights(w: Tensor, p: ConvParams) -> np.ndarray:
     return w.data
 
 
-def conv2d_direct(x: Tensor, p: ConvParams, w: Tensor) -> Tensor:
-    """Sliding-window 2-D convolution, summed over input channels.
+def _conv_direct(x: Tensor, p: ConvParams, w: Tensor) -> Tensor:
+    """Sliding-window convolution over the ``p.ndim`` spatial axes, summed
+    over input channels.
 
-    y[o,i,j] = sum_{c,a,b} w[o,c,a,b] * x_pad[c, i*s+a, j*s+b] (+ bias[o]).
+    y[o, i...] = sum_{c, a...} w[o, c, a...] * x_pad[c, i*s + a...] (+ bias[o]).
     """
-    if p.ndim != 2:
-        raise ShapeError("conv2d_direct needs 2-D kernel extents")
     spatial = _check_conv_input(x, p)
     weights = _check_weights(w, p)
-    h_out, w_out = p.out_extents(spatial)
-    pad = p.padding
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    out = np.empty((p.out_channels, h_out, w_out))
-    kh, kw = p.kernel
-    for i in range(h_out):
-        for j in range(w_out):
-            window = xp[:, i * p.stride : i * p.stride + kh, j * p.stride : j * p.stride + kw]
-            # channel sum accumulated left to right: dropping an all-zero
-            # channel then reproduces the original values bit for bit
-            acc = np.zeros(p.out_channels)
-            for c in range(p.in_channels):
-                acc = acc + np.einsum("oab,ab->o", weights[:, c], window[c])
-            out[:, i, j] = acc
+    outs = p.out_extents(spatial)
+    xp = np.pad(x.data, [(0, 0)] + [(p.padding, p.padding)] * p.ndim)
+    windows = sliding_window_view(xp, p.kernel, axis=tuple(range(1, p.ndim + 1)))
+    windows = windows[(slice(None),) + (slice(None, None, p.stride),) * p.ndim]
+    kern, pos = "abc"[: p.ndim], "ijk"[: p.ndim]
+    out = np.zeros((p.out_channels, *outs))
+    # channels summed left to right, so dropping an all-zero one is bitwise exact
+    for c in range(p.in_channels):
+        out = out + np.einsum(f"o{kern},{pos}{kern}->o{pos}", weights[:, c], windows[c])
     if p.bias is not None:
-        out += p.bias[:, None, None]
-    return Tensor(TensorShape([("C_O", p.out_channels), ("H", h_out), ("W", w_out)]), out)
+        out += p.bias.reshape(-1, *(1,) * p.ndim)
+    return Tensor(TensorShape([("C_O", p.out_channels), *zip(x.shape.axes[1:], outs)]), out)
+
+
+def conv2d_direct(x: Tensor, p: ConvParams, w: Tensor) -> Tensor:
+    """2-D convolution: the kernel slides over H and W."""
+    if p.ndim != 2:
+        raise ShapeError("conv2d_direct needs 2-D kernel extents")
+    return _conv_direct(x, p, w)
 
 
 def conv3d_direct(x: Tensor, p: ConvParams, w: Tensor) -> Tensor:
-    """3-D analogue of :func:`conv2d_direct`; the kernel slides over H, W, D."""
+    """3-D convolution: the kernel slides over H, W and D."""
     if p.ndim != 3:
         raise ShapeError("conv3d_direct needs 3-D kernel extents")
-    spatial = _check_conv_input(x, p)
-    weights = _check_weights(w, p)
-    h_out, w_out, d_out = p.out_extents(spatial)
-    pad = p.padding
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    out = np.empty((p.out_channels, h_out, w_out, d_out))
-    kh, kw, kd = p.kernel
-    s = p.stride
-    for i in range(h_out):
-        for j in range(w_out):
-            for z in range(d_out):
-                window = xp[:, i * s : i * s + kh, j * s : j * s + kw, z * s : z * s + kd]
-                acc = np.zeros(p.out_channels)
-                for c in range(p.in_channels):
-                    acc = acc + np.einsum("oabe,abe->o", weights[:, c], window[c])
-                out[:, i, j, z] = acc
-    if p.bias is not None:
-        out += p.bias[:, None, None, None]
-    return Tensor(
-        TensorShape([("C_O", p.out_channels), ("H", h_out), ("W", w_out), ("D", d_out)]), out
-    )
+    return _conv_direct(x, p, w)
 
 
 def mean_pool_direct(x: Tensor, p: PoolParams) -> Tensor:
@@ -250,12 +235,8 @@ def mean_pool_direct(x: Tensor, p: PoolParams) -> Tensor:
     if x.shape.axes != ("C_I", "H", "W"):
         raise ShapeError(f"mean pooling expects axes (C_I, H, W), got {x.shape.axes}")
     h_out, w_out = p.out_extents(x.shape.extents[1:])
-    kh, kw = p.window
-    out = np.empty((x.shape.extent("C_I"), h_out, w_out))
-    for i in range(h_out):
-        for j in range(w_out):
-            window = x.data[:, i * p.stride : i * p.stride + kh, j * p.stride : j * p.stride + kw]
-            out[:, i, j] = window.mean(axis=(1, 2))
+    windows = sliding_window_view(x.data, p.window, axis=(1, 2))[:, :: p.stride, :: p.stride]
+    out = windows.mean(axis=(3, 4))
     return Tensor(TensorShape([("C_I", x.shape.extent("C_I")), ("H", h_out), ("W", w_out)]), out)
 
 
@@ -330,16 +311,12 @@ def attention_probabilities_raw(
     return probs
 
 
-def attention_probabilities(x: np.ndarray, p: AttnParams) -> list[np.ndarray]:
-    return attention_probabilities_raw(_check_tokens(x, p), p.w_q, p.w_k, p.heads)
-
-
 def mha_direct(x: np.ndarray, p: AttnParams) -> np.ndarray:
     """Standard multi-head attention (no masking, no positional encoding)."""
     x = _check_tokens(x, p)
     v = x @ p.w_v
     dh = p.head_dim
-    probs = attention_probabilities(x, p)
+    probs = attention_probabilities_raw(x, p.w_q, p.w_k, p.heads)
     heads = [a @ v[:, head * dh : (head + 1) * dh] for head, a in enumerate(probs)]
     return np.concatenate(heads, axis=1) @ p.w_o
 

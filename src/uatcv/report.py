@@ -10,6 +10,7 @@ machine-dependent goes in.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 from . import __version__
 from .analysis import (
@@ -23,8 +24,7 @@ from .analysis import (
 from .errors import SpecError
 from .netspec import (
     MaterializedNetwork,
-    apply_layer,
-    check_layer,
+    check_network,
     emit_spec,
     random_input,
     to_expandable,
@@ -50,26 +50,23 @@ def _form_stats(form) -> dict:
     }
 
 
+def _layer_row(net: MaterializedNetwork, check) -> dict:
+    rt = net.layers[check.index]
+    return {
+        "index": rt.index,
+        "kind": rt.spec.kind,
+        "input_shape": list(list(d) for d in rt.in_shape.dims),
+        "output_shape": list(list(d) for d in rt.out_shape.dims),
+        "max_abs_diff_at_seed_input": check.max_abs_diff,
+        "note": check.note,
+        "forms": [_form_stats(f) for f in check.forms],
+    }
+
+
 def layer_section(net: MaterializedNetwork, sigma: str) -> list[dict]:
     """Per-layer lowering stats and the max-abs diff at the seed input."""
     x = random_input(net.spec, seed=net.spec.seed)
-    rows = []
-    value = x
-    for rt in net.layers:
-        check = check_layer(rt, value, sigma)
-        rows.append(
-            {
-                "index": rt.index,
-                "kind": rt.spec.kind,
-                "input_shape": list(list(d) for d in rt.in_shape.dims),
-                "output_shape": list(list(d) for d in rt.out_shape.dims),
-                "max_abs_diff_at_seed_input": check.max_abs_diff,
-                "note": check.note,
-                "forms": [_form_stats(f) for f in check.forms],
-            }
-        )
-        value = apply_layer(rt, value, sigma)
-    return rows
+    return list(map(partial(_layer_row, net), check_network(net, x, sigma)))
 
 
 def expansion_section(net: MaterializedNetwork) -> dict:

@@ -51,15 +51,16 @@ def element_cap() -> int:
     return DEFAULT_ELEMENT_CAP
 
 
-def set_element_cap(cap: int | None) -> None:
+def set_element_cap(cap: int | None) -> int | None:
     """Override the element cap process-wide (``None`` restores lookup order).
 
-    Intended to be called once at startup (e.g. by the CLI); not synchronized.
+    Returns the override it replaces, so it can be put back; not synchronized.
     """
     global _cap_override
     if cap is not None and cap < 1:
         raise RangeError(f"element cap must be positive, got {cap}")
-    _cap_override = cap
+    previous, _cap_override = _cap_override, cap
+    return previous
 
 
 @dataclass(frozen=True)

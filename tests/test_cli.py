@@ -278,3 +278,48 @@ def test_report_layout_is_pinned(capsys, specs_dir, monkeypatch, name, fmt):
     masked = _mask_roundoff(out)
     assert masked.count("#") >= 2  # the masked fields are there
     assert hashlib.sha256(masked.encode()).hexdigest() == REPORT_LAYOUT[name, fmt]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["--trials", "0"]),
+    ("verify", ["--trials", "-3"]),
+    ("report", ["--trials", "0"]),
+    ("analyze", ["--trials", "0", "--prune-layer", "0", "--prune-channels", "0"]),
+])
+def test_trials_below_one_is_validation_error(capsys, specs_dir, command, flags):
+    code, out, err = run(capsys, command, str(specs_dir / "vgg3.json"), *flags)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error[validation]: --trials must be >= 1")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--prune-layer", "0", "--prune-channels", "x"], "--prune-channels takes integers"),
+    (["--prune-layer", "9", "--prune-channels", "0"], "no layer 9"),
+    (["--prune-layer", "0", "--prune-channels", "5"], "out of range"),
+    (["--prune-layer", "0", "--prune-channels", "0,1"], "leaves nothing"),
+    (["--prune-layer", "0"], "exactly one of"),
+    (["--prune-layer", "0", "--prune-channels", "0", "--prune-threshold", "1"], "exactly one of"),
+    (["--prune-layer", "0", "--prune-threshold", "nan"], "threshold must be finite"),
+    (["--cap", "0"], "--cap must be >= 1"),
+])
+def test_bad_prune_and_cap_flags_are_validation_errors(capsys, specs_dir, flags, message):
+    code, out, err = run(capsys, "analyze", str(specs_dir / "vgg3.json"), *flags)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error[validation]: ") and message in err
+
+
+@pytest.mark.parametrize("earlier", [None, 700])
+def test_cap_flag_lasts_for_one_call(capsys, specs_dir, monkeypatch, earlier):
+    from uatcv.tensor import element_cap, set_element_cap
+
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    set_element_cap(earlier)
+    try:
+        want = element_cap()
+        assert run(capsys, "expand", str(specs_dir / "vgg3.json"), "--cap", "5000")[0] == EXIT_OK
+        assert element_cap() == want
+        # the 36-element input is over a cap of 1, so this call raises inside main
+        assert run(capsys, "expand", str(specs_dir / "vgg3.json"), "--cap", "1")[0] == EXIT_PARSE
+        assert element_cap() == want
+    finally:
+        set_element_cap(None)

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from uatcv.errors import ParseError, SpecError, UatcvError, ValidationError
 from uatcv.netspec import (
+    _LAYER_KINDS,
     Conv2dSpec,
     ResidualBlockSpec,
+    apply_layer,
     check_layer,
+    check_network,
     emit_spec,
     forward,
     infer_shapes,
@@ -232,6 +235,95 @@ def test_check_layer_covers_every_kind(specs_dir):
         from uatcv.netspec import apply_layer
 
         value = apply_layer(rt, value, "relu")
+
+
+def _one_layer(kind):
+    input_shape, layer = KIND_EXAMPLES[kind]
+    return parse_spec_text(
+        json.dumps({"input_shape": input_shape, "seed": 3, "activation": "relu",
+                    "layers": [layer]})
+    )
+
+
+@pytest.mark.parametrize("sigma", ["relu", "logistic"])
+@pytest.mark.parametrize("kind", sorted(_LAYER_KINDS))
+def test_check_carries_the_layer_output(kind, sigma):
+    spec = _one_layer(kind)
+    rt = materialize(spec).layers[0]
+    x = random_input(spec, 4)
+    got = check_layer(rt, x, sigma).output
+    want = apply_layer(rt, x, sigma)
+    assert got.shape == want.shape and got.data.shape == want.data.shape
+    assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["report", "--trials", "2"], 9),  # the seed input and two trials, three layers each
+    (["verify", "--trials", "2"], 6),
+    (["lower"], 3),
+])
+def test_direct_conv_runs_once_per_layer_input(specs_dir, monkeypatch, capsys, argv, calls):
+    import uatcv.netspec as netspec
+    from uatcv.cli import EXIT_OK, main
+
+    real, seen = netspec.conv2d_direct, []
+
+    def counted(*args):
+        seen.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(netspec, "conv2d_direct", counted)
+    command, *flags = argv
+    assert main([command, str(specs_dir / "vgg3.json"), *flags]) == EXIT_OK
+    capsys.readouterr()
+    assert len(seen) == calls
+
+
+def test_check_network_checks_one_layer_at_a_time(specs_dir, monkeypatch):
+    import uatcv.netspec as netspec
+
+    real, calls = netspec.check_layer, []
+
+    def counted(rt, value, sigma):
+        calls.append(rt.index)
+        return real(rt, value, sigma)
+
+    monkeypatch.setattr(netspec, "check_layer", counted)
+    net = materialize(parse_spec(specs_dir / "vgg3.json"))
+    x = random_input(net.spec, 5)
+    checks = check_network(net, x, net.activation)
+    assert calls == []
+    first = next(checks)
+    assert calls == [0] and first.index == 0
+    outputs = [first.output] + [check.output for check in checks]
+    assert calls == [0, 1, 2]
+    for got, want in zip(outputs, forward(net, x)[1:], strict=True):
+        assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("consumer", ["verify_network", "layer_section"])
+def test_each_check_is_freed_before_the_next_layer(specs_dir, monkeypatch, consumer):
+    # holding one layer's lowered stages at a time is what keeps peak RSS down
+    import weakref
+
+    import uatcv.netspec as netspec
+    from uatcv.report import layer_section
+
+    real, refs, alive = netspec.check_layer, [], []
+
+    def spying(rt, value, sigma):
+        alive.append([ref() is not None for ref in refs])
+        check = real(rt, value, sigma)
+        refs.append(weakref.ref(check))
+        return check
+
+    monkeypatch.setattr(netspec, "check_layer", spying)
+    net = materialize(parse_spec(specs_dir / "vgg3.json"))
+    if consumer == "verify_network":
+        verify_network(net, trials=1, tol=1e-9)
+    else:
+        layer_section(net, net.activation)
+    assert alive == [[], [False], [False, False]]
 
 
 def test_mixed_architecture_not_expandable():

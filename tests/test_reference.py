@@ -139,6 +139,24 @@ def test_conv3d_matches_naive_oracle():
         assert np.max(np.abs(got.data - want)) <= 1e-9
 
 
+@pytest.mark.parametrize("dead", [0, 1, 2])
+def test_conv3d_all_zero_channel_drops_bitwise(dead):
+    # the channel sum runs left to right, so an all-zero channel adds exact zeros
+    rng = np.random.default_rng(30 + dead)
+    x = rng.normal(size=(3, 4, 5, 3))
+    x[dead] = 0.0
+    kern = rng.normal(size=(4, 3, 2, 3, 2))
+    bias = rng.normal(size=4)
+    axes, kaxes = ("C_I", "H", "W", "D"), ("C_O", "C_I", "H", "W", "D")
+    full = conv3d_direct(_t(axes, x), ConvParams(3, 4, (2, 3, 2), 1, 1, bias), _t(kaxes, kern))
+    keep = [c for c in range(3) if c != dead]
+    dropped = conv3d_direct(
+        _t(axes, x[keep]), ConvParams(2, 4, (2, 3, 2), 1, 1, bias), _t(kaxes, kern[:, keep])
+    )
+    assert full.shape == dropped.shape
+    assert np.array_equal(full.data, dropped.data)
+
+
 # ---------------------------------------------------------------------------
 # mean pooling
 # ---------------------------------------------------------------------------
