@@ -4,12 +4,13 @@
     uatcv verify   SPEC [--trials N] [--tol X]
     uatcv expand   SPEC [--format text|latex]
     uatcv classify SPEC
-    uatcv analyze  SPEC [--lora-layer N --lora-rank R [--lora-target M]]
+    uatcv analyze  SPEC [--lora-layer N [--lora-rank R] [--lora-target M]]
                         [--prune-layer N (--prune-channels 0,2 | --prune-threshold X)]
     uatcv report   SPEC [--out PATH] [--format text|latex] [--trials N] [--tol X]
 
-Common flags: ``--seed`` overrides the description's seed, ``--cap`` the
-element cap for this call (the UATCV_CAP environment variable otherwise).
+``python -m uatcv`` runs the same commands.  Common flags: ``--seed``
+overrides the description's seed, ``--cap`` the element cap for this call
+(the UATCV_CAP environment variable otherwise).
 
 Exit codes: 0 success; 2 parse/validation error, including a weight
 array over the element cap; 3 verification failure; 4 internal invariant
@@ -24,6 +25,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import lowering
 from .analysis import LoraDelta, PruneMask, resolve_mask
 from .errors import ParseError, SpecError, UatcvError, ValidationError, VerificationError
 from .netspec import draw_weights, materialize, parse_spec, to_expandable, verify_network
@@ -70,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--trials", type=int, default=8, help="impact-sample inputs")
     p.add_argument("--lora-layer", type=int, default=None)
-    p.add_argument("--lora-rank", type=int, default=1)
-    p.add_argument("--lora-target", default="w_2")
+    p.add_argument("--lora-rank", type=int, default=None, help="default 1")
+    p.add_argument("--lora-target", default=None, help="default w_2")
     p.add_argument("--prune-layer", type=int, default=None)
     p.add_argument("--prune-channels", default=None, help="comma-separated indices")
     p.add_argument("--prune-threshold", type=float, default=None)
@@ -173,12 +175,18 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.lora_layer is None and (args.lora_rank, args.lora_target) != (None, None):
+        raise ValidationError("--lora-rank and --lora-target need --lora-layer")
+    if args.prune_layer is None and (args.prune_channels, args.prune_threshold) != (None, None):
+        raise ValidationError("--prune-channels and --prune-threshold need --prune-layer")
     _, net = _load(args)
     from .report import analysis_section
 
     lora = None
     if args.lora_layer is not None:
-        lora = _random_lora(net, args.lora_layer, args.lora_rank, args.lora_target)
+        rank = 1 if args.lora_rank is None else args.lora_rank
+        target = "w_2" if args.lora_target is None else args.lora_target
+        lora = _random_lora(net, args.lora_layer, rank, target)
     mask = None
     if args.prune_layer is not None:
         mask = _prune_mask(net, args.prune_layer, args.prune_channels, args.prune_threshold)
@@ -218,6 +226,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     previous_cap = set_element_cap(None)  # put back when main returns or raises
+    lowering.cell_pattern.cache_clear()  # each command builds its own cell patterns
     try:
         if args.cap is not None and args.cap < 1:
             raise ValidationError(f"--cap must be >= 1, got {args.cap}")
@@ -236,6 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     finally:
         set_element_cap(previous_cap)
+        lowering.cell_pattern.cache_clear()
 
 
 if __name__ == "__main__":

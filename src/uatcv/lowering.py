@@ -13,10 +13,19 @@ diamond product ``W' <> x' = W'^T x'`` reproduces the direct computation of
 
 W' is stored as its structural cells (the positions that carry a kernel
 element, whatever its value) with one value each; the cells' index map keeps
-weight sharing inspectable: every cell traces to exactly one kernel element,
-and a kernel element generally occupies many cells.  A stage evaluates in
-O(cells) as a weighted ``bincount``, and the dense W' is built only when read.
-Every index grid a lowering enumerates counts against the element cap.
+weight sharing inspectable: every cell carries the flat index of exactly one
+kernel element, and a kernel element generally occupies many cells.  A stage
+evaluates in O(cells) as a weighted ``bincount``, and the dense W' is built
+only when read.  Every index grid a lowering stands for counts against the
+element cap, checked on every call.
+
+A conv or pooling layer's cells depend on its geometry alone (channels,
+kernel, stride, padding, input extents), never on the weights or x': they
+are one spatial window pattern broadcast over the channel pairs
+(Chellapilla, Puri & Simard, High Performance Convolutional Neural Networks
+for Document Processing, 2006).  :func:`cell_pattern` builds them once per
+geometry and keeps the last few, read-only; a lowering then only gathers
+the weights through the flat kernel index and flattens x'.
 
 The expansion binds every matrix as a :class:`LinearMap` in its own structure
 (``W'^T`` as cells, ``I_n (x) W`` as ``W``, attention as per-head factors),
@@ -25,6 +34,7 @@ applied to vectors; only ``dense()`` builds an array.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -91,22 +101,28 @@ def tokenwise_map(weight: np.ndarray, tokens: int) -> LinearMap:
 @dataclass(frozen=True)
 class WeightIndexMap:
     """Structural cells of W': parallel arrays of (row, col) positions and the
-    kernel coordinate each cell carries."""
+    flat index, into the kernel of shape ``kernel_shape``, of the element each
+    cell carries."""
 
     rows: np.ndarray
     cols: np.ndarray
-    sources: np.ndarray  # (n_entries, kernel_ndim) int coordinates
+    kernel_index: np.ndarray
+    kernel_shape: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.rows)
 
+    @property
+    def sources(self) -> np.ndarray:
+        """Each cell's kernel coordinate, (n_cells, kernel ndim), read-only."""
+        sources = np.stack(np.unravel_index(self.kernel_index, self.kernel_shape), axis=1)
+        sources.flags.writeable = False
+        return sources
+
     def sharing_counts(self) -> np.ndarray:
         """How many cells each distinct kernel element occupies, in the
         lexicographic order of the kernel coordinates."""
-        if not len(self):
-            return np.zeros(0, dtype=np.intp)
-        flat = np.ravel_multi_index(tuple(self.sources.T), tuple(self.sources.max(axis=0) + 1))
-        counts = np.bincount(flat)
+        counts = np.bincount(self.kernel_index)
         return counts[counts > 0]
 
 
@@ -201,76 +217,82 @@ def _check_cap(what: str, dims: tuple[int, ...]) -> None:
         raise CapacityError(f"{what} of shape {dims} has {n} elements, cap is {element_cap()}")
 
 
-def _index_grid(dims: tuple[int, ...]) -> list[np.ndarray]:
-    """The flat coordinates of every point of a grid with extents ``dims``,
-    within the element cap."""
-    _check_cap("lowering index grid", dims)
-    return [g.reshape(-1) for g in np.indices(dims)]
+# Cell patterns kept at once: a network has about one geometry per window
+# layer, and each pattern is within the element cap.
+_CELL_PATTERNS = 8
 
 
-def _conv_index_grids(p: ConvParams, spatial: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """All (channel, output, kernel-offset) combinations plus validity mask."""
-    outs = p.out_extents(spatial)
-    idx = _index_grid((p.out_channels, p.in_channels, *outs, *p.kernel))
-    nd = p.ndim
-    o, c = idx[0], idx[1]
-    out_pos = idx[2 : 2 + nd]
-    k_off = idx[2 + nd :]
-    in_pos = [op * p.stride + ko - p.padding for op, ko in zip(out_pos, k_off)]
-    mask = np.ones(len(o), dtype=bool)
-    for pos, ext in zip(in_pos, spatial):
-        mask &= (pos >= 0) & (pos < ext)
-    return o, c, out_pos, k_off, in_pos, mask, outs
+@functools.lru_cache(maxsize=_CELL_PATTERNS)
+def cell_pattern(
+    out_channels: int,
+    in_channels: int,
+    kernel: tuple[int, ...],
+    stride: int,
+    padding: int,
+    spatial: tuple[int, ...],
+    per_channel: bool = False,
+) -> tuple[np.ndarray, ...]:
+    """The structural cells of a window layer's W', from its geometry alone.
 
-
-def _ravel(coords: list[np.ndarray], extents: tuple[int, ...]) -> np.ndarray:
-    flat = np.zeros_like(coords[0])
-    for pos, ext in zip(coords, extents):
-        flat = flat * ext + pos
-    return flat
+    The window pattern is every (output position, kernel offset) point whose
+    input position lies inside the unpadded input, in row-major order; it is
+    broadcast over the (output, input) channel pairs, output channel
+    outermost.  ``per_channel`` (pooling) keeps only the pairs o == c, with
+    a kernel of shape (channels, *kernel).  A 3-D layer flattens depth
+    outermost inside each channel block.  Returns read-only ``(rows, cols,
+    kernel_index, input_index_map)``; the caller checks the element cap.
+    """
+    nd = len(kernel)
+    order = [2, 0, 1] if nd == 3 else [0, 1]  # x' and y' axis order of (H, W[, D])
+    outs = [(ext + 2 * padding - k) // stride + 1 for ext, k in zip(spatial, kernel)]
+    points = np.indices((*outs, *kernel)).reshape(2 * nd, -1)
+    out_pos, k_off = points[:nd], points[nd:]
+    in_pos = out_pos * stride + k_off - padding
+    valid = np.all((in_pos >= 0) & (in_pos < np.array(spatial)[:, None]), axis=0)
+    in_extents = [spatial[a] for a in order]
+    # the window pattern: one channel pair's cells
+    in_rows = np.ravel_multi_index(tuple(in_pos[order][:, valid]), in_extents)
+    out_cols = np.ravel_multi_index(tuple(out_pos[order][:, valid]), [outs[a] for a in order])
+    k_flat = np.ravel_multi_index(tuple(k_off[:, valid]), kernel)
+    if per_channel:
+        o = c = pair = np.arange(in_channels)
+    else:
+        pair = np.arange(out_channels * in_channels)
+        o, c = np.divmod(pair, in_channels)
+    rows = (c[:, None] * math.prod(spatial) + in_rows).ravel()
+    cols = (o[:, None] * math.prod(outs) + out_cols).ravel()
+    kernel_index = (pair[:, None] * math.prod(kernel) + k_flat).ravel()
+    # x' position -> tensor coordinate (C_I, H, W[, D])
+    coords = np.indices((in_channels, *in_extents)).reshape(nd + 1, -1)
+    input_index_map = coords[[0, *(1 + order.index(a) for a in range(nd))]].T
+    for array in (rows, cols, kernel_index, input_index_map):
+        array.flags.writeable = False
+    return rows, cols, kernel_index, input_index_map
 
 
 def _lower_conv(x: Tensor, p: ConvParams, w: Tensor) -> LoweredForm:
     spatial = _check_conv_input(x, p)
     weights = _check_weights(w, p)
-    o, c, out_pos, k_off, in_pos, mask, outs = _conv_index_grids(p, spatial)
-
+    outs = p.out_extents(spatial)
+    _check_cap("lowering index grid", (p.out_channels, p.in_channels, *outs, *p.kernel))
+    rows, cols, kernel_index, input_index_map = cell_pattern(
+        p.out_channels, p.in_channels, tuple(p.kernel), p.stride, p.padding, spatial
+    )
+    per_chan_out = math.prod(outs)
     if p.ndim == 2:
-        h, wd = spatial
-        in_extents = (h, wd)
         input_order = None  # storage order (C_I, H, W) already matches
         layout = "x': (C_I,H,W) row-major; y': (C_O,H,W) row-major"
-        coord_grid = np.indices((p.in_channels, h, wd)).reshape(3, -1).T
     else:
-        h, wd, dep = spatial
-        in_extents = (dep, h, wd)  # depth outermost inside each channel block
-        in_pos = [in_pos[2], in_pos[0], in_pos[1]]
-        out_pos = [out_pos[2], out_pos[0], out_pos[1]]
-        outs = (outs[2], outs[0], outs[1])
-        input_order = ("C_I", "D", "H", "W")
+        input_order = ("C_I", "D", "H", "W")  # depth outermost inside each channel block
         layout = "x': (C_I,D,H,W) row-major; y': (C_O,D,H,W) row-major"
-        grid = np.indices((p.in_channels, dep, h, wd)).reshape(4, -1).T
-        # map positions back to tensor coordinates (C_I, H, W, D)
-        coord_grid = grid[:, [0, 2, 3, 1]]
-
-    per_chan_in = int(np.prod(in_extents))
-    per_chan_out = int(np.prod(outs))
-    rows = c * per_chan_in + _ravel(in_pos, in_extents)
-    cols = o * per_chan_out + _ravel(out_pos, outs)
-    k_sources = np.stack([o, c, *k_off], axis=1)
-    rows, cols, k_sources = rows[mask], cols[mask], k_sources[mask]
-
-    bias = None
-    if p.bias is not None:
-        bias = np.repeat(p.bias, per_chan_out)
     return LoweredForm(
-        weight_values=weights[tuple(k_sources.T)],
+        weight_values=weights.ravel()[kernel_index],
         input_vector=flatten(x, input_order),
         output_len=p.out_channels * per_chan_out,
-        input_index_map=coord_grid,
-        weight_index_map=WeightIndexMap(rows=rows, cols=cols, sources=k_sources),
+        input_index_map=input_index_map,
+        weight_index_map=WeightIndexMap(rows, cols, kernel_index, weights.shape),
         layout_note=layout,
-        bias=bias,
+        bias=None if p.bias is None else np.repeat(p.bias, per_chan_out),
     )
 
 
@@ -306,19 +328,16 @@ def lower_mean_pool(x: Tensor, p: PoolParams) -> LoweredForm:
     chans, h, wd = x.shape.extents
     h_out, w_out = p.out_extents((h, wd))
     kh, kw = p.window
-    c, i, j, a, b = _index_grid((chans, h_out, w_out, kh, kw))
-    y = i * p.stride + a
-    xx = j * p.stride + b
-    rows = c * (h * wd) + y * wd + xx
-    cols = c * (h_out * w_out) + i * w_out + j
+    _check_cap("lowering index grid", (chans, h_out, w_out, kh, kw))
+    rows, cols, kernel_index, input_index_map = cell_pattern(
+        chans, chans, tuple(p.window), p.stride, 0, (h, wd), per_channel=True
+    )
     return LoweredForm(
         weight_values=np.full(len(rows), 1.0 / (kh * kw)),
         input_vector=flatten(x),
         output_len=chans * h_out * w_out,
-        input_index_map=np.indices((chans, h, wd)).reshape(3, -1).T,
-        weight_index_map=WeightIndexMap(
-            rows=rows, cols=cols, sources=np.stack([c, a, b], axis=1)
-        ),
+        input_index_map=input_index_map,
+        weight_index_map=WeightIndexMap(rows, cols, kernel_index, (chans, kh, kw)),
         layout_note="x': (C_I,H,W) row-major; y': (C_I,H,W) row-major; block-diagonal per channel",
     )
 
@@ -331,7 +350,8 @@ def _ffn_stage(
     note: str,
 ) -> LoweredForm:
     rows_in, cols_out = weight.shape
-    t, i, j = _index_grid((tokens, rows_in, cols_out))
+    _check_cap("lowering index grid", (tokens, rows_in, cols_out))
+    t, i, j = (g.reshape(-1) for g in np.indices((tokens, rows_in, cols_out)))
     rows = t * rows_in + i
     cols = t * cols_out + j
     return LoweredForm(
@@ -339,7 +359,7 @@ def _ffn_stage(
         input_vector=input_vector,
         output_len=tokens * cols_out,
         input_index_map=np.indices((tokens, rows_in)).reshape(2, -1).T,
-        weight_index_map=WeightIndexMap(rows=rows, cols=cols, sources=np.stack([i, j], axis=1)),
+        weight_index_map=WeightIndexMap(rows, cols, i * cols_out + j, weight.shape),
         layout_note=note,
         bias=np.tile(bias, tokens),
     )

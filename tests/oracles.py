@@ -199,3 +199,47 @@ def impulse_receptive_field(layers: list[tuple[int, int, bool]], length: int) ->
             raise ValueError("signal too short for this stack")
     influence = np.flatnonzero(batch[:, 0] > 0.0)
     return int(influence.max() - influence.min() + 1)
+
+
+def conv_cells_full_grid(out_channels: int, in_channels: int, kernel: tuple[int, ...],
+                         stride: int, padding: int, spatial: tuple[int, ...]):
+    """(rows, cols, kernel sources) of a conv W' from one index grid over
+    every (output channel, input channel, output position, kernel offset)
+    combination, masked to the windows inside the input.  A 3-D conv's
+    spatial extents are (H, W, D) and x', y' put depth outermost."""
+    nd = len(kernel)
+    outs = tuple((ext + 2 * padding - k) // stride + 1 for ext, k in zip(spatial, kernel))
+    idx = [g.reshape(-1) for g in np.indices((out_channels, in_channels, *outs, *kernel))]
+    o, c, out_pos, k_off = idx[0], idx[1], idx[2 : 2 + nd], idx[2 + nd :]
+    in_pos = [op * stride + ko - padding for op, ko in zip(out_pos, k_off)]
+    mask = np.ones(len(o), dtype=bool)
+    for pos, ext in zip(in_pos, spatial):
+        mask &= (pos >= 0) & (pos < ext)
+    in_extents, out_extents = spatial, outs
+    if nd == 3:  # (D, H, W) inside each channel block
+        in_pos, out_pos = [in_pos[2], *in_pos[:2]], [out_pos[2], *out_pos[:2]]
+        in_extents, out_extents = (spatial[2], *spatial[:2]), (outs[2], *outs[:2])
+    rows = c * math.prod(spatial) + _ravel(in_pos, in_extents)
+    cols = o * math.prod(outs) + _ravel(out_pos, out_extents)
+    sources = np.stack([o, c, *k_off], axis=1)
+    return rows[mask], cols[mask], sources[mask]
+
+
+def mean_pool_cells_full_grid(channels: int, window: tuple[int, int], stride: int,
+                              spatial: tuple[int, int]):
+    """(rows, cols, kernel sources) of a mean-pooling W' from one index grid
+    over every (channel, output position, window offset) combination; the
+    sources are (channel, window offset)."""
+    (h, wd), (kh, kw) = spatial, window
+    h_out, w_out = (h - kh) // stride + 1, (wd - kw) // stride + 1
+    c, i, j, a, b = (g.reshape(-1) for g in np.indices((channels, h_out, w_out, kh, kw)))
+    rows = c * (h * wd) + (i * stride + a) * wd + (j * stride + b)
+    cols = c * (h_out * w_out) + i * w_out + j
+    return rows, cols, np.stack([c, a, b], axis=1)
+
+
+def _ravel(coords: list[np.ndarray], extents: tuple[int, ...]) -> np.ndarray:
+    flat = np.zeros_like(coords[0])
+    for pos, ext in zip(coords, extents):
+        flat = flat * ext + pos
+    return flat

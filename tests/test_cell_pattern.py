@@ -1,0 +1,181 @@
+"""Window-layer cells built from their geometry pattern, and the per-command
+cache that keeps those patterns."""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import conv_cells_full_grid, mean_pool_cells_full_grid
+from uatcv import cli, lowering
+from uatcv.errors import CapacityError
+from uatcv.lowering import lower_conv2d_I_O, lower_conv3d, lower_mean_pool
+from uatcv.netspec import forward, materialize, parse_spec, random_input
+from uatcv.reference import ConvParams, PoolParams
+from uatcv.tensor import Tensor, TensorShape, set_element_cap
+
+
+def _t(axes, arr):
+    arr = np.asarray(arr, dtype=np.float64)
+    return Tensor(TensorShape(list(zip(axes, arr.shape))), arr)
+
+
+def _assert_cells_match(form, rows, cols, sources, weights):
+    cells = form.weight_index_map
+    assert np.array_equal(cells.rows, rows)
+    assert np.array_equal(cells.cols, cols)
+    assert np.array_equal(cells.sources, sources)
+    # the oracle's cells, evaluated the same way, give the same bits
+    values = weights[tuple(sources.T)]
+    want = np.bincount(cols, values * form.input_vector[rows], minlength=form.output_len)
+    if form.bias is not None:
+        want = want + form.bias
+    assert np.array_equal(form.evaluate(), want)
+
+
+@st.composite
+def _conv_geometry(draw):
+    nd = draw(st.sampled_from([2, 3]))
+    kernel = tuple(draw(st.integers(1, 3)) for _ in range(nd))
+    padding = draw(st.integers(0, max(kernel)))
+    spatial = tuple(draw(st.integers(max(1, k - 2 * padding), 5)) for k in kernel)
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 3)), kernel,
+            draw(st.integers(1, 3)), padding, spatial, draw(st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(_conv_geometry())
+# stride 7 and padding 3 put the only window over a 1x1 input in the padding
+@example((1, 1, (1, 1), 7, 3, (1, 1), 0))
+@example((2, 1, (1, 1, 1), 7, 3, (1, 1, 1), 0))
+def test_conv_cells_match_the_full_grid(geometry):
+    c_out, c_in, kernel, stride, padding, spatial, seed = geometry
+    rng = np.random.default_rng(seed)
+    axes = ("C_I", "H", "W", "D")[: len(kernel) + 1]
+    x = _t(axes, rng.normal(size=(c_in, *spatial)))
+    p = ConvParams(c_in, c_out, kernel, stride, padding, bias=rng.normal(size=c_out))
+    kern = _t(("C_O", "C_I", "H", "W", "D")[: len(kernel) + 2],
+              rng.normal(size=(c_out, c_in, *kernel)))
+    form = (lower_conv2d_I_O if len(kernel) == 2 else lower_conv3d)(x, p, kern)
+    rows, cols, sources = conv_cells_full_grid(c_out, c_in, kernel, stride, padding, spatial)
+    _assert_cells_match(form, rows, cols, sources, kern.data)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**31 - 1))
+def test_mean_pool_cells_match_the_full_grid(chans, kh, kw, stride, extra_h, extra_w, seed):
+    rng = np.random.default_rng(seed)
+    spatial = (kh + extra_h, kw + extra_w)
+    x = _t(("C_I", "H", "W"), rng.normal(size=(chans, *spatial)))
+    form = lower_mean_pool(x, PoolParams((kh, kw), stride))
+    rows, cols, sources = mean_pool_cells_full_grid(chans, (kh, kw), stride, spatial)
+    _assert_cells_match(form, rows, cols, sources, np.full((chans, kh, kw), 1.0 / (kh * kw)))
+
+
+# ---------------------------------------------------------------------------
+# the per-command pattern cache
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(autouse=True)
+def empty_cache():
+    lowering.cell_pattern.cache_clear()
+    yield
+    lowering.cell_pattern.cache_clear()
+
+
+@pytest.fixture
+def vgg3(specs_dir):
+    path = specs_dir / "vgg3.json"
+    return path, materialize(parse_spec(path))
+
+
+def _geometry(rt):
+    p = rt.conv_params
+    return (p.out_channels, p.in_channels, tuple(p.kernel), p.stride, p.padding,
+            rt.in_shape.extents[1:])
+
+
+@pytest.fixture
+def pattern_calls(monkeypatch):
+    """Every pattern lookup and every pattern built, through a fresh cache."""
+    calls = {"lookups": [], "builds": []}
+    build = lowering.cell_pattern.__wrapped__
+
+    def counted_build(*args):
+        calls["builds"].append(args)
+        return build(*args)
+
+    cached = functools.lru_cache(maxsize=lowering._CELL_PATTERNS)(counted_build)
+
+    def lookup(*args):
+        calls["lookups"].append(args)
+        return cached(*args)
+
+    lookup.cache_clear = cached.cache_clear
+    monkeypatch.setattr(lowering, "cell_pattern", lookup)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["report", "--trials", "2"], ["analyze", "--lora-layer", "0"]])
+def test_one_pattern_per_conv_geometry(capsys, vgg3, pattern_calls, argv):
+    path, net = vgg3
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    # vgg3's three conv layers have three distinct geometries
+    builds = pattern_calls["builds"]
+    assert sorted(builds) == sorted(map(_geometry, net.layers))
+    assert len(pattern_calls["lookups"]) > len(builds)
+
+
+def test_cap_is_checked_on_a_cache_hit(capsys, vgg3, monkeypatch):
+    path, net = vgg3
+    rt = net.layers[1]
+    value = forward(net, random_input(net.spec, seed=1))[1]
+    grid = 3 * 2 * 4 * 4 * 2 * 2  # layer 1's (C_O, C_I, outputs, kernel) grid, vgg3's largest
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    try:
+        set_element_cap(10 * grid)
+        lower_conv2d_I_O(value, rt.conv_params, rt.conv_weights)
+        assert lowering.cell_pattern.cache_info().currsize == 1
+        set_element_cap(grid - 1)
+        with pytest.raises(CapacityError, match=f"has {grid} elements"):
+            lower_conv2d_I_O(value, rt.conv_params, rt.conv_weights)
+        assert cli.main(["lower", str(path), "--cap", str(grid - 1)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]: layer 1 (conv2d): lowering index grid")
+    finally:
+        set_element_cap(None)
+
+
+def test_cache_is_empty_after_main(capsys, vgg3, monkeypatch):
+    path, _ = vgg3
+    lower = cli._COMMANDS["lower"]
+    assert cli.main(["lower", str(path)]) == 0
+    assert lowering.cell_pattern.cache_info().currsize == 0
+
+    def lower_then_fail(args):
+        lower(args)
+        assert lowering.cell_pattern.cache_info().currsize == 3
+        raise RuntimeError("after lowering")
+
+    monkeypatch.setitem(cli._COMMANDS, "lower", lower_then_fail)
+    with pytest.raises(RuntimeError, match="after lowering"):
+        cli.main(["lower", str(path)])
+    assert lowering.cell_pattern.cache_info().currsize == 0
+
+
+def test_cells_are_read_only():
+    x = _t(("C_I", "H", "W"), np.ones((2, 4, 4)))
+    p = ConvParams(2, 3, (2, 2), 1, 1)
+    kern = _t(("C_O", "C_I", "H", "W"), np.ones((3, 2, 2, 2)))
+    form = lower_conv2d_I_O(x, p, kern)
+    cells = form.weight_index_map
+    for array in (cells.rows, cells.cols, cells.kernel_index, cells.sources,
+                  form.input_index_map):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    # a second lowering of the geometry shares the same arrays
+    assert lower_conv2d_I_O(x, p, kern).weight_index_map.rows is cells.rows

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +327,27 @@ def test_cap_flag_lasts_for_one_call(capsys, specs_dir, monkeypatch, earlier):
         assert element_cap() == want
     finally:
         set_element_cap(None)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--prune-channels", "0"], "need --prune-layer"),
+    (["--prune-threshold", "0.5"], "need --prune-layer"),
+    (["--lora-rank", "5"], "need --lora-layer"),
+    (["--lora-target", "w_9"], "need --lora-layer"),
+    (["--lora-layer", "0", "--prune-channels", "0"], "need --prune-layer"),
+])
+def test_analyze_flags_without_their_layer_are_validation_errors(capsys, specs_dir, flags,
+                                                                 message):
+    code, out, err = run(capsys, "analyze", str(specs_dir / "vgg3.json"), *flags)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error[validation]: ") and message in err
+
+
+def test_python_dash_m_runs_the_cli(specs_dir):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "uatcv", "verify", str(specs_dir / "vgg3.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "20 trials, tol 1e-09: PASS"
