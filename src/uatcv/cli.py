@@ -13,25 +13,30 @@ overrides the description's seed, ``--cap`` the element cap for this call
 (the UATCV_CAP environment variable otherwise).
 
 Exit codes: 0 success; 2 parse/validation error, including a weight
-array over the element cap; 3 verification failure; 4 internal invariant
-breach.  Errors print one line to stderr:
+array over the element cap, a UATCV_CAP that is not a positive integer, a
+``--tol`` that is negative or not finite, and a layer whose values overflow
+to non-finite entries (the message names the layer); 3 verification
+failure; 4 internal invariant breach.  Errors print one line to stderr:
 ``error[<code>]: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import lowering
 from .analysis import LoraDelta, PruneMask, resolve_mask
-from .errors import ParseError, SpecError, UatcvError, ValidationError, VerificationError
+from .errors import (
+    ParseError, RangeError, SpecError, UatcvError, ValidationError, VerificationError,
+)
 from .netspec import draw_weights, materialize, parse_spec, to_expandable, verify_network
 from .report import build_report, report_json, report_latex
 from .symbolic import classify_params, emit
-from .tensor import SplitMix64, set_element_cap
+from .tensor import SplitMix64, element_cap, set_element_cap
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -232,7 +237,13 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError(f"--cap must be >= 1, got {args.cap}")
         if getattr(args, "trials", 1) < 1:
             raise ValidationError(f"--trials must be >= 1, got {args.trials}")
-        set_element_cap(args.cap)
+        tol = getattr(args, "tol", 0.0)
+        if not math.isfinite(tol) or tol < 0:
+            raise ValidationError(f"--tol must be finite and >= 0, got {tol}")
+        try:  # the environment variable is read once, here
+            set_element_cap(element_cap() if args.cap is None else args.cap)
+        except RangeError as exc:
+            raise ValidationError(str(exc)) from None
         return _COMMANDS[args.command](args)
     except (ParseError, ValidationError) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

@@ -60,6 +60,7 @@ import numpy as np
 from .errors import (
     CapacityError,
     ParseError,
+    RangeError,
     ShapeError,
     SpecError,
     ValidationError,
@@ -742,9 +743,20 @@ def _tokens(value: Tensor) -> np.ndarray:
     return value.data.reshape(value.shape.extent("token"), value.shape.extent("feature"))
 
 
+def _run_layer(rt: RtLayer, step: Callable, value: Tensor, sigma: str):
+    """``step(rt, value, sigma)``, where an overflow leaves non-finite entries
+    without a numpy warning, and the RangeError they raise becomes a
+    ValidationError naming the layer."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return step(rt, value, sigma)
+        except RangeError as exc:
+            raise ValidationError(f"layer {rt.index} ({rt.spec.kind}): {exc}") from None
+
+
 def apply_layer(rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
     """Run one materialized layer on a stage value."""
-    return rt.spec.apply(rt, value, sigma)
+    return _run_layer(rt, rt.spec.apply, value, sigma)
 
 
 def forward(net: MaterializedNetwork, x: Tensor, sigma: str | None = None) -> list[Tensor]:
@@ -787,7 +799,7 @@ def _dense_form(matrix: np.ndarray, bias: np.ndarray, x: np.ndarray) -> LoweredF
 def check_layer(rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
     """Compare the layer's matrix-vector path against the direct path at
     ``value`` (pre-activation for convolutions), which gives the output too."""
-    return rt.spec.check(rt, value, sigma)
+    return _run_layer(rt, rt.spec.check, value, sigma)
 
 
 def check_network(net: MaterializedNetwork, x: Tensor, sigma: str) -> Iterator[LayerCheck]:

@@ -8,9 +8,11 @@ composition rewrites it into a canonical approximator form
     G(x) = [L x] + sum_j outer_j sigma(inner_j x + bias_j) + [const]
 
 (for feed-forward chains the sigma stages nest instead of summing, and the
-canonical value is the last stage's output).  Merging coefficients during
-expansion creates *merged* atoms that remember the folding expression they
-came from; an atom whose folding expression reaches the input symbol is
+canonical value is the last stage's output).  The canonical form is itself
+an expression over the same nodes (``CanonicalUAT.expression``), so it has
+one renderer and one evaluator, those of the nodes.  Merging coefficients
+during expansion creates *merged* atoms that remember the folding expression
+they came from; an atom whose folding expression reaches the input symbol is
 classified input-dependent, everything else stays fixed once the network's
 parameters are bound.  Displays mark merged fixed atoms with a bar and
 merged input-dependent atoms with a hat.
@@ -427,32 +429,19 @@ def eval_vector(expr: VectorExpr, env: Binding, sigma: str = "relu") -> np.ndarr
 
 @dataclass(frozen=True)
 class SigmaTerm:
-    """One sigma stage: outer * sigma(inner * argument + bias).
-
-    ``arg`` is "input" when the stage reads the network input directly (flat
-    expansions) and "previous" when it consumes the preceding stage's output
-    (nested feed-forward chains).
-    """
+    """One sigma stage: outer * sigma(inner * argument + bias)."""
 
     outer: ParamAtom | None
     inner: ParamAtom
     bias: ParamAtom | None
-    arg: str = "input"
 
-    def value(self, ev: _Evaluation, x: np.ndarray) -> np.ndarray:
-        pre = ev.value(self.inner) @ x
+    def expr(self, arg: VectorExpr) -> VectorExpr:
+        """The stage applied to ``arg``, leaving out the parts that are None."""
+        pre: VectorExpr = Apply(self.inner, arg)
         if self.bias is not None:
-            pre = pre + ev.value(self.bias)
-        out = ev.act(pre)
-        return out if self.outer is None else ev.value(self.outer) @ out
-
-    def render(self, fmt: str, arg_text: str, bracket: bool) -> str:
-        sep = "" if bracket else " "
-        inner = f"{self.inner.render(fmt)}{sep}{arg_text}"
-        if self.bias is not None:
-            inner += f" + {self.bias.render(fmt)}"
-        body = f"{_sigma_symbol(fmt)}({inner})"
-        return body if self.outer is None else f"{self.outer.render(fmt)}{body}"
+            pre = Add((pre, self.bias))
+        out = Activate(pre)
+        return out if self.outer is None else Apply(self.outer, out)
 
 
 @dataclass(frozen=True)
@@ -475,14 +464,6 @@ class CanonicalUAT:
         if self.structure == "chain":
             if self.linear_term is not None or self.constant_term is not None:
                 raise SpecError("chain form has no separate linear/constant terms")
-            for k, t in enumerate(self.sigma_terms):
-                expect = "input" if k == 0 else "previous"
-                if t.arg != expect:
-                    raise SpecError("chain stages must consume the previous stage")
-        else:
-            for t in self.sigma_terms:
-                if t.arg != "input":
-                    raise SpecError("flat terms must consume the input")
 
     @property
     def n_terms(self) -> int:
@@ -497,43 +478,32 @@ class CanonicalUAT:
         slots.append(("constant", self.constant_term))
         return [(role, atom) for role, atom in slots if atom is not None]
 
-    def render(self, fmt: str) -> str:
-        x = _render_name(self.input_name, fmt)
+    @property
+    def expression(self) -> VectorExpr:
+        """The form as one node over the input symbol: a chain nests its
+        stages, a flat form adds its parts in display order."""
+        x: VectorExpr = Input(self.input_name)
         if self.structure == "chain":
-            cur = ""
-            for k, t in enumerate(self.sigma_terms):
-                if k == 0:
-                    cur = t.render(fmt, x, bracket=False)
-                else:
-                    cur = t.render(fmt, f"[{cur}]" if k >= 2 else cur, bracket=True)
-            return cur
-        parts: list[str] = []
+            for t in self.sigma_terms:
+                x = t.expr(x)
+            return x
+        parts: list[VectorExpr] = []
         if self.linear_term is not None:
-            if is_identity(self.linear_term):
-                parts.append(x)
-            else:
-                parts.append(f"{self.linear_term.render(fmt)} {x}")
-        parts.extend(t.render(fmt, x, bracket=False) for t in self.sigma_terms)
+            parts.append(x if is_identity(self.linear_term) else Apply(self.linear_term, x))
+        parts.extend(t.expr(x) for t in self.sigma_terms)
         if self.constant_term is not None:
-            parts.append(self.constant_term.render(fmt))
-        return " + ".join(parts)
+            parts.append(self.constant_term)
+        if not parts:
+            raise SpecError("canonical form has no terms")
+        return Add(tuple(parts))
+
+    def render(self, fmt: str) -> str:
+        return self.expression.render(fmt)
 
 
 def eval_canonical(form: CanonicalUAT, env: Binding, sigma: str = "relu") -> np.ndarray:
     """Numeric value of the canonical form under a primitive-atom binding."""
-    ev = _Evaluation(env, sigma, [atom for _, atom in form.slots()])
-    x = ev.lookup(form.input_name)
-    if form.structure == "chain":
-        for t in form.sigma_terms:
-            x = t.value(ev, x)
-        return x
-    parts = [] if form.linear_term is None else [ev.value(form.linear_term) @ x]
-    parts += [t.value(ev, x) for t in form.sigma_terms]
-    if form.constant_term is not None:
-        parts.append(ev.value(form.constant_term))
-    if not parts:
-        raise SpecError("canonical form has no terms")
-    return reduce(operator.add, parts)
+    return eval_vector(form.expression, env, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -648,16 +618,13 @@ def dense_chain(stages: Sequence[ChainStage], input_dim: int,
         raise SpecError("chain depth must be >= 1")
     expr: VectorExpr = Input()
     terms: list[SigmaTerm] = []
-    for k, st in enumerate(stages):
+    for st in stages:
         inner_expr: VectorExpr = expr
         for w in reversed(st.weights):
             inner_expr = Apply(w, inner_expr)
         pre = Add((inner_expr, st.bias)) if st.bias is not None else inner_expr
         expr = Activate(pre)
-        terms.append(
-            SigmaTerm(outer=None, inner=_wrap_weight(st.weights, st.weights[0].name),
-                      bias=st.bias, arg="input" if k == 0 else "previous")
-        )
+        terms.append(SigmaTerm(None, _wrap_weight(st.weights, st.weights[0].name), st.bias))
     canonical = CanonicalUAT(
         linear_term=None,
         sigma_terms=tuple(terms),
@@ -743,7 +710,7 @@ def build_residual_chain(
         block_atoms.append((w1, b1, w2, b2))
 
         # composed expression: v + W2 sigma(W1 v + b1) + b2
-        expr = Add((expr, Apply(w2, Activate(Add((Apply(w1, expr), b1)))), b2))
+        expr = Add((expr, SigmaTerm(w2, w1, b1).expr(expr), b2))
 
         # canonical: the new stage reads the raw input; everything else the
         # block would have seen folds into the stage bias
@@ -757,7 +724,7 @@ def build_residual_chain(
                 Add((Apply(w1, carried), b1)),
             )
         terms.append(SigmaTerm(outer=w2, inner=w1, bias=stage_bias))
-        term_exprs.append(Apply(w2, Activate(Add((Apply(w1, Input()), stage_bias)))))
+        term_exprs.append(terms[-1].expr(Input()))
         const_atoms.append(b2)
 
     if depth == 1:
@@ -901,18 +868,15 @@ def build_transformer_chain(
 
         # composed expression: h = A v; h + W3 sigma(W2 h + b2) + b3
         h = Apply(attn, expr)
-        expr = Add((h, Apply(w3, Activate(Add((Apply(w2, h), b2)))), b3))
+        expr = Add((h, SigmaTerm(w3, w2, b2).expr(h), b3))
 
         # canonical state before this block, minus the linear part; the new
         # stage's bias absorbs it
         if k == 0:
             stage_bias = b2
         else:
-            pieces = [
-                Apply(_product(t["outer"]),
-                      Activate(Add((Apply(_product(t["inner"]), Input()), t["bias"]))))
-                for t in raw_terms
-            ]
+            pieces = [SigmaTerm(_product(t["outer"]), _product(t["inner"]), t["bias"]).expr(Input())
+                      for t in raw_terms]
             pieces.append(const_expr)
             stage_bias = merged_atom(
                 _name("b", f"{sub},2"),

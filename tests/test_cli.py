@@ -351,3 +351,35 @@ def test_python_dash_m_runs_the_cli(specs_dir):
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "20 trials, tol 1e-09: PASS"
+
+
+@pytest.mark.parametrize("command", ["verify", "lower", "report"])
+def test_overflowing_layer_is_validation_error(capsys, tmp_path, command):
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps({
+        "input_shape": [["feature", 64]], "seed": 1, "activation": "relu",
+        "layers": [{"kind": "residual_block"}] * 400,
+    }))
+    flags = ["--trials", "1"] if command == "verify" else []
+    code, _, err = run(capsys, command, str(spec), *flags)
+    assert code == EXIT_PARSE
+    assert err.startswith("error[validation]: layer ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "UATCV_CAP must be an integer"),
+    ("0", "UATCV_CAP must be positive"),
+])
+def test_bad_cap_env_is_validation_error(capsys, specs_dir, monkeypatch, value, message):
+    monkeypatch.setenv("UATCV_CAP", value)
+    code, out, err = run(capsys, "expand", str(specs_dir / "vgg3.json"))
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error[validation]: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tol_is_validation_error(capsys, specs_dir, command, tol):
+    code, out, err = run(capsys, command, str(specs_dir / "vgg3.json"), "--tol", tol)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error[validation]: --tol must be finite and >= 0")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,61 @@ def test_residual_canonical_text_shape():
         "x'_i + W'_{i,2}σ(W'_{i,1} x'_i + b_{i,1})"
         " + W'_{i+1,2}σ(W'_{i+1,1} x'_i + b̂_{i+1,2}) + b̄_{i+1,2}"
     )
+
+
+def _pooled_vgg_canonical():
+    from uatcv.netspec import materialize, parse_spec_text, to_expandable
+
+    conv = {"kind": "conv2d", "out_channels": 2, "kernel": [2, 2]}
+    net = materialize(parse_spec_text(json.dumps({
+        "input_shape": [["C_I", 1], ["H", 6], ["W", 6]], "seed": 0, "activation": "relu",
+        "layers": [{**conv, "kernel": [3, 3], "padding": 1, "bias": True},
+                   {"kind": "mean_pool", "window": [2, 2], "stride": 2},
+                   conv, {**conv, "out_channels": 1, "bias": True}],
+    })))
+    return to_expandable(net).chain.canonical
+
+
+# full text and LaTeX of each family's canonical form at depth 3
+CANONICAL_BYTES = {
+    "vgg_pooled": (
+        _pooled_vgg_canonical,
+        "σ(W'_{i+2}[σ(W̄'_{i+1}σ(W'_i x'_i + b'_i))] + b'_{i+2})",
+        r"\sigma(\mathbf{W}'_{i+2}[\sigma(\overline{\mathbf{W}}'_{i+1}\sigma(\mathbf{W}'_i"
+        r" \mathbf{x}'_i + \mathbf{b}'_i))] + \mathbf{b}'_{i+2})",
+    ),
+    "residual": (
+        lambda: build_residual_chain(3, 4, 3).canonical,
+        "x'_i + W'_{i,2}σ(W'_{i,1} x'_i + b_{i,1})"
+        " + W'_{i+1,2}σ(W'_{i+1,1} x'_i + b̂_{i+1,2})"
+        " + W'_{i+2,2}σ(W'_{i+2,1} x'_i + b̂_{i+2,2}) + b̄_{i+2,2}",
+        r"\mathbf{x}'_i + \mathbf{W}'_{i,2}\sigma(\mathbf{W}'_{i,1} \mathbf{x}'_i"
+        r" + \mathbf{b}_{i,1}) + \mathbf{W}'_{i+1,2}\sigma(\mathbf{W}'_{i+1,1} \mathbf{x}'_i"
+        r" + \hat{\mathbf{b}}_{i+1,2}) + \mathbf{W}'_{i+2,2}\sigma(\mathbf{W}'_{i+2,1}"
+        r" \mathbf{x}'_i + \hat{\mathbf{b}}_{i+2,2}) + \overline{\mathbf{b}}_{i+2,2}",
+    ),
+    "transformer": (
+        lambda: build_transformer_chain(3, 2, 4, 2, 3).canonical,
+        "W\u0302'_{i+2,1} x'_i + W\u0302'_{i+2,2;0}σ(W\u0302'_{i,1} x'_i + b'_{i,2})"
+        " + W\u0302'_{i+2,2}σ(W\u0302'_{i+1,3} x'_i + b̂'_{i+1,2})"
+        " + W'_{i+2,3}σ(W\u0302'_{i+2,3} x'_i + b̂'_{i+2,2}) + b̂'_{i+1,1}",
+        r"\hat{\mathbf{W}}'_{i+2,1} \mathbf{x}'_i + \hat{\mathbf{W}}'_{i+2,2;0}"
+        r"\sigma(\hat{\mathbf{W}}'_{i,1} \mathbf{x}'_i + \mathbf{b}'_{i,2})"
+        r" + \hat{\mathbf{W}}'_{i+2,2}\sigma(\hat{\mathbf{W}}'_{i+1,3} \mathbf{x}'_i"
+        r" + \hat{\mathbf{b}}'_{i+1,2}) + \mathbf{W}'_{i+2,3}\sigma(\hat{\mathbf{W}}'_{i+2,3}"
+        r" \mathbf{x}'_i + \hat{\mathbf{b}}'_{i+2,2}) + \hat{\mathbf{b}}'_{i+1,1}",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CANONICAL_BYTES))
+def test_canonical_bytes_are_pinned(family):
+    build, text, latex = CANONICAL_BYTES[family]
+    form = build()
+    assert emit(form, "text") == text
+    assert emit(form, "latex") == latex
+    for fmt in ("text", "latex"):
+        assert emit(form.expression, fmt) == emit(form, fmt)
 
 
 # ---------------------------------------------------------------------------
