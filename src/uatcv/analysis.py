@@ -18,10 +18,9 @@ from .netspec import (
     MaterializedNetwork,
     NetworkSpec,
     RtLayer,
+    expansion_family,
     forward,
     infer_shapes,
-    materialize,
-    to_expandable,
 )
 from .tensor import Tensor, zeros
 
@@ -39,23 +38,16 @@ class TermCountRow:
 
 
 def count_uat_terms(net: NetworkSpec) -> list[TermCountRow]:
-    """Number of sigma terms in the canonical form of every network prefix.
-
+    """Number of sigma terms in the canonical form of every network prefix,
+    from ``netspec.expansion_family`` (no weight drawn, no form built).
     Prefixes that do not form an expandable network on their own (e.g. a
     conv stack cut mid-pooling) get ``n_terms=None`` with the reason.
     """
-    # weights are drawn layer by layer, so a prefix's are the full network's first k
-    full = materialize(net)
     rows = []
     for k in range(1, len(net.layers) + 1):
-        prefix = MaterializedNetwork(
-            spec=replace(net, layers=net.layers[:k]),
-            shapes=full.shapes[: k + 1],
-            layers=full.layers[:k],
-        )
         try:
-            exp = to_expandable(prefix)
-            rows.append(TermCountRow(prefix_len=k, n_terms=exp.chain.canonical.n_terms))
+            _, n_terms = expansion_family(replace(net, layers=net.layers[:k]))
+            rows.append(TermCountRow(prefix_len=k, n_terms=n_terms))
         except SpecError as exc:
             rows.append(TermCountRow(prefix_len=k, n_terms=None, note=str(exc)))
     if not rows:

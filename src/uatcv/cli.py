@@ -14,10 +14,11 @@ overrides the description's seed, ``--cap`` the element cap for this call
 
 Exit codes: 0 success; 2 parse/validation error, including a weight
 array over the element cap, a UATCV_CAP that is not a positive integer, a
-``--tol`` that is negative or not finite, and a layer whose values overflow
-to non-finite entries (the message names the layer); 3 verification
-failure; 4 internal invariant breach.  Errors print one line to stderr:
-``error[<code>]: <message>``.
+``--tol`` that is negative or not finite, a ``--lora-rank`` above the
+smaller side of the target matrix, a ``--prune-channels`` that lists no
+channel, and a layer whose values overflow to non-finite entries (the
+message names the layer); 3 verification failure; 4 internal invariant
+breach.  Errors print one line to stderr: ``error[<code>]: <message>``.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ def _random_lora(net, layer: int, rank: int, target: str) -> LoraDelta:
         raise ValidationError(f"--lora-rank must be >= 1, got {rank}")
     rt = net.layers[layer]
     m, n = rt.spec.lora_matrix(rt, target).shape
+    if rank > min(m, n):
+        raise ValidationError(f"--lora-rank {rank} exceeds min(target dims) = {min(m, n)}")
     gen = SplitMix64(net.spec.seed + LORA_SEED_OFFSET)
     where = f"layer {layer} ({rt.spec.kind}) LoRA factor"
     b = draw_weights(gen, where, m, rank)
@@ -120,6 +123,8 @@ def _prune_mask(net, layer: int, channels: str | None, threshold: float | None) 
             channels = tuple(int(c) for c in channels.split(",") if c.strip())
         except ValueError:
             raise ValidationError(f"--prune-channels takes integers, got {channels!r}") from None
+        if not channels:
+            raise ValidationError("--prune-channels lists no channel")
     try:
         mask = PruneMask(layer=layer, channels=channels, threshold=threshold)
         resolve_mask(net, mask)  # an existing conv layer and channels, one channel left

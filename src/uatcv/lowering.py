@@ -186,9 +186,13 @@ class LoweredForm:
         return len(self.weight_index_map)
 
     def replicated_sources(self) -> np.ndarray:
-        """Source coordinates that feed more than one x' position."""
-        uniq, counts = np.unique(self.input_index_map, axis=0, return_counts=True)
-        return uniq[counts > 1]
+        """Source coordinates that feed more than one x' position, in
+        lexicographic order (each coordinate row is sorted as one integer)."""
+        m = self.input_index_map
+        lo = m.min(axis=0)
+        dims = m.max(axis=0) - lo + 1
+        flat, counts = np.unique(np.ravel_multi_index(tuple((m - lo).T), dims), return_counts=True)
+        return np.stack(np.unravel_index(flat[counts > 1], dims), axis=1) + lo
 
     def evaluate(self) -> np.ndarray:
         """``W'^T x'`` (+ bias), summed over the structural cells."""

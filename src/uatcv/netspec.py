@@ -865,7 +865,6 @@ class ExpandableNetwork:
 
 
 def _conv_chain(net: MaterializedNetwork) -> ExpandableNetwork:
-    # only conv and pool layers get here (see to_expandable)
     stages: list[ChainStage] = []
     atoms: list[tuple[RtLayer, ParamAtom, ParamAtom | None]] = []  # per layer, to bind
     pending: list[ParamAtom] = []  # pool atoms waiting to fold into the next stage
@@ -883,10 +882,6 @@ def _conv_chain(net: MaterializedNetwork) -> ExpandableNetwork:
         atoms.append((rt, w, b))
         stages.append(ChainStage(weights=(w, *pending), bias=b))
         pending = []
-    if pending:
-        raise SpecError("chain must end with an activation stage, not pooling")
-    if not stages:
-        raise SpecError("nothing to expand: no activation stages")
 
     def bind() -> dict[str, np.ndarray | LinearMap]:
         binding = {}
@@ -902,58 +897,69 @@ def _conv_chain(net: MaterializedNetwork) -> ExpandableNetwork:
 
 
 def _residual_chain(net: MaterializedNetwork) -> ExpandableNetwork:
-    dim = net.spec.input_shape.size
-    hiddens = {len(rt.residual.b_1) for rt in net.layers}
-    if len(hiddens) != 1:
-        raise SpecError("residual chains with mixed hidden dims are not expandable")
-    chain = build_residual_chain(len(net.layers), dim, hiddens.pop())
+    hidden = len(net.layers[0].residual.b_1)
+    chain = build_residual_chain(len(net.layers), net.spec.input_shape.size, hidden)
     weights = ((r.w_1, r.b_1, r.w_2, r.b_2) for r in (rt.residual for rt in net.layers))
     pairs = [(a.name, v) for atoms, w in zip(chain.block_atoms, weights) for a, v in zip(atoms, w)]
     return ExpandableNetwork(family="residual", chain=chain, bind=partial(dict, pairs))
 
 
 def _transformer_chain(net: MaterializedNetwork) -> ExpandableNetwork:
-    layers = list(net.layers)
+    layers = net.layers
     preprocessing = None
-    if layers and layers[0].spec.kind == "patchify":
+    if layers[0].spec.kind == "patchify":
         preprocessing = (
             f"patchify {layers[0].spec.patch} reshapes the image into the token matrix"
         )
         layers = layers[1:]
-    if not layers or any(rt.spec.kind != "transformer_block" for rt in layers):
-        raise SpecError("transformer expansion needs patchify? + transformer_block+ layers")
-    shape = layers[0].in_shape
+    shape, block = layers[0].in_shape, layers[0].spec
     tokens, d = shape.extent("token"), shape.extent("feature")
-    heads = {rt.spec.heads for rt in layers}
-    hidden = {rt.spec.hidden_dim for rt in layers}
-    if len(heads) != 1 or len(hidden) != 1:
-        raise SpecError("transformer chains with mixed heads/hidden dims are not expandable")
-    chain = build_transformer_chain(len(layers), tokens, d, heads.pop(), hidden.pop())
+    chain = build_transformer_chain(len(layers), tokens, d, block.heads, block.hidden_dim)
     bind = partial(chain.binding, [rt.attn_params for rt in layers])
     return ExpandableNetwork(
         family="transformer", chain=chain, bind=bind, preprocessing=preprocessing
     )
 
 
-def to_expandable(net: MaterializedNetwork) -> ExpandableNetwork:
-    """Map a network onto an expandable chain family, or raise SpecError.
+def expansion_family(net: NetworkSpec) -> tuple[str, int]:
+    """The chain family a description expands into and its canonical form's
+    number of sigma terms, or SpecError.  The family rules live here only;
+    they read just the layer kinds, ``hidden_dim``/``heads`` and input size.
 
-    Families: feed-forward conv/pool stacks (pooling folds into the next
-    stage's merged weight), residual-block stacks, and patchify-headed
-    transformer-block stacks.
+    Families: conv/pool stacks ending in a conv (pooling folds into the next
+    stage's merged weight; one term per conv), residual-block stacks of one
+    hidden width, and transformer-block stacks of one heads/hidden width
+    behind an optional patchify (one term per block).
     """
-    kinds = {rt.spec.kind for rt in net.layers}
-    if not net.layers:
+    layers = net.layers
+    kinds = {spec.kind for spec in layers}
+    if not layers:
         raise SpecError("empty networks cannot be expanded")
     if kinds <= {"conv2d", "conv3d", "mean_pool"}:
-        return _conv_chain(net)
+        if layers[-1].kind == "mean_pool":
+            raise SpecError("chain must end with an activation stage, not pooling")
+        return "vgg", sum(spec.kind != "mean_pool" for spec in layers)
     if kinds == {"residual_block"}:
-        return _residual_chain(net)
+        if len({spec.hidden_dim or net.input_shape.size for spec in layers}) != 1:
+            raise SpecError("residual chains with mixed hidden dims are not expandable")
+        return "residual", len(layers)
     if kinds <= {"patchify", "transformer_block"} and "transformer_block" in kinds:
-        return _transformer_chain(net)
+        blocks = layers[1:] if layers[0].kind == "patchify" else layers
+        if any(spec.kind == "patchify" for spec in blocks):
+            raise SpecError("transformer expansion needs patchify? + transformer_block+ layers")
+        if len({(spec.heads, spec.hidden_dim) for spec in blocks}) != 1:
+            raise SpecError("transformer chains with mixed heads/hidden dims are not expandable")
+        return "transformer", len(blocks)
     raise SpecError(
         f"network with layer kinds {sorted(kinds)} does not match an expandable family"
     )
+
+
+def to_expandable(net: MaterializedNetwork) -> ExpandableNetwork:
+    """The network on the chain of its ``expansion_family``, weights bound."""
+    family, _ = expansion_family(net.spec)
+    build = {"vgg": _conv_chain, "residual": _residual_chain, "transformer": _transformer_chain}
+    return build[family](net)
 
 
 def _chain_order(shape: TensorShape) -> tuple[str, ...] | None:

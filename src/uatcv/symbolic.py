@@ -435,13 +435,22 @@ class SigmaTerm:
     inner: ParamAtom
     bias: ParamAtom | None
 
+    def __post_init__(self) -> None:
+        # the node built for each argument, past the frozen guard: the form
+        # then holds the chain builders' own nodes, which a memo finds by identity
+        self.__dict__["_exprs"] = {}
+
     def expr(self, arg: VectorExpr) -> VectorExpr:
-        """The stage applied to ``arg``, leaving out the parts that are None."""
-        pre: VectorExpr = Apply(self.inner, arg)
-        if self.bias is not None:
-            pre = Add((pre, self.bias))
-        out = Activate(pre)
-        return out if self.outer is None else Apply(self.outer, out)
+        """The stage applied to ``arg``, leaving out the parts that are None;
+        one node for every call with an equal ``arg``."""
+        node = self._exprs.get(arg)
+        if node is None:
+            pre: VectorExpr = Apply(self.inner, arg)
+            if self.bias is not None:
+                pre = Add((pre, self.bias))
+            out = Activate(pre)
+            node = self._exprs[arg] = out if self.outer is None else Apply(self.outer, out)
+        return node
 
 
 @dataclass(frozen=True)

@@ -338,17 +338,32 @@ def test_prune_mask_validation():
 
 
 def test_count_uat_terms_draws_weights_once(specs_dir, monkeypatch):
+    # the counts come from the descriptions alone: no weight is drawn (not
+    # even once) and no chain is built, wherever those functions are bound
     import uatcv.analysis as analysis
+    import uatcv.netspec as netspec
+    import uatcv.symbolic as symbolic
     from uatcv.netspec import parse_spec
+    from uatcv.tensor import SplitMix64
 
-    spec = parse_spec(specs_dir / "resblock2.json")
     calls = []
 
-    def counting(net):
-        calls.append(len(net.layers))
-        return materialize(net)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(analysis, "materialize", counting)
-    rows = count_uat_terms(spec)
-    assert calls == [2]
+    monkeypatch.setattr(SplitMix64, "uniform", counting("uniform", SplitMix64.uniform))
+    names = ["materialize", "dense_chain", "build_vgg_chain", "build_residual_chain",
+             "build_residual_block", "build_transformer_chain"]
+    for module in (analysis, netspec, symbolic):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    deep = _net([("feature", 64)], [ResidualBlockSpec()] * 16, seed=1)
+    rows = count_uat_terms(parse_spec(specs_dir / "resblock2.json"))
+    deep_rows = count_uat_terms(deep)
+    assert calls == []
     assert [(r.prefix_len, r.n_terms) for r in rows] == [(1, 1), (2, 2)]
+    assert [r.n_terms for r in deep_rows] == list(range(1, 17))

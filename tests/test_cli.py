@@ -383,3 +383,27 @@ def test_bad_tol_is_validation_error(capsys, specs_dir, command, tol):
     code, out, err = run(capsys, command, str(specs_dir / "vgg3.json"), "--tol", tol)
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("error[validation]: --tol must be finite and >= 0")
+
+
+@pytest.mark.parametrize("spec, flags, smaller", [
+    ("vgg3.json", ["--lora-layer", "0"], 2),
+    ("resblock2.json", ["--lora-layer", "0", "--lora-target", "w_1"], 6),
+    ("vit1.json", ["--lora-layer", "1"], 4),
+])
+def test_lora_rank_above_target_is_validation_error(capsys, specs_dir, monkeypatch, spec,
+                                                    flags, smaller):
+    import uatcv.cli as cli
+
+    draws = []
+    monkeypatch.setattr(cli, "draw_weights", lambda *args: draws.append(args))
+    code, out, err = run(capsys, "analyze", str(specs_dir / spec), *flags, "--lora-rank", "1000")
+    assert code == EXIT_PARSE and out == "" and draws == []
+    assert err == f"error[validation]: --lora-rank 1000 exceeds min(target dims) = {smaller}\n"
+
+
+@pytest.mark.parametrize("channels", [",", ""])
+def test_empty_prune_channels_is_validation_error(capsys, specs_dir, channels):
+    code, out, err = run(capsys, "analyze", str(specs_dir / "vgg3.json"),
+                         "--prune-layer", "0", "--prune-channels", channels)
+    assert code == EXIT_PARSE and out == ""
+    assert err == "error[validation]: --prune-channels lists no channel\n"

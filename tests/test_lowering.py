@@ -235,6 +235,29 @@ def test_conv_lowering_input_map_is_plain_flatten():
     )
 
 
+def test_replicated_sources_match_a_row_sort():
+    from dataclasses import replace
+
+    def by_rows(form):  # the sort over whole coordinate rows
+        uniq, counts = np.unique(form.input_index_map, axis=0, return_counts=True)
+        return uniq[counts > 1]
+
+    rng = np.random.default_rng(26)
+    x, p, kern = _rand_conv2d(rng, c_in=2, c_out=3)
+    conv2d = lower_conv2d_I_O(x, p, kern)
+    x3 = _t(("C_I", "H", "W", "D"), rng.normal(size=(2, 4, 3, 5)))
+    p3 = ConvParams(2, 2, (2, 2, 2), 1, 1)
+    k3 = _t(("C_O", "C_I", "H", "W", "D"), rng.normal(size=(2, 2, 2, 2, 2)))
+    conv3d = lower_conv3d(x3, p3, k3)
+    pool = lower_mean_pool(x, PoolParams((2, 2), stride=1))
+    ffn = lower_ffn(rng.normal(size=(3, 4)), random_attn_params(4, 1, 5, rng), "relu")
+    # a hand-built map with replicas and negative coordinates
+    replicas = replace(conv2d, input_index_map=rng.integers(-2, 3, size=(len(x.flat), 3)))
+    for form in (conv2d, conv3d, pool, *ffn, replicas):
+        assert np.array_equal(form.replicated_sources(), by_rows(form))
+    assert len(replicas.replicated_sources()) > 0
+
+
 # ---------------------------------------------------------------------------
 # conv3d lowering
 # ---------------------------------------------------------------------------

@@ -608,3 +608,121 @@ def test_claim_check_at_vit_b16_size(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[validation]: layer 1 (transformer_block): ")
     assert "index grid of shape (196, 768, 3072)" in err
+
+
+# hand-built descriptions at the edges of the expandable families: (input shape, layers)
+FAMILY_EDGES = {
+    "conv3d": ([["C_I", 1], ["H", 4], ["W", 4], ["D", 4]],
+               [{"kind": "conv3d", "out_channels": 2, "kernel": [2, 2, 2], "bias": True},
+                {"kind": "conv3d", "out_channels": 2, "kernel": [2, 2, 2]}]),
+    "pool_first_trailing_pool": ([["C_I", 2], ["H", 8], ["W", 8]],
+                                 [{"kind": "mean_pool", "window": [2, 2], "stride": 2},
+                                  {"kind": "conv2d", "out_channels": 2, "kernel": [2, 2]},
+                                  {"kind": "mean_pool", "window": [2, 2]},
+                                  {"kind": "conv2d", "out_channels": 1, "kernel": [1, 1]},
+                                  {"kind": "mean_pool", "window": [1, 1]}]),
+    "patchify_only_then_blocks": ([["H", 4], ["W", 4]],
+                                  [{"kind": "patchify", "patch": [2, 2]},
+                                   {"kind": "transformer_block", "heads": 2, "hidden_dim": 8},
+                                   {"kind": "transformer_block", "heads": 2, "hidden_dim": 8}]),
+    "mixed_residual_hidden": ([["feature", 5]],
+                              [{"kind": "residual_block"},
+                               {"kind": "residual_block", "hidden_dim": 5},
+                               {"kind": "residual_block", "hidden_dim": 3}]),
+    "mixed_transformer_heads": ([["H", 4], ["W", 4]],
+                                [{"kind": "patchify", "patch": [2, 2]},
+                                 {"kind": "transformer_block", "heads": 2, "hidden_dim": 8},
+                                 {"kind": "transformer_block", "heads": 1, "hidden_dim": 8}]),
+    "mixed_transformer_hidden": ([["token", 4], ["feature", 4]],
+                                 [{"kind": "transformer_block", "heads": 2, "hidden_dim": 8},
+                                  {"kind": "transformer_block", "heads": 2, "hidden_dim": 4}]),
+    "mha_ffn": ([["token", 4], ["feature", 4]],
+                [{"kind": "mha", "heads": 2}, {"kind": "ffn", "hidden_dim": 6},
+                 {"kind": "transformer_block", "heads": 2, "hidden_dim": 4},
+                 {"kind": "mha", "heads": 1}]),
+}
+
+# per prefix: [family, n_terms] or the SpecError text, as to_expandable gave
+# them when it still held the family rules itself
+_RESIDUAL_16 = [["residual", k] for k in range(1, 17)]
+_NO_POOL_END = "chain must end with an activation stage, not pooling"
+_MIXED_HEADS = "transformer chains with mixed heads/hidden dims are not expandable"
+EXPANSION_FAMILIES = {
+    "vgg3": [["vgg", 1], ["vgg", 2], ["vgg", 3]],
+    "resblock2": [["residual", 1], ["residual", 2]],
+    "vit1": ["network with layer kinds ['patchify'] does not match an expandable family",
+             ["transformer", 1]],
+    "conv_mid": [["vgg", 1], _NO_POOL_END, ["vgg", 2], ["vgg", 3]],
+    "resnet_deep": _RESIDUAL_16,
+    "vit_tokens": ["network with layer kinds ['patchify'] does not match an expandable family",
+                   ["transformer", 1], ["transformer", 2], ["transformer", 3]],
+    "conv3d": [["vgg", 1], ["vgg", 2]],
+    "pool_first_trailing_pool": [_NO_POOL_END, ["vgg", 1], _NO_POOL_END, ["vgg", 2],
+                                 _NO_POOL_END],
+    "patchify_only_then_blocks": [
+        "network with layer kinds ['patchify'] does not match an expandable family",
+        ["transformer", 1], ["transformer", 2]],
+    "mixed_residual_hidden": [["residual", 1], ["residual", 2],
+                              "residual chains with mixed hidden dims are not expandable"],
+    "mixed_transformer_heads": [
+        "network with layer kinds ['patchify'] does not match an expandable family",
+        ["transformer", 1], _MIXED_HEADS],
+    "mixed_transformer_hidden": [["transformer", 1], _MIXED_HEADS],
+    "mha_ffn": [
+        "network with layer kinds ['mha'] does not match an expandable family",
+        "network with layer kinds ['ffn', 'mha'] does not match an expandable family",
+        "network with layer kinds ['ffn', 'mha', 'transformer_block'] does not match an "
+        "expandable family",
+        "network with layer kinds ['ffn', 'mha', 'transformer_block'] does not match an "
+        "expandable family"],
+}
+
+
+def _family_cases(specs_dir):
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    cases = {name: parse_spec(specs_dir / f"{name}.json") for name in ("vgg3", "resblock2", "vit1")}
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    for w in workloads.WORKLOADS.values():
+        cases[w.name] = parse_spec_text(json.dumps(w.spec(w.default_seed)))
+    for name, (shape, layers) in FAMILY_EDGES.items():
+        cases[name] = parse_spec_text(json.dumps(
+            {"input_shape": shape, "seed": 1, "activation": "relu", "layers": layers}))
+    return cases
+
+
+def _outcome(call):
+    try:
+        return call()
+    except SpecError as exc:
+        return str(exc)
+
+
+def test_expansion_family_matches_the_built_chain_on_every_prefix(specs_dir):
+    from dataclasses import replace
+
+    from uatcv.netspec import expansion_family
+
+    cases = _family_cases(specs_dir)
+    assert sorted(cases) == sorted(EXPANSION_FAMILIES)
+    for name, net in cases.items():
+        assert len(EXPANSION_FAMILIES[name]) == len(net.layers), name
+        for k, want in enumerate(EXPANSION_FAMILIES[name], start=1):
+            prefix = replace(net, layers=net.layers[:k])
+            got = _outcome(lambda: list(expansion_family(prefix)))
+            assert got == want, (name, k)
+
+            def built():
+                exp = to_expandable(materialize(prefix))
+                return [exp.family, exp.chain.canonical.n_terms]
+
+            assert _outcome(built) == want, (name, k)

@@ -1,9 +1,12 @@
 """perfbench's tracer wraps package functions by their names, from outside
 the package, so a rename in ``src/`` would break ``perfbench/run.py --trace 1``
-without failing anything else.  Every name it wraps must resolve."""
+without failing anything else.  Every name it wraps must resolve, and its
+hooks must still read what the wrapped functions take and return."""
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -30,3 +33,25 @@ def test_every_trace_target_resolves():
             if not callable(owner):
                 missing.append(target)
     assert missing == []
+
+
+def test_traced_report_runs_and_counts_lowerings(specs_dir):
+    # what ``perfbench/run.py --trace 1`` does each round: a report under the
+    # tracer, whose hooks read the lowering functions' arguments and results
+    from uatcv.cli import main
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer_module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(tracer_module)
+        for name in ("vgg3.json", "resblock2.json", "vit1.json"):
+            tracer = tracer_module.Tracer()
+            with tracer:
+                assert main(["report", str(specs_dir / name), "--trials", "1"]) == 0
+            summary = tracer.round_summary(0)
+            for counter in ("lowering.lower_calls", "lowering.wprime_dense_bytes",
+                            "lowering.wprime_structural_cells"):
+                assert summary[counter] > 0, (name, counter)
+    finally:
+        del sys.modules[spec.name]

@@ -452,3 +452,33 @@ def test_residual_evaluation_reads_binding_linearly():
     env = CountingDict(chain.random_binding(np.random.default_rng(10)))
     eval_canonical(chain.canonical, env, "relu")
     assert CountingDict.reads <= 2 * len(env)
+
+
+def test_canonical_terms_are_the_builders_nodes(monkeypatch):
+    # the form's term nodes are the objects the merged-bias provenance holds,
+    # so the evaluator's memo matches them by identity, not by deep equality
+    from dataclasses import replace
+
+    from uatcv.symbolic import Add, Input, Node
+
+    chain = build_residual_chain(16, 8, 6)
+    form = chain.canonical
+    env = chain.random_binding(np.random.default_rng(12))
+    # the same form over fresh terms: equal nodes, none of them shared
+    x = Input(form.input_name)
+    terms = [replace(t).expr(x) for t in form.sigma_terms]
+    expr = Add((x, *terms, form.constant_term))
+    assert expr == form.expression
+    fresh = eval_vector(expr, env, "relu")
+
+    calls = []
+    original = Node.__eq__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Node, "__eq__", counted)
+    value = eval_canonical(form, env, "relu")
+    assert len(calls) <= 150
+    assert value.tobytes() == fresh.tobytes()
