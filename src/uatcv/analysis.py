@@ -154,10 +154,12 @@ def apply_lora(net: MaterializedNetwork, delta: LoraDelta) -> MaterializedNetwor
 
 
 def _conv_wvalues(rt: RtLayer, sigma: str) -> np.ndarray:
-    """The structural cell values of a conv layer's W' at its input shape (W'
-    does not depend on the input values, and the cells only on the shapes)."""
+    """The kernel elements that occupy a cell of a conv layer's W' at its
+    input shape, one row per channel pair (W' does not depend on the input
+    values, and which elements it places only on the shapes)."""
     (form,) = rt.spec.lower(rt, zeros(rt.in_shape), sigma)
-    return form.weight_values
+    placed = form.weight_index_map.offset_counts > 0
+    return form.weights.reshape(*form.weights.shape[:2], -1)[..., placed]
 
 
 def lora_equivalence_check(
@@ -166,10 +168,11 @@ def lora_equivalence_check(
     """Verify the low-rank update behaves linearly through the lowering.
 
     Checks (for conv targets) that lowering the patched kernel equals the
-    lowered original plus the lowered update, cell by cell; that untouched
-    layers lower to bit-identical cell values; and that the patched network's
-    output matches direct evaluation with W + BA.  Every form of a layer has
-    the same structural cells, so comparing the values compares the W'.
+    lowered original plus the lowered update, on every kernel element W'
+    places; that untouched layers place bit-identical elements; and that the
+    patched network's output matches direct evaluation with W + BA.  Every
+    form of a layer places the same elements in the same cells, so comparing
+    the elements compares the W'.
     """
     sigma = net.activation if sigma is None else sigma
     patched = apply_lora(net, delta)

@@ -11,25 +11,30 @@ diamond product ``W' <> x' = W'^T x'`` reproduces the direct computation of
 * FFN stages and attention operate on token matrices flattened row-major
   (token, feature).
 
-W' is stored as its structural cells (the positions that carry a kernel
-element, whatever its value) with one value each; the cells' index map keeps
-weight sharing inspectable: every cell carries the flat index of exactly one
-kernel element, and a kernel element generally occupies many cells.  A stage
-evaluates in O(cells) as a weighted ``bincount``, and the dense W' is built
-only when read.  Every index grid a lowering stands for counts against the
-element cap, checked on every call.
+Every W' entry that carries a kernel element, whatever its value, is a
+structural cell; every other entry is zero, and a kernel element generally
+occupies many cells (weight sharing).  W' is stored as the structure that
+implies its cells, never dense, and every index grid a lowering stands for
+counts against the element cap, checked on every call.
 
-A conv or pooling layer's cells depend on its geometry alone (channels,
-kernel, stride, padding, input extents), never on the weights or x': they
-are one spatial window pattern broadcast over the channel pairs
+A conv or pooling stage stores its kernel and the :class:`WindowPattern`
+of its geometry (channels, kernel, stride, padding, input extents), which
+never depends on the weights or x': one channel pair's window pattern,
+grouped by kernel offset, which W' repeats over the channel pairs
 (Chellapilla, Puri & Simard, High Performance Convolutional Neural Networks
-for Document Processing, 2006).  :func:`cell_pattern` builds them once per
-geometry and keeps the last few, read-only; a lowering then only gathers
-the weights through the flat kernel index and flattens x'.
+for Document Processing, 2006).  :func:`cell_pattern` builds it once per
+geometry.  The stage gathers x' once per kernel offset and adds
+``W[:, c, s] (outer) window[c, s]`` for each input channel c and offset s
+in ascending order.  That is the order in which the cells' weighted
+``bincount`` adds each output, so the sums are bitwise those of the cells;
+it uses no BLAS call, whose blocking would reorder them.  The broadcast
+cells, their values and the dense W' are built only when read.  A token or
+dense stage stores its cells and their values, and sums them by
+``bincount``.
 
 The expansion binds every matrix as a :class:`LinearMap` in its own structure
-(``W'^T`` as cells, ``I_n (x) W`` as ``W``, attention as per-head factors),
-applied to vectors; only ``dense()`` builds an array.
+(``W'^T`` as its stage's structure, ``I_n (x) W`` as ``W``, attention as
+per-head factors), applied to vectors; only ``dense()`` builds an array.
 """
 
 from __future__ import annotations
@@ -100,9 +105,11 @@ def tokenwise_map(weight: np.ndarray, tokens: int) -> LinearMap:
 
 @dataclass(frozen=True)
 class WeightIndexMap:
-    """Structural cells of W': parallel arrays of (row, col) positions and the
-    flat index, into the kernel of shape ``kernel_shape``, of the element each
-    cell carries."""
+    """W' of a token or dense stage as its structural cells, held as given:
+    parallel arrays of (row, col) positions and the flat index, into the
+    kernel of shape ``kernel_shape``, of the element each cell carries.  The
+    stage's weights are the cells' values, and W'^T v is their weighted
+    ``bincount``."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -125,53 +132,209 @@ class WeightIndexMap:
         counts = np.bincount(self.kernel_index)
         return counts[counts > 0]
 
+    def check(self, values: np.ndarray, n_in: int, n_out: int) -> None:
+        if len(values) != len(self):
+            raise ShapeError(f"{len(values)} weight values for {len(self)} structural cells")
+        if len(self) and not (
+            0 <= self.rows.min() and self.rows.max() < n_in
+            and 0 <= self.cols.min() and self.cols.max() < n_out
+        ):
+            raise ShapeError(
+                f"structural cells must lie inside W' of shape (len(x'), output_len) = "
+                f"({n_in}, {n_out})"
+            )
+
+    def cell_values(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def apply(self, values: np.ndarray, v: np.ndarray, n_out: int) -> np.ndarray:
+        out = np.bincount(self.cols, values * v[self.rows], minlength=n_out)
+        return out.astype(np.float64, copy=False)  # bincount over no cells gives ints
+
+
+class WindowPattern:
+    """W' of a conv or pooling layer from its geometry alone: one channel
+    pair's window pattern, grouped by kernel offset.
+
+    ``gather[s, p]`` is the position, inside one input channel's block of
+    x', that kernel offset ``s`` (row-major over the kernel extents) reads
+    for position ``p`` of one output channel's block of y', or the block
+    size (an exact zero) where that window point lies in the padding;
+    ``offset_counts[s]`` counts the points of offset ``s`` inside the input.
+    W' repeats the pattern over the (output, input) channel pairs, output
+    channel outermost, with kernel element (o, c, s) in pair (o, c);
+    ``per_channel`` (pooling) keeps only the pairs o == c, with a kernel of
+    shape (channels, *kernel).  A 3-D layer puts depth outermost inside each
+    channel block.  The stage's weights are the kernel, so a stage holds no
+    array of size C_O*C_I*outputs*kernel.
+
+    The cells themselves (``cells`` and its ``rows``, ``cols``,
+    ``kernel_index`` and ``sources``) and ``input_index_map`` are built on
+    first read and kept, read-only, for inspection; evaluation and the
+    stage statistics never read them.
+    """
+
+    def __init__(self, out_channels: int, in_channels: int, kernel: tuple[int, ...], stride: int,
+                 padding: int, spatial: tuple[int, ...], per_channel: bool = False):
+        nd = len(kernel)
+        self.order = [2, 0, 1] if nd == 3 else [0, 1]  # x' and y' axis order of (H, W[, D])
+        self.outs = [(ext + 2 * padding - k) // stride + 1 for ext, k in zip(spatial, kernel)]
+        self.in_extents = (in_channels, *(spatial[a] for a in self.order))  # x' as (C_I, ...)
+        self.per_channel = per_channel
+        channels = (in_channels,) if per_channel else (out_channels, in_channels)
+        self.kernel_shape = (*channels, *kernel)
+        self.pairs = math.prod(channels)
+        # y' positions in order, as (H, W[, D]) coordinates
+        y_pos = np.indices([self.outs[a] for a in self.order]).reshape(nd, -1)
+        out_pos = y_pos[[self.order.index(a) for a in range(nd)]]
+        k_off = np.indices(kernel).reshape(nd, -1)
+        in_pos = out_pos[:, None, :] * stride + k_off[:, :, None] - padding  # (nd, offsets, P)
+        inside = np.all((in_pos >= 0) & (in_pos < np.array(spatial)[:, None, None]), axis=0)
+        flat = np.ravel_multi_index(tuple(in_pos[self.order]), self.in_extents[1:], mode="clip")
+        self.gather = np.where(inside, flat, math.prod(spatial))
+        self.offset_counts = inside.sum(axis=1)
+        for array in (self.gather, self.offset_counts):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.pairs * int(self.offset_counts.sum())
+
+    def sharing_counts(self) -> np.ndarray:
+        """How many cells each kernel element occupies, over the elements
+        that occupy any, in the lexicographic order of the kernel
+        coordinates: every channel pair repeats the per-offset counts."""
+        return np.tile(self.offset_counts[self.offset_counts > 0], self.pairs)
+
+    def check(self, kernel: np.ndarray, n_in: int, n_out: int) -> None:
+        c_out = self.kernel_shape[0]
+        if kernel.shape != self.kernel_shape or (n_in, n_out) != (
+            math.prod(self.in_extents), c_out * math.prod(self.outs)
+        ):
+            raise ShapeError(
+                f"a kernel of shape {kernel.shape} and W' of shape ({n_in}, {n_out}) do not fit "
+                f"the window pattern of kernel shape {self.kernel_shape}"
+            )
+
+    def apply(self, kernel: np.ndarray, v: np.ndarray, n_out: int) -> np.ndarray:
+        """W'^T v from the kernel.  Each output adds its terms in the order
+        of its cells: input channel, then kernel offset, each ascending.  A
+        window point in the padding adds w * 0.0, which leaves a sum that
+        starts at +0.0 unchanged, so the result is bitwise the cells'
+        weighted ``bincount``."""
+        c_in = self.in_extents[0]
+        padded = np.zeros((c_in, math.prod(self.in_extents[1:]) + 1))
+        padded[:, :-1] = v.reshape(c_in, -1)
+        win = np.take(padded, self.gather, axis=1)  # (C_I, offsets, P): x' gathered once
+        w = kernel.reshape(*self.kernel_shape[: -len(self.outs)], -1)  # (channels..., offsets)
+        out = np.zeros(n_out).reshape(self.kernel_shape[0], -1)
+        offsets = np.flatnonzero(self.offset_counts).tolist()
+        if self.per_channel:  # channel c's windows weighted by its own kernel
+            for s in offsets:
+                out += w[:, s, None] * win[:, s]
+        else:
+            for c in range(c_in):
+                for s in offsets:
+                    out += w[:, c, s, None] * win[c, s]
+        return out.ravel()
+
+    @functools.cached_property
+    def cells(self) -> WeightIndexMap:
+        """The pattern broadcast over the channel pairs: W''s structural
+        cells, ordered by channel pair, then output position in (H, W[, D])
+        row-major order, then kernel offset."""
+        nd = len(self.outs)
+        # the y' position of each output position in (H, W[, D]) row-major order
+        points = np.indices(self.outs).reshape(nd, -1)
+        col_of = np.ravel_multi_index(tuple(points[self.order]), [self.outs[a] for a in self.order])
+        by_point = self.gather[:, col_of].T
+        in_block = math.prod(self.in_extents[1:])
+        p, s = np.nonzero(by_point < in_block)
+        pair = np.arange(self.pairs)
+        o, c = (pair, pair) if self.per_channel else np.divmod(pair, self.in_extents[0])
+        rows = (c[:, None] * in_block + by_point[p, s]).ravel()
+        cols = (o[:, None] * len(col_of) + col_of[p]).ravel()
+        kernel_index = (pair[:, None] * len(self.offset_counts) + s).ravel()
+        for array in (rows, cols, kernel_index):
+            array.flags.writeable = False
+        return WeightIndexMap(rows, cols, kernel_index, self.kernel_shape)
+
+    rows = property(lambda self: self.cells.rows)
+    cols = property(lambda self: self.cells.cols)
+    kernel_index = property(lambda self: self.cells.kernel_index)
+    sources = property(lambda self: self.cells.sources)
+
+    def cell_values(self, kernel: np.ndarray) -> np.ndarray:
+        return kernel.ravel()[self.kernel_index]
+
+    @functools.cached_property
+    def input_index_map(self) -> np.ndarray:
+        """Each x' position's tensor coordinate (C_I, H, W[, D]): x' is the
+        input flattened in (C_I, ...) order."""
+        nd = len(self.outs)
+        coords = np.indices(self.in_extents).reshape(nd + 1, -1)
+        input_index_map = coords[[0, *(1 + self.order.index(a) for a in range(nd))]].T
+        input_index_map.flags.writeable = False
+        return input_index_map
+
+
+class _GivenOrPatternMap:
+    """The ``input_index_map`` field of :class:`LoweredForm`: the array
+    given, or, when none is (a window stage), its pattern's map, built on
+    first read."""
+
+    def __get__(self, form, owner=None):
+        if form is None:
+            return None  # the field's default
+        given = form.__dict__["input_index_map"]
+        return form.weight_index_map.input_index_map if given is None else given
+
+    def __set__(self, form, value):
+        form.__dict__["input_index_map"] = value
+
 
 @dataclass(frozen=True)
 class LoweredForm:
     """One matrix-vector stage: y' = W' <> x' (+ bias).
 
-    W' has shape ``(len(x'), output_len)`` and is held as its structural
-    cells: ``weight_index_map`` gives each cell's (row, col) and the kernel
-    coordinate it carries, and ``weight_values[k]`` is the value of cell k.
-    Every other entry of W' is zero.  ``input_index_map`` gives, for each x'
-    position, the source coordinate it was read from; a source appearing at
-    several positions is a replica.
+    W' has shape ``(len(x'), output_len)`` and is held as its structure,
+    ``weight_index_map``, and ``weights``: a conv or pooling stage holds the
+    :class:`WindowPattern` of its geometry and its kernel, a token or dense
+    stage a :class:`WeightIndexMap` and one value per cell.  Each structural
+    cell carries one kernel element; every other entry of W' is zero.
+    ``weight_values`` (each cell's value) and ``weight_matrix`` are derived
+    on read.  ``input_index_map`` gives, for each x' position, the source
+    coordinate it was read from; a source appearing at several positions is
+    a replica.
     """
 
-    weight_values: np.ndarray
+    weights: np.ndarray
     input_vector: np.ndarray
     output_len: int
-    input_index_map: np.ndarray  # (len(x'), coord_ndim)
-    weight_index_map: WeightIndexMap
+    weight_index_map: WeightIndexMap | WindowPattern
     layout_note: str
     bias: np.ndarray | None = None
+    input_index_map: np.ndarray | None = _GivenOrPatternMap()  # (len(x'), coord_ndim)
 
     def __post_init__(self):
         x = as_vector(self.input_vector)
-        cells = self.weight_index_map
-        if len(self.weight_values) != len(cells):
-            raise ShapeError(
-                f"{len(self.weight_values)} weight values for {len(cells)} structural cells"
-            )
-        if len(cells) and not (
-            0 <= cells.rows.min() and cells.rows.max() < x.shape[0]
-            and 0 <= cells.cols.min() and cells.cols.max() < self.output_len
-        ):
-            raise ShapeError(
-                f"structural cells must lie inside W' of shape (len(x'), output_len) = "
-                f"({x.shape[0]}, {self.output_len})"
-            )
-        if not np.all(np.isfinite(self.weight_values)):
+        self.weight_index_map.check(self.weights, x.shape[0], self.output_len)
+        if not np.all(np.isfinite(self.weights)):
             raise RangeError("W' entries must be finite")
         if self.bias is not None and as_vector(self.bias).shape[0] != self.output_len:
             raise ShapeError("bias length must equal output_len")
-        if len(self.input_index_map) != x.shape[0]:
+        given = self.__dict__["input_index_map"]
+        if given is not None and len(given) != x.shape[0]:
             raise ShapeError("input_index_map must cover every x' position")
 
     @property
     def shape(self) -> tuple[int, int]:
         """Shape of W': (len(x'), output_len)."""
         return len(self.input_vector), self.output_len
+
+    @property
+    def weight_values(self) -> np.ndarray:
+        """The value of each structural cell, in the cells' order."""
+        return self.weight_index_map.cell_values(self.weights)
 
     @property
     def weight_matrix(self) -> np.ndarray:
@@ -188,6 +351,8 @@ class LoweredForm:
     def replicated_sources(self) -> np.ndarray:
         """Source coordinates that feed more than one x' position, in
         lexicographic order (each coordinate row is sorted as one integer)."""
+        if self.__dict__["input_index_map"] is None:  # a window stage's x' is its input flattened
+            return np.empty((0, len(self.weight_index_map.in_extents)), dtype=np.intp)
         m = self.input_index_map
         lo = m.min(axis=0)
         dims = m.max(axis=0) - lo + 1
@@ -195,22 +360,20 @@ class LoweredForm:
         return np.stack(np.unravel_index(flat[counts > 1], dims), axis=1) + lo
 
     def evaluate(self) -> np.ndarray:
-        """``W'^T x'`` (+ bias), summed over the structural cells."""
-        out = self._cell_sum(self.input_vector)
+        """``W'^T x'`` (+ bias), summed in the structure's cell order."""
+        out = self._apply(self.input_vector)
         if self.bias is not None:
             out = out + self.bias
         return out
 
-    def _cell_sum(self, v: np.ndarray) -> np.ndarray:
-        cells = self.weight_index_map
-        out = np.bincount(cells.cols, self.weight_values * v[cells.rows], minlength=self.output_len)
-        return out.astype(np.float64, copy=False)  # bincount over no cells gives ints
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        return self.weight_index_map.apply(self.weights, v, self.output_len)
 
     def linear_map(self) -> LinearMap:
-        """``W'^T`` as a map: the stage without its input and bias, applied by
-        the same sum over the structural cells (W' does not depend on x')."""
+        """``W'^T`` as a map: the stage without its input and bias, applied as
+        ``evaluate`` applies it (W' does not depend on x')."""
         n_in, n_out = self.shape
-        return LinearMap((n_out, n_in), self._cell_sum, lambda: self.weight_matrix.T)
+        return LinearMap((n_out, n_in), self._apply, lambda: self.weight_matrix.T)
 
 
 def _check_cap(what: str, dims: tuple[int, ...]) -> None:
@@ -221,9 +384,11 @@ def _check_cap(what: str, dims: tuple[int, ...]) -> None:
         raise CapacityError(f"{what} of shape {dims} has {n} elements, cap is {element_cap()}")
 
 
-# Cell patterns kept at once: a network has about one geometry per window
-# layer, and each pattern is within the element cap.
-_CELL_PATTERNS = 8
+# Window patterns kept at once.  check_network visits a network's window
+# layers in a cycle, so a cache smaller than its number of geometries would
+# miss on every lookup; a pattern is O(outputs x kernel) integers, and
+# cli.main clears the cache after each command.
+_CELL_PATTERNS = 1024
 
 
 @functools.lru_cache(maxsize=_CELL_PATTERNS)
@@ -235,43 +400,11 @@ def cell_pattern(
     padding: int,
     spatial: tuple[int, ...],
     per_channel: bool = False,
-) -> tuple[np.ndarray, ...]:
-    """The structural cells of a window layer's W', from its geometry alone.
-
-    The window pattern is every (output position, kernel offset) point whose
-    input position lies inside the unpadded input, in row-major order; it is
-    broadcast over the (output, input) channel pairs, output channel
-    outermost.  ``per_channel`` (pooling) keeps only the pairs o == c, with
-    a kernel of shape (channels, *kernel).  A 3-D layer flattens depth
-    outermost inside each channel block.  Returns read-only ``(rows, cols,
-    kernel_index, input_index_map)``; the caller checks the element cap.
-    """
-    nd = len(kernel)
-    order = [2, 0, 1] if nd == 3 else [0, 1]  # x' and y' axis order of (H, W[, D])
-    outs = [(ext + 2 * padding - k) // stride + 1 for ext, k in zip(spatial, kernel)]
-    points = np.indices((*outs, *kernel)).reshape(2 * nd, -1)
-    out_pos, k_off = points[:nd], points[nd:]
-    in_pos = out_pos * stride + k_off - padding
-    valid = np.all((in_pos >= 0) & (in_pos < np.array(spatial)[:, None]), axis=0)
-    in_extents = [spatial[a] for a in order]
-    # the window pattern: one channel pair's cells
-    in_rows = np.ravel_multi_index(tuple(in_pos[order][:, valid]), in_extents)
-    out_cols = np.ravel_multi_index(tuple(out_pos[order][:, valid]), [outs[a] for a in order])
-    k_flat = np.ravel_multi_index(tuple(k_off[:, valid]), kernel)
-    if per_channel:
-        o = c = pair = np.arange(in_channels)
-    else:
-        pair = np.arange(out_channels * in_channels)
-        o, c = np.divmod(pair, in_channels)
-    rows = (c[:, None] * math.prod(spatial) + in_rows).ravel()
-    cols = (o[:, None] * math.prod(outs) + out_cols).ravel()
-    kernel_index = (pair[:, None] * math.prod(kernel) + k_flat).ravel()
-    # x' position -> tensor coordinate (C_I, H, W[, D])
-    coords = np.indices((in_channels, *in_extents)).reshape(nd + 1, -1)
-    input_index_map = coords[[0, *(1 + order.index(a) for a in range(nd))]].T
-    for array in (rows, cols, kernel_index, input_index_map):
-        array.flags.writeable = False
-    return rows, cols, kernel_index, input_index_map
+) -> WindowPattern:
+    """The :class:`WindowPattern` of a window layer's geometry, built once
+    and shared by every lowering of that geometry; the caller checks the
+    element cap."""
+    return WindowPattern(out_channels, in_channels, kernel, stride, padding, spatial, per_channel)
 
 
 def _lower_conv(x: Tensor, p: ConvParams, w: Tensor) -> LoweredForm:
@@ -279,9 +412,6 @@ def _lower_conv(x: Tensor, p: ConvParams, w: Tensor) -> LoweredForm:
     weights = _check_weights(w, p)
     outs = p.out_extents(spatial)
     _check_cap("lowering index grid", (p.out_channels, p.in_channels, *outs, *p.kernel))
-    rows, cols, kernel_index, input_index_map = cell_pattern(
-        p.out_channels, p.in_channels, tuple(p.kernel), p.stride, p.padding, spatial
-    )
     per_chan_out = math.prod(outs)
     if p.ndim == 2:
         input_order = None  # storage order (C_I, H, W) already matches
@@ -290,11 +420,12 @@ def _lower_conv(x: Tensor, p: ConvParams, w: Tensor) -> LoweredForm:
         input_order = ("C_I", "D", "H", "W")  # depth outermost inside each channel block
         layout = "x': (C_I,D,H,W) row-major; y': (C_O,D,H,W) row-major"
     return LoweredForm(
-        weight_values=weights.ravel()[kernel_index],
+        weights=weights,
         input_vector=flatten(x, input_order),
         output_len=p.out_channels * per_chan_out,
-        input_index_map=input_index_map,
-        weight_index_map=WeightIndexMap(rows, cols, kernel_index, weights.shape),
+        weight_index_map=cell_pattern(
+            p.out_channels, p.in_channels, tuple(p.kernel), p.stride, p.padding, spatial
+        ),
         layout_note=layout,
         bias=None if p.bias is None else np.repeat(p.bias, per_chan_out),
     )
@@ -333,15 +464,12 @@ def lower_mean_pool(x: Tensor, p: PoolParams) -> LoweredForm:
     h_out, w_out = p.out_extents((h, wd))
     kh, kw = p.window
     _check_cap("lowering index grid", (chans, h_out, w_out, kh, kw))
-    rows, cols, kernel_index, input_index_map = cell_pattern(
-        chans, chans, tuple(p.window), p.stride, 0, (h, wd), per_channel=True
-    )
     return LoweredForm(
-        weight_values=np.full(len(rows), 1.0 / (kh * kw)),
+        weights=np.full((chans, kh, kw), 1.0 / (kh * kw)),
         input_vector=flatten(x),
         output_len=chans * h_out * w_out,
-        input_index_map=input_index_map,
-        weight_index_map=WeightIndexMap(rows, cols, kernel_index, (chans, kh, kw)),
+        weight_index_map=cell_pattern(chans, chans, tuple(p.window), p.stride, 0, (h, wd),
+                                      per_channel=True),
         layout_note="x': (C_I,H,W) row-major; y': (C_I,H,W) row-major; block-diagonal per channel",
     )
 
@@ -359,7 +487,7 @@ def _ffn_stage(
     rows = t * rows_in + i
     cols = t * cols_out + j
     return LoweredForm(
-        weight_values=np.tile(np.ravel(weight), tokens),
+        weights=np.tile(np.ravel(weight), tokens),
         input_vector=input_vector,
         output_len=tokens * cols_out,
         input_index_map=np.indices((tokens, rows_in)).reshape(2, -1).T,

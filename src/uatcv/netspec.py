@@ -850,9 +850,9 @@ class ExpandableNetwork:
     with the numeric binding of its primitive atoms.  The binding is built by
     ``bind`` on first read and then kept: reading only the chain lowers no
     layer (conv and pooling layers are lowered as they are at that read).
-    Conv and pooling weights are bound as the maps ``W'^T`` of their
-    structural cells, and transformer FFN weights as row-wise maps; no
-    dense matrix is built for either."""
+    Conv and pooling weights are bound as the maps ``W'^T`` of their window
+    patterns, and transformer FFN weights as row-wise maps; no dense matrix
+    is built for either."""
 
     family: str  # "vgg" | "residual" | "transformer"
     chain: object

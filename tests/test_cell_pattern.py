@@ -2,6 +2,7 @@
 cache that keeps those patterns."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -179,3 +180,97 @@ def test_cells_are_read_only():
             array[0] = 1
     # a second lowering of the geometry shares the same arrays
     assert lower_conv2d_I_O(x, p, kern).weight_index_map.rows is cells.rows
+
+
+# ---------------------------------------------------------------------------
+# window stages evaluate from the pattern: the cells are for inspection only
+# ---------------------------------------------------------------------------
+
+
+def _write_spec(directory, name, input_shape, layers):
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps({"input_shape": input_shape, "seed": 3, "activation": "relu",
+                                "layers": layers}))
+    return path
+
+
+def _conv(out_channels, kernel, stride=1, padding=0, **extra):
+    return {"kind": "conv2d", "out_channels": out_channels, "kernel": kernel,
+            "stride": stride, "padding": padding, **extra}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "vgg3", "--trials", "2"],
+        ["analyze", "vgg3", "--lora-layer", "1", "--prune-layer", "0", "--prune-channels", "0"],
+        ["lower", "conv_pool_conv"],
+        ["verify", "conv_pool_conv"],
+        ["lower", "conv3d"],
+        ["verify", "conv3d"],
+    ],
+)
+def test_commands_never_build_window_cells(argv, specs_dir, tmp_path, monkeypatch, capsys):
+    specs = {
+        "vgg3": specs_dir / "vgg3.json",
+        "conv_pool_conv": _write_spec(tmp_path, "conv_pool_conv", [["C_I", 2], ["H", 7], ["W", 6]], [
+            _conv(3, [3, 2], padding=1, bias=True),
+            {"kind": "mean_pool", "window": [2, 2], "stride": 2},
+            _conv(2, [2, 2], stride=2, padding=1),
+        ]),
+        "conv3d": _write_spec(tmp_path, "conv3d", [["C_I", 2], ["H", 4], ["W", 3], ["D", 5]], [
+            {"kind": "conv3d", "out_channels": 3, "kernel": [2, 2, 3], "stride": 1,
+             "padding": 1, "bias": True},
+        ]),
+    }
+
+    def refuse(pattern):
+        raise AssertionError("a window stage's cells or input map were built")
+
+    monkeypatch.setattr(lowering.WindowPattern, "cells", property(refuse))
+    monkeypatch.setattr(lowering.WindowPattern, "input_index_map", property(refuse))
+    assert cli.main([argv[0], str(specs[argv[1]]), *argv[2:]]) == 0
+
+
+def test_each_geometry_is_built_once_per_command(tmp_path, capsys, monkeypatch):
+    # ten window geometries, visited in a cycle by every trial and prefix
+    layers = [_conv(out_channels, [3, 3], padding=1) for out_channels in range(4, 14)]
+    path = _write_spec(tmp_path, "ten_geometries", [["C_I", 3], ["H", 8], ["W", 8]], layers)
+    builds = []
+    init = lowering.WindowPattern.__init__
+
+    def counted_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(lowering.WindowPattern, "__init__", counted_init)
+    assert cli.main(["report", str(path), "--trials", "2"]) == 0
+    assert len(builds) == len(set(builds)) == 10
+
+
+def test_wide_conv_stage_is_small_and_matches_the_cell_sum(monkeypatch):
+    # one 32->32 3x3 conv on 32x32: its virtual cell grid has 9.4M entries
+    import tracemalloc
+
+    rng = np.random.default_rng(31)
+    x = _t(("C_I", "H", "W"), rng.normal(size=(32, 32, 32)))
+    p = ConvParams(32, 32, (3, 3), 1, 1, bias=rng.normal(size=32))
+    kern = _t(("C_O", "C_I", "H", "W"), rng.normal(size=(32, 32, 3, 3)))
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    set_element_cap(20_000_000)
+    tracemalloc.start()
+    try:
+        out = lower_conv2d_I_O(x, p, kern).evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        set_element_cap(None)
+    assert peak < 5 * 2**20
+    # the oracle's cells, one output channel at a time (each output sums only
+    # its own channel's cells), evaluated as a weighted bincount
+    rows, cols, sources = conv_cells_full_grid(1, 32, (3, 3), 1, 1, (32, 32))
+    xv = x.data.ravel()
+    for o in range(32):
+        values = kern.data[o][tuple(sources[:, 1:].T)]
+        want = np.bincount(cols, values * xv[rows], minlength=32 * 32) + p.bias[o]
+        assert np.array_equal(out[o * 1024 : (o + 1) * 1024], want)
