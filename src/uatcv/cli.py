@@ -16,8 +16,9 @@ Exit codes: 0 success; 2 parse/validation error, including a weight
 array over the element cap, a UATCV_CAP that is not a positive integer, a
 ``--tol`` that is negative or not finite, a ``--lora-rank`` above the
 smaller side of the target matrix, a ``--prune-channels`` that lists no
-channel, and a layer whose values overflow to non-finite entries (the
-message names the layer); 3 verification failure; 4 internal invariant
+channel, a layer whose values overflow to non-finite entries (the
+message names the layer), and an ``--out`` path (or its ``.tex`` sidecar)
+that cannot be written; 3 verification failure; 4 internal invariant
 breach.  Errors print one line to stderr: ``error[<code>]: <message>``.
 """
 
@@ -133,6 +134,14 @@ def _prune_mask(net, layer: int, channels: str | None, threshold: float | None) 
     return mask
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+    print(f"wrote {path}")
+
+
 def _cmd_lower(args) -> int:
     _, net = _load(args)
     from .report import layer_section
@@ -140,8 +149,7 @@ def _cmd_lower(args) -> int:
     doc = {"layers": layer_section(net, net.activation)}
     text = report_json(doc)
     if args.out:
-        args.out.write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -210,12 +218,9 @@ def _cmd_report(args) -> int:
     doc = build_report(net, trials=args.trials, tol=args.tol)
     text = report_json(doc)
     if args.out:
-        args.out.write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write(args.out, text)
         if args.format == "latex":
-            sidecar = args.out.with_suffix(".tex")
-            sidecar.write_text(report_latex(doc), encoding="utf-8")
-            print(f"wrote {sidecar}")
+            _write(args.out.with_suffix(".tex"), report_latex(doc))
     else:
         sys.stdout.write(text)
         if args.format == "latex":

@@ -2,14 +2,11 @@
 
 Each lowering builds a weight matrix W' and input vector x' such that the
 diamond product ``W' <> x' = W'^T x'`` reproduces the direct computation of
-:mod:`uatcv.reference`, flattened in a documented axis order:
-
-* 2-D conv / pooling: x' is the input in (C_I, H, W) row-major order, the
-  output vector is (C_O, H, W) row-major;
-* 3-D conv: x' is (C_I, D, H, W) order (depth slices stacked per channel),
-  the output is (C_O, D, H, W);
-* FFN stages and attention operate on token matrices flattened row-major
-  (token, feature).
+:mod:`uatcv.reference`.  x' is always the stage input itself, flattened, so
+every x' position reads a distinct input element: a conv or pooling stage's
+x' and y' are :func:`stage_vector` of its input and output, the one place
+that states their order, and FFN stages and attention operate on token
+matrices flattened row-major (token, feature).
 
 Every W' entry that carries a kernel element, whatever its value, is a
 structural cell; every other entry is zero, and a kernel element generally
@@ -58,6 +55,16 @@ from .reference import (
     attention_probabilities_raw,
 )
 from .tensor import Tensor, as_matrix, as_vector, element_cap, flatten, matvec
+
+
+def stage_vector(t: Tensor) -> np.ndarray:
+    """A stage value as x' (or y'): ``t`` flattened row-major, except that a
+    3-D conv value (C, H, W, D) puts depth outermost inside each channel
+    block, as (C, D, H, W)."""
+    axes = t.shape.axes
+    if axes[0] in ("C_I", "C_O") and axes[1:] == ("H", "W", "D"):
+        return flatten(t, (axes[0], "D", "H", "W"))
+    return flatten(t)
 
 
 def diamond(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -169,15 +176,15 @@ class WindowPattern:
     array of size C_O*C_I*outputs*kernel.
 
     The cells themselves (``cells`` and its ``rows``, ``cols``,
-    ``kernel_index`` and ``sources``) and ``input_index_map`` are built on
-    first read and kept, read-only, for inspection; evaluation and the
-    stage statistics never read them.
+    ``kernel_index`` and ``sources``) are built on first read and kept,
+    read-only, for inspection; evaluation and the stage statistics never
+    read them.
     """
 
     def __init__(self, out_channels: int, in_channels: int, kernel: tuple[int, ...], stride: int,
                  padding: int, spatial: tuple[int, ...], per_channel: bool = False):
         nd = len(kernel)
-        self.order = [2, 0, 1] if nd == 3 else [0, 1]  # x' and y' axis order of (H, W[, D])
+        self.order = [2, 0, 1] if nd == 3 else [0, 1]  # stage_vector's order of (H, W[, D])
         self.outs = [(ext + 2 * padding - k) // stride + 1 for ext, k in zip(spatial, kernel)]
         self.in_extents = (in_channels, *(spatial[a] for a in self.order))  # x' as (C_I, ...)
         self.per_channel = per_channel
@@ -266,31 +273,6 @@ class WindowPattern:
     def cell_values(self, kernel: np.ndarray) -> np.ndarray:
         return kernel.ravel()[self.kernel_index]
 
-    @functools.cached_property
-    def input_index_map(self) -> np.ndarray:
-        """Each x' position's tensor coordinate (C_I, H, W[, D]): x' is the
-        input flattened in (C_I, ...) order."""
-        nd = len(self.outs)
-        coords = np.indices(self.in_extents).reshape(nd + 1, -1)
-        input_index_map = coords[[0, *(1 + self.order.index(a) for a in range(nd))]].T
-        input_index_map.flags.writeable = False
-        return input_index_map
-
-
-class _GivenOrPatternMap:
-    """The ``input_index_map`` field of :class:`LoweredForm`: the array
-    given, or, when none is (a window stage), its pattern's map, built on
-    first read."""
-
-    def __get__(self, form, owner=None):
-        if form is None:
-            return None  # the field's default
-        given = form.__dict__["input_index_map"]
-        return form.weight_index_map.input_index_map if given is None else given
-
-    def __set__(self, form, value):
-        form.__dict__["input_index_map"] = value
-
 
 @dataclass(frozen=True)
 class LoweredForm:
@@ -301,10 +283,8 @@ class LoweredForm:
     :class:`WindowPattern` of its geometry and its kernel, a token or dense
     stage a :class:`WeightIndexMap` and one value per cell.  Each structural
     cell carries one kernel element; every other entry of W' is zero.
-    ``weight_values`` (each cell's value) and ``weight_matrix`` are derived
-    on read.  ``input_index_map`` gives, for each x' position, the source
-    coordinate it was read from; a source appearing at several positions is
-    a replica.
+    ``weight_matrix`` is derived on read.  x' is the stage input flattened,
+    so no input element feeds two x' positions.
     """
 
     weights: np.ndarray
@@ -313,7 +293,6 @@ class LoweredForm:
     weight_index_map: WeightIndexMap | WindowPattern
     layout_note: str
     bias: np.ndarray | None = None
-    input_index_map: np.ndarray | None = _GivenOrPatternMap()  # (len(x'), coord_ndim)
 
     def __post_init__(self):
         x = as_vector(self.input_vector)
@@ -322,9 +301,6 @@ class LoweredForm:
             raise RangeError("W' entries must be finite")
         if self.bias is not None and as_vector(self.bias).shape[0] != self.output_len:
             raise ShapeError("bias length must equal output_len")
-        given = self.__dict__["input_index_map"]
-        if given is not None and len(given) != x.shape[0]:
-            raise ShapeError("input_index_map must cover every x' position")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -332,32 +308,17 @@ class LoweredForm:
         return len(self.input_vector), self.output_len
 
     @property
-    def weight_values(self) -> np.ndarray:
-        """The value of each structural cell, in the cells' order."""
-        return self.weight_index_map.cell_values(self.weights)
-
-    @property
     def weight_matrix(self) -> np.ndarray:
         """W' as a dense array, built anew on every read."""
+        cells = self.weight_index_map
         w = np.zeros(self.shape)
-        w[self.weight_index_map.rows, self.weight_index_map.cols] = self.weight_values
+        w[cells.rows, cells.cols] = cells.cell_values(self.weights)
         return w
 
     @property
     def nnz(self) -> int:
         """Structural cell count (kernel-element placements)."""
         return len(self.weight_index_map)
-
-    def replicated_sources(self) -> np.ndarray:
-        """Source coordinates that feed more than one x' position, in
-        lexicographic order (each coordinate row is sorted as one integer)."""
-        if self.__dict__["input_index_map"] is None:  # a window stage's x' is its input flattened
-            return np.empty((0, len(self.weight_index_map.in_extents)), dtype=np.intp)
-        m = self.input_index_map
-        lo = m.min(axis=0)
-        dims = m.max(axis=0) - lo + 1
-        flat, counts = np.unique(np.ravel_multi_index(tuple((m - lo).T), dims), return_counts=True)
-        return np.stack(np.unravel_index(flat[counts > 1], dims), axis=1) + lo
 
     def evaluate(self) -> np.ndarray:
         """``W'^T x'`` (+ bias), summed in the structure's cell order."""
@@ -413,15 +374,11 @@ def _lower_conv(x: Tensor, p: ConvParams, w: Tensor) -> LoweredForm:
     outs = p.out_extents(spatial)
     _check_cap("lowering index grid", (p.out_channels, p.in_channels, *outs, *p.kernel))
     per_chan_out = math.prod(outs)
-    if p.ndim == 2:
-        input_order = None  # storage order (C_I, H, W) already matches
-        layout = "x': (C_I,H,W) row-major; y': (C_O,H,W) row-major"
-    else:
-        input_order = ("C_I", "D", "H", "W")  # depth outermost inside each channel block
-        layout = "x': (C_I,D,H,W) row-major; y': (C_O,D,H,W) row-major"
+    layout = ("x': (C_I,H,W) row-major; y': (C_O,H,W) row-major" if p.ndim == 2
+              else "x': (C_I,D,H,W) row-major; y': (C_O,D,H,W) row-major")
     return LoweredForm(
         weights=weights,
-        input_vector=flatten(x, input_order),
+        input_vector=stage_vector(x),
         output_len=p.out_channels * per_chan_out,
         weight_index_map=cell_pattern(
             p.out_channels, p.in_channels, tuple(p.kernel), p.stride, p.padding, spatial
@@ -466,7 +423,7 @@ def lower_mean_pool(x: Tensor, p: PoolParams) -> LoweredForm:
     _check_cap("lowering index grid", (chans, h_out, w_out, kh, kw))
     return LoweredForm(
         weights=np.full((chans, kh, kw), 1.0 / (kh * kw)),
-        input_vector=flatten(x),
+        input_vector=stage_vector(x),
         output_len=chans * h_out * w_out,
         weight_index_map=cell_pattern(chans, chans, tuple(p.window), p.stride, 0, (h, wd),
                                       per_channel=True),
@@ -490,7 +447,6 @@ def _ffn_stage(
         weights=np.tile(np.ravel(weight), tokens),
         input_vector=input_vector,
         output_len=tokens * cols_out,
-        input_index_map=np.indices((tokens, rows_in)).reshape(2, -1).T,
         weight_index_map=WeightIndexMap(rows, cols, i * cols_out + j, weight.shape),
         layout_note=note,
         bias=np.tile(bias, tokens),

@@ -74,6 +74,7 @@ from .lowering import (
     lower_conv3d,
     lower_ffn,
     lower_mean_pool,
+    stage_vector,
 )
 from .reference import (
     ACTIVATIONS,
@@ -167,7 +168,6 @@ class _ConvSpec(LayerSpec):
     """Shared by conv2d and conv3d, keyed on the number of spatial axes."""
 
     spatial: ClassVar[tuple[str, ...]]
-    out_order: ClassVar[tuple[str, ...] | None]  # flattening order of W'ᵀx'
 
     out_channels: int
     kernel: tuple[int, ...]
@@ -232,7 +232,7 @@ class _ConvSpec(LayerSpec):
     def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
         (form,) = self.lower(rt, value, sigma)
         direct = self._direct(rt, value)
-        diff = np.max(np.abs(form.evaluate() - flatten(direct, self.out_order)))
+        diff = np.max(np.abs(form.evaluate() - stage_vector(direct)))
         out = Tensor(rt.out_shape, activation(sigma)(direct.data))  # as apply computes it
         return LayerCheck(rt.index, self.kind, float(diff), [form], out)
 
@@ -268,14 +268,12 @@ class _ConvSpec(LayerSpec):
 class Conv2dSpec(_ConvSpec):
     kind = "conv2d"
     spatial = ("H", "W")
-    out_order = None
 
 
 @dataclass(frozen=True)
 class Conv3dSpec(_ConvSpec):
     kind = "conv3d"
     spatial = ("H", "W", "D")
-    out_order = ("C_O", "D", "H", "W")
 
 
 @dataclass(frozen=True)
@@ -574,7 +572,7 @@ def parse_spec_text(text: str | bytes) -> NetworkSpec:
     """Parse and validate a network description from JSON text."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"top level must be an object, got {type(doc).__name__}")
@@ -962,11 +960,10 @@ def to_expandable(net: MaterializedNetwork) -> ExpandableNetwork:
     return build[family](net)
 
 
-def _chain_order(shape: TensorShape) -> tuple[str, ...] | None:
-    # 3-D stages flatten depth-outermost inside each channel block
-    if shape.axes == ("C_I", "H", "W", "D"):
-        return ("C_I", "D", "H", "W")
-    return None
+def _chain_vector(net: MaterializedNetwork, t: Tensor) -> np.ndarray:
+    # a conv chain's stages read and write stage vectors; a residual or
+    # transformer chain's dense and token stages read values in storage order
+    return stage_vector(t) if expansion_family(net.spec)[0] == "vgg" else flatten(t)
 
 
 def expandable_input(net: MaterializedNetwork, x: Tensor) -> np.ndarray:
@@ -974,9 +971,9 @@ def expandable_input(net: MaterializedNetwork, x: Tensor) -> np.ndarray:
     preprocessing applied when present)."""
     if net.layers and net.layers[0].spec.kind == "patchify":
         return patchify(x, net.layers[0].spec.patch).reshape(-1)
-    return flatten(x, _chain_order(x.shape))
+    return _chain_vector(net, x)
 
 
 def expandable_output(net: MaterializedNetwork, value: Tensor) -> np.ndarray:
     """A network output tensor flattened in the expanded form's order."""
-    return flatten(value, _chain_order(value.shape))
+    return _chain_vector(net, value)

@@ -44,7 +44,8 @@ def _form_stats(form) -> dict:
         "distinct_kernel_elements": int(len(counts)),
         "sharing_min": int(counts.min()) if len(counts) else 0,
         "sharing_max": int(counts.max()) if len(counts) else 0,
-        "replicated_input_sources": int(len(form.replicated_sources())),
+        # x' is the stage input flattened, so no input element feeds two positions
+        "replicated_input_sources": 0,
         "has_bias": form.bias is not None,
         "layout": form.layout_note,
     }

@@ -174,8 +174,7 @@ def test_cells_are_read_only():
     kern = _t(("C_O", "C_I", "H", "W"), np.ones((3, 2, 2, 2)))
     form = lower_conv2d_I_O(x, p, kern)
     cells = form.weight_index_map
-    for array in (cells.rows, cells.cols, cells.kernel_index, cells.sources,
-                  form.input_index_map):
+    for array in (cells.rows, cells.cols, cells.kernel_index, cells.sources):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     # a second lowering of the geometry shares the same arrays
@@ -225,10 +224,9 @@ def test_commands_never_build_window_cells(argv, specs_dir, tmp_path, monkeypatc
     }
 
     def refuse(pattern):
-        raise AssertionError("a window stage's cells or input map were built")
+        raise AssertionError("a window stage's cells were built")
 
     monkeypatch.setattr(lowering.WindowPattern, "cells", property(refuse))
-    monkeypatch.setattr(lowering.WindowPattern, "input_index_map", property(refuse))
     assert cli.main([argv[0], str(specs[argv[1]]), *argv[2:]]) == 0
 
 

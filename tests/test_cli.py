@@ -132,6 +132,33 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "error[parse]" in err
 
 
+def test_deeply_nested_json_is_parse_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, out, err = run(capsys, "lower", str(deep))
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error[parse]: not valid JSON")
+
+
+@pytest.mark.parametrize("command", ["lower", "report"])
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_is_validation_error(capsys, specs_dir, tmp_path, command, target):
+    out_path = tmp_path / "no" / "r.json" if target == "missing_dir" else tmp_path
+    flags = ["--trials", "1"] if command == "report" else []
+    code, _, err = run(capsys, command, str(specs_dir / "vgg3.json"), *flags,
+                       "--out", str(out_path))
+    assert code == EXIT_PARSE
+    assert err.startswith(f"error[validation]: cannot write {out_path}: ")
+
+
+def test_unwritable_latex_sidecar_is_validation_error(capsys, specs_dir, tmp_path):
+    (tmp_path / "r.tex").mkdir()
+    code, out, err = run(capsys, "report", str(specs_dir / "vgg3.json"), "--trials", "1",
+                         "--out", str(tmp_path / "r.json"), "--format", "latex")
+    assert code == EXIT_PARSE and out == f"wrote {tmp_path / 'r.json'}\n"
+    assert err.startswith(f"error[validation]: cannot write {tmp_path / 'r.tex'}: ")
+
+
 def test_validation_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -270,6 +297,14 @@ def _mask_roundoff(text):
         lambda m: m.group(1) + re.sub(r"[^\s,]+", "#", m.group(2)) + "]",
         text,
     )
+
+
+@pytest.mark.parametrize("name", ["vgg3", "resblock2", "vit1"])
+def test_no_report_form_replicates_an_input(capsys, specs_dir, name):
+    code, out, _ = run(capsys, "report", str(specs_dir / f"{name}.json"), "--trials", "1")
+    assert code == EXIT_OK
+    forms = [form for layer in json.loads(out)["layers"] for form in layer["forms"]]
+    assert forms and all(form["replicated_input_sources"] == 0 for form in forms)
 
 
 @pytest.mark.parametrize("name, fmt", sorted(REPORT_LAYOUT))

@@ -15,6 +15,7 @@ from uatcv.lowering import (
     lower_conv3d,
     lower_ffn,
     lower_mean_pool,
+    stage_vector,
     tokenwise_map,
 )
 from uatcv.reference import (
@@ -224,38 +225,32 @@ def test_conv_lowering_linear_in_kernel():
     assert np.array_equal(f12.weight_matrix, f1.weight_matrix + f2.weight_matrix)
 
 
-def test_conv_lowering_input_map_is_plain_flatten():
-    rng = np.random.default_rng(10)
-    x, p, kern = _rand_conv2d(rng)
-    form = lower_conv2d_I_O(x, p, kern)
-    assert len(form.replicated_sources()) == 0
-    c, h, w = x.shape.extents
-    assert np.array_equal(
-        form.input_index_map, np.indices((c, h, w)).reshape(3, -1).T
-    )
-
-
-def test_replicated_sources_match_a_row_sort():
-    from dataclasses import replace
-
-    def by_rows(form):  # the sort over whole coordinate rows
-        uniq, counts = np.unique(form.input_index_map, axis=0, return_counts=True)
-        return uniq[counts > 1]
+def test_every_input_vector_is_its_stage_input_flattened():
+    from uatcv.netspec import _dense_form
 
     rng = np.random.default_rng(26)
     x, p, kern = _rand_conv2d(rng, c_in=2, c_out=3)
-    conv2d = lower_conv2d_I_O(x, p, kern)
     x3 = _t(("C_I", "H", "W", "D"), rng.normal(size=(2, 4, 3, 5)))
     p3 = ConvParams(2, 2, (2, 2, 2), 1, 1)
     k3 = _t(("C_O", "C_I", "H", "W", "D"), rng.normal(size=(2, 2, 2, 2, 2)))
-    conv3d = lower_conv3d(x3, p3, k3)
-    pool = lower_mean_pool(x, PoolParams((2, 2), stride=1))
-    ffn = lower_ffn(rng.normal(size=(3, 4)), random_attn_params(4, 1, 5, rng), "relu")
-    # a hand-built map with replicas and negative coordinates
-    replicas = replace(conv2d, input_index_map=rng.integers(-2, 3, size=(len(x.flat), 3)))
-    for form in (conv2d, conv3d, pool, *ffn, replicas):
-        assert np.array_equal(form.replicated_sources(), by_rows(form))
-    assert len(replicas.replicated_sources()) > 0
+    tokens = rng.normal(size=(3, 4))
+    stage1, stage2 = lower_ffn(tokens, random_attn_params(4, 1, 5, rng), "relu")
+    hidden = np.maximum(stage1.evaluate(), 0.0).reshape(3, -1)
+    flat = rng.normal(size=6)
+    cases = [
+        (lower_conv2d_I_O(x, p, kern), x),
+        (lower_conv3d(x3, p3, k3), x3),
+        (lower_mean_pool(x, PoolParams((2, 2), stride=1)), x),
+        (stage1, _t(("token", "feature"), tokens)),
+        (stage2, _t(("token", "feature"), hidden)),
+        (_dense_form(rng.normal(size=(5, 6)), rng.normal(size=5), flat), _t(("feature",), flat)),
+    ]
+    for form, stage_input in cases:
+        assert np.array_equal(form.input_vector, stage_vector(stage_input))
+        # a permutation of the input: no input element feeds two x' positions
+        assert np.array_equal(np.sort(form.input_vector), np.sort(stage_input.flat))
+    # depth outermost inside each channel block
+    assert np.array_equal(stage_vector(x3), x3.data.transpose(0, 3, 1, 2).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,25 @@ def test_conv3d_network_expands():
     assert np.max(np.abs(got - want)) <= 1e-9
 
 
+@pytest.mark.parametrize("axes", [("C_I", "H", "W", "D"), ("C_O", "H", "W", "D"), ("D", "H", "W")])
+def test_residual_chain_over_a_depth_axis_expands(axes):
+    # a residual chain reads its input in storage order, whatever its axes
+    from uatcv.netspec import expandable_input, expandable_output
+    from uatcv.symbolic import INPUT_NAME, eval_canonical
+
+    net = materialize(parse_spec_text(json.dumps({
+        "input_shape": [[a, n] for a, n in zip(axes, (2, 3, 2, 3))], "seed": 3,
+        "activation": "relu", "layers": [{"kind": "residual_block", "hidden_dim": 5}] * 2,
+    })))
+    exp = to_expandable(net)
+    x = random_input(net.spec, 99)
+    env = dict(exp.binding)
+    env[INPUT_NAME] = expandable_input(net, x)
+    got = eval_canonical(exp.chain.canonical, env, "relu")
+    want = expandable_output(net, forward(net, x)[-1])
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
 def test_vgg_fixture_canonical_matches_forward(specs_dir):
     from uatcv.netspec import expandable_input, expandable_output
     from uatcv.symbolic import INPUT_NAME, eval_canonical

@@ -1,7 +1,9 @@
 """perfbench's tracer wraps package functions by their names, from outside
 the package, so a rename in ``src/`` would break ``perfbench/run.py --trace 1``
 without failing anything else.  Every name it wraps must resolve, and its
-hooks must still read what the wrapped functions take and return."""
+hooks must still read what the wrapped functions take and return.  The
+benchmark also holds every command's output to its captured references, so
+output drift fails here first."""
 
 import ast
 import importlib
@@ -9,7 +11,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _spans() -> dict[str, list[str]]:
@@ -55,3 +60,33 @@ def test_traced_report_runs_and_counts_lowerings(specs_dir):
                 assert summary[counter] > 0, (name, counter)
     finally:
         del sys.modules[spec.name]
+
+
+def _perfbench_module(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["conv_mid", "resnet_deep", "vit_tokens"])
+def test_workload_outputs_match_the_references(workload, tmp_path, monkeypatch):
+    # what the benchmark checks of every operation, at seeds 0-2
+    from uatcv.cli import main
+
+    ops = _perfbench_module("ops", monkeypatch)
+    refcheck = _perfbench_module("refcheck", monkeypatch)
+    workloads = _perfbench_module("workloads", monkeypatch)
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    bench = workloads.WORKLOADS[workload]
+    reference = refcheck.load(workload)
+    problems = []
+    for seed in range(3):
+        spec = bench.write_spec(seed, tmp_path)
+        for command in workloads.COMMANDS:
+            res = ops.run_cli(main, bench.argv(command, spec))
+            problem = refcheck.check(reference, seed, command, res.outcome, res.stdout, res.stderr)
+            if problem is not None:
+                problems.append((seed, problem))
+    assert problems == []
