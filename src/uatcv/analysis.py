@@ -257,9 +257,6 @@ def prune(net: MaterializedNetwork, mask: PruneMask) -> MaterializedNetwork:
     keep = [c for c in range(net.layers[mask.layer].conv_params.out_channels) if c not in channels]
 
     new = copy.deepcopy(net)
-    spec = new.spec
-    layers = list(spec.layers)
-    layers[mask.layer] = replace(layers[mask.layer], out_channels=len(keep))
     rt = new.layers[mask.layer]
     rt.spec.keep_channels(rt, keep, axis=0)
 
@@ -268,9 +265,8 @@ def prune(net: MaterializedNetwork, mask: PruneMask) -> MaterializedNetwork:
         if later.spec.follow_pruning(later, keep):
             break
 
-    new_spec = replace(spec, layers=tuple(layers))
-    new.spec = new_spec
-    new.shapes = infer_shapes(new_spec)
+    new.spec = replace(new.spec, layers=tuple(layer.spec for layer in new.layers))
+    new.shapes = infer_shapes(new.spec)
     for rt2, in_shape, out_shape in zip(new.layers, new.shapes, new.shapes[1:]):
         rt2.in_shape = in_shape
         rt2.out_shape = out_shape

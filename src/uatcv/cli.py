@@ -16,10 +16,11 @@ Exit codes: 0 success; 2 parse/validation error, including a weight
 array over the element cap, a UATCV_CAP that is not a positive integer, a
 ``--tol`` that is negative or not finite, a ``--lora-rank`` above the
 smaller side of the target matrix, a ``--prune-channels`` that lists no
-channel, a layer whose values overflow to non-finite entries (the
-message names the layer), and an ``--out`` path (or its ``.tex`` sidecar)
-that cannot be written; 3 verification failure; 4 internal invariant
-breach.  Errors print one line to stderr: ``error[<code>]: <message>``.
+channel, a prune whose channel change a downstream layer cannot absorb, a
+layer whose values overflow to non-finite entries (the message names the
+layer), and an ``--out`` path (or its ``.tex`` sidecar) that cannot be
+written; 3 verification failure; 4 internal invariant breach.  Errors
+print one line to stderr: ``error[<code>]: <message>``.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import lowering
-from .analysis import LoraDelta, PruneMask, resolve_mask
+from .analysis import LoraDelta, PruneMask, prune
 from .errors import (
     ParseError, RangeError, SpecError, UatcvError, ValidationError, VerificationError,
 )
 from .netspec import draw_weights, materialize, parse_spec, to_expandable, verify_network
-from .report import build_report, report_json, report_latex
+from .report import analysis_section, build_report, layer_section, report_json, report_latex
 from .symbolic import classify_params, emit
 from .tensor import SplitMix64, element_cap, set_element_cap
 
@@ -128,7 +129,7 @@ def _prune_mask(net, layer: int, channels: str | None, threshold: float | None) 
             raise ValidationError("--prune-channels lists no channel")
     try:
         mask = PruneMask(layer=layer, channels=channels, threshold=threshold)
-        resolve_mask(net, mask)  # an existing conv layer and channels, one channel left
+        prune(net, mask)  # an existing conv layer and channels, one left, absorbed downstream
     except SpecError as exc:  # the library's own checks, here on command-line values
         raise ValidationError(str(exc)) from None
     return mask
@@ -144,8 +145,6 @@ def _write(path: Path, text: str) -> None:
 
 def _cmd_lower(args) -> int:
     _, net = _load(args)
-    from .report import layer_section
-
     doc = {"layers": layer_section(net, net.activation)}
     text = report_json(doc)
     if args.out:
@@ -198,8 +197,6 @@ def _cmd_analyze(args) -> int:
     if args.prune_layer is None and (args.prune_channels, args.prune_threshold) != (None, None):
         raise ValidationError("--prune-channels and --prune-threshold need --prune-layer")
     _, net = _load(args)
-    from .report import analysis_section
-
     lora = None
     if args.lora_layer is not None:
         rank = 1 if args.lora_rank is None else args.lora_rank

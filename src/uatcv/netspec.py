@@ -249,15 +249,19 @@ class _ConvSpec(LayerSpec):
         rt.conv_weights = Tensor(rt.conv_weights.shape, matrix.reshape(kshape))
 
     def keep_channels(self, rt: RtLayer, keep: list[int], axis: int) -> None:
-        """Keep only the ``keep`` output (axis 0) or input (axis 1) channels."""
+        """Keep only the ``keep`` output (axis 0) or input (axis 1) channels;
+        the layer's spec follows, a declared ``in_channels`` included."""
         dims = list(rt.conv_weights.shape.dims)
         dims[axis] = (dims[axis][0], len(keep))
         rt.conv_weights = Tensor(TensorShape(dims), rt.conv_weights.data.take(keep, axis=axis))
         if axis == 0:
             bias = None if rt.conv_params.bias is None else rt.conv_params.bias[keep]
             rt.conv_params = replace(rt.conv_params, out_channels=len(keep), bias=bias)
+            rt.spec = replace(self, out_channels=len(keep))
         else:
             rt.conv_params = replace(rt.conv_params, in_channels=len(keep))
+            if self.in_channels is not None:
+                rt.spec = replace(self, in_channels=len(keep))
 
     def follow_pruning(self, rt: RtLayer, keep: list[int]) -> bool:
         self.keep_channels(rt, keep, axis=1)

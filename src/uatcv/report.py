@@ -129,13 +129,7 @@ def analysis_section(
     return out
 
 
-def build_report(
-    net: MaterializedNetwork,
-    trials: int = 20,
-    tol: float = 1e-9,
-    lora: LoraDelta | None = None,
-    prune_mask: PruneMask | None = None,
-) -> dict:
+def build_report(net: MaterializedNetwork, trials: int = 20, tol: float = 1e-9) -> dict:
     """The full report document (plain dict of JSON-safe values)."""
     sigma = net.activation
     return {
@@ -146,7 +140,7 @@ def build_report(
         "layers": layer_section(net, sigma),
         "verification": verify_network(net, trials=trials, tol=tol, sigma=sigma),
         "expansion": expansion_section(net),
-        "analysis": analysis_section(net, lora=lora, prune_mask=prune_mask, sigma=sigma),
+        "analysis": analysis_section(net, sigma=sigma),
     }
 
 

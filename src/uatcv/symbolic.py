@@ -11,11 +11,13 @@ composition rewrites it into a canonical approximator form
 canonical value is the last stage's output).  The canonical form is itself
 an expression over the same nodes (``CanonicalUAT.expression``), so it has
 one renderer and one evaluator, those of the nodes.  Merging coefficients
-during expansion creates *merged* atoms that remember the folding expression
-they came from; an atom whose folding expression reaches the input symbol is
-classified input-dependent, everything else stays fixed once the network's
-parameters are bound.  Displays mark merged fixed atoms with a bar and
-merged input-dependent atoms with a hat.
+during expansion creates *merged* atoms that keep the folding expression
+they came from, over the state the chain carried, so each chain is folded
+once; only classification distributes it into its normal form, to show it.
+An atom whose folding expression reaches the input symbol is classified
+input-dependent, everything else stays fixed once the network's parameters
+are bound.  Displays mark merged fixed atoms with a bar and merged
+input-dependent atoms with a hat.
 
 Only three folding rules are used: distribute linear maps over sums, fold
 pure-parameter subexpressions in bias position into fixed atoms, and fold
@@ -117,14 +119,11 @@ class Node:
         """How deeply sigmas nest along the vector path (sets brackets)."""
         return 0
 
-    def distribute(self) -> Node:
-        """Normal form: linear maps distributed over sums, nested sums
-        flattened, nested applications merged into products."""
-        return self
-
-    def applied(self, weight: MatrixExpr) -> Node:
-        """The normal form of ``Apply(weight, self)``, self being normal."""
-        return Apply(weight, self)
+    def distribute(self, weights: tuple[MatrixExpr, ...] = ()) -> Node:
+        """Normal form of ``weights`` (leftmost applied last) applied to this
+        node: linear maps distributed over sums, nested sums flattened,
+        nested applications merged into products."""
+        return Apply(_product(weights), self) if weights else self
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,14 +184,16 @@ class Apply(Node):
     def nesting(self) -> int:
         return self.arg.nesting()
 
-    def distribute(self) -> Node:
-        arg = self.arg.distribute()
-        if arg is self.arg and not isinstance(arg, (Add, Apply)):
-            return self  # already normal
-        return arg.applied(self.weight)
-
-    def applied(self, weight: MatrixExpr) -> Node:
-        return Apply(_product(_mat_factors(weight) + _mat_factors(self.weight)), self.arg)
+    def distribute(self, weights: tuple[MatrixExpr, ...] = ()) -> Node:
+        if not weights and not isinstance(self.arg, (Add, Apply)):  # only the arg can change
+            arg = self.arg.distribute()
+            return self if arg is self.arg else Apply(self.weight, arg)
+        # a chain of nested applications becomes one product, in one pass
+        weights, node = [*weights, self.weight], self.arg
+        while isinstance(node, Apply):
+            weights.append(node.weight)
+            node = node.arg
+        return node.distribute(tuple(weights))
 
     def value(self, ev: _Evaluation) -> np.ndarray:
         return ev(self.weight) @ ev(self.arg)
@@ -218,16 +219,13 @@ class Add(Node):
     def nesting(self) -> int:
         return max((t.nesting() for t in self.terms), default=0)
 
-    def distribute(self) -> Node:
+    def distribute(self, weights: tuple[MatrixExpr, ...] = ()) -> Node:
         flat: list[VectorExpr] = []
         for t in self.terms:
-            t = t.distribute()
+            t = t.distribute(weights)
             flat.extend(t.terms if isinstance(t, Add) else (t,))
         flat = tuple(flat)
         return self if flat == self.terms else Add(flat)
-
-    def applied(self, weight: MatrixExpr) -> Node:
-        return Add(tuple(t.applied(weight) for t in self.terms))  # terms are normal, no sums
 
     def value(self, ev: _Evaluation) -> np.ndarray:
         return reduce(operator.add, map(ev, self.terms))  # in term order
@@ -248,9 +246,9 @@ class Activate(Node):
     def nesting(self) -> int:
         return 1 + self.arg.nesting()
 
-    def distribute(self) -> Node:
+    def distribute(self, weights: tuple[MatrixExpr, ...] = ()) -> Node:
         arg = self.arg.distribute()
-        return self if arg is self.arg else Activate(arg)
+        return Node.distribute(self if arg is self.arg else Activate(arg), weights)
 
     def value(self, ev: _Evaluation) -> np.ndarray:
         return ev.act(ev(self.arg))
@@ -333,8 +331,11 @@ def _mat_factors(weight: MatrixExpr) -> tuple[MatrixExpr, ...]:
     return (weight,)
 
 
-def _product(factors: tuple[MatrixExpr, ...]) -> MatrixExpr:
-    return factors[0] if len(factors) == 1 else MatProduct(factors)
+def _product(weights: tuple[MatrixExpr, ...]) -> MatrixExpr:
+    """The one weight itself, or the flat product of the weights' factors."""
+    if len(weights) == 1:
+        return weights[0]
+    return MatProduct(tuple(f for w in weights for f in _mat_factors(w)))
 
 
 def _wrap_weight(factors: tuple[ParamAtom, ...], name: str) -> ParamAtom:
@@ -343,8 +344,6 @@ def _wrap_weight(factors: tuple[ParamAtom, ...], name: str) -> ParamAtom:
 
 
 def merged_atom(name: str, kind: str, provenance) -> ParamAtom:
-    if kind == "bias":
-        provenance = provenance.distribute()
     dep = Dependence.INPUT_DEPENDENT if provenance.reaches_input else Dependence.FIXED
     return ParamAtom(name, kind, dep, provenance)
 
@@ -558,7 +557,7 @@ def classify_params(form: CanonicalUAT) -> tuple[ClassifiedParam, ...]:
             display=atom.display,
             kind=atom.kind,
             dependence=atom.dependence,
-            provenance=atom.provenance.render("text") if atom.merged else "primitive",
+            provenance=atom.provenance.distribute().render("text") if atom.merged else "primitive",
             roles=tuple(atom_roles),
         )
         for atom, atom_roles in roles.items()
@@ -846,8 +845,9 @@ def build_transformer_chain(
     raw_keys = []
     ffn_atoms = []
 
-    linear_factors: tuple = ()
-    raw_terms: list[dict] = []  # outer: tuple of factors, inner: tuple, bias: atom
+    linear_factors: tuple = ()  # the attention matrices so far, last block first
+    carried: list[VectorExpr] = []  # the earlier sigma terms as this block's input holds them
+    blocks = []  # per block: its W3, the merged inner weight of its term, its stage bias
     const_expr: VectorExpr | None = None
 
     for k in range(depth):
@@ -884,32 +884,26 @@ def build_transformer_chain(
         if k == 0:
             stage_bias = b2
         else:
-            pieces = [SigmaTerm(_product(t["outer"]), _product(t["inner"]), t["bias"]).expr(Input())
-                      for t in raw_terms]
-            pieces.append(const_expr)
             stage_bias = merged_atom(
                 _name("b", f"{sub},2"),
                 "bias",
-                Add((Apply(MatProduct((w2, attn)), Add(tuple(pieces))), b2)),
+                Add((Apply(MatProduct((w2, attn)), Add((*carried, const_expr))), b2)),
             )
-
-        for t in raw_terms:
-            t["outer"] = (attn, *t["outer"])
-        raw_terms.append(
-            {"outer": (w3,), "inner": (w2, attn, *linear_factors), "bias": stage_bias}
-        )
         linear_factors = (attn, *linear_factors)
+        inner = _wrap_weight((w2, *linear_factors), _name("W", f"{sub},{3 if k else 1}"))
+        blocks.append((w3, inner, stage_bias))
+        carried = [Apply(attn, t) for t in carried]
+        carried.append(SigmaTerm(w3, inner.provenance, stage_bias).expr(Input()))
         const_expr = b3 if const_expr is None else Add((Apply(attn, const_expr), b3))
 
     last = depth - 1
     linear = _wrap_weight(linear_factors, _name("W", f"{_sub(last)},1"))
     terms = []
-    for j, t in enumerate(raw_terms):  # term j comes from block j
-        inner = _wrap_weight(t["inner"], _name("W", f"{_sub(j)},{3 if j else 1}"))
+    for j, (w3, inner, bias) in enumerate(blocks):  # term j comes from block j
         # the last block's outer factor is its primitive W3, kept as it is
         outer_name = _name("W", f"{_sub(last)},2" + ("" if j >= last - 1 else f";{j}"))
-        outer = _wrap_weight(t["outer"], outer_name)
-        terms.append(SigmaTerm(outer=outer, inner=inner, bias=t["bias"]))
+        outer = _wrap_weight((*linear_factors[:last - j], w3), outer_name)
+        terms.append(SigmaTerm(outer=outer, inner=inner, bias=bias))
 
     if depth == 1:
         constant = ffn_atoms[0][3]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -168,8 +170,6 @@ def test_lora_zero_factors_identity():
 
 
 def test_lora_rank1_ffn_matches_direct():
-    from dataclasses import replace
-
     from uatcv.reference import ffn_direct
 
     net = materialize(
@@ -249,8 +249,6 @@ def test_prune_dead_channel_zero_impact():
     rt.conv_weights = Tensor(rt.conv_weights.shape, w)
     bias = rt.conv_params.bias.copy()
     bias[1] = 0.0
-    from dataclasses import replace
-
     rt.conv_params = replace(rt.conv_params, bias=bias)
     inputs = [random_input(net.spec, 50 + t) for t in range(5)]
     report = prune_impact(net, PruneMask(layer=0, channels=(1,)), inputs, "relu")
@@ -288,6 +286,21 @@ def test_prune_lower_commutes_with_block_deletion():
     pval1 = Tensor(prt1.in_shape, np.zeros(prt1.in_shape.extents))
     pform1 = lower_conv2d_I_O(pval1, prt1.conv_params, prt1.conv_weights)
     assert np.array_equal(pform1.weight_matrix, form1.weight_matrix[keep_rows])
+
+
+def test_prune_keeps_the_specs_in_step():
+    # a declared in_channels on the absorbing conv follows the prune, and the
+    # result is the pruned network of the same description without it
+    declared = _conv_net(seed=37)
+    first, second = declared.layers
+    declared = replace(declared, layers=(first, replace(second, in_channels=4)))
+    mask = PruneMask(layer=0, channels=(1, 2))
+    a, b = prune(materialize(declared), mask), prune(materialize(_conv_net(seed=37)), mask)
+    assert a.spec.layers[0] == a.layers[0].spec == replace(first, out_channels=2)
+    assert a.spec.layers[1] == a.layers[1].spec == replace(second, in_channels=2)
+    assert a.spec == replace(b.spec, layers=(b.spec.layers[0], replace(second, in_channels=2)))
+    x = random_input(a.spec, 3)
+    assert forward(a, x, "relu")[-1].data.tobytes() == forward(b, x, "relu")[-1].data.tobytes()
 
 
 def test_prune_all_channels_rejected():

@@ -442,3 +442,32 @@ def test_empty_prune_channels_is_validation_error(capsys, specs_dir, channels):
                          "--prune-layer", "0", "--prune-channels", channels)
     assert code == EXIT_PARSE and out == ""
     assert err == "error[validation]: --prune-channels lists no channel\n"
+
+
+def _conv_then(tmp_path, name, second):
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps({
+        "input_shape": [["C_I", 1], ["H", 6], ["W", 6]], "seed": 7, "activation": "relu",
+        "layers": [{"kind": "conv2d", "out_channels": 3, "kernel": [2, 2]}, second],
+    }))
+    return str(spec)
+
+
+def test_prune_across_declared_in_channels(capsys, tmp_path):
+    # the absorbing conv's declared in_channels follows the prune, so the
+    # analysis is the one of the same description without the declaration
+    conv = {"kind": "conv2d", "out_channels": 2, "kernel": [2, 2]}
+    prune = ["--prune-layer", "0", "--prune-channels", "0"]
+    declared = run(capsys, "analyze", _conv_then(tmp_path, "declared", {**conv, "in_channels": 3}),
+                   *prune)
+    plain = run(capsys, "analyze", _conv_then(tmp_path, "plain", conv), *prune)
+    assert declared[0] == EXIT_OK and declared[2] == ""
+    assert declared == plain
+
+
+def test_unabsorbable_prune_is_validation_error(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", _conv_then(tmp_path, "res", {"kind": "residual_block"}),
+                         "--prune-layer", "0", "--prune-channels", "0")
+    assert code == EXIT_PARSE and out == ""
+    assert err == ("error[validation]: layer 1 (residual_block) downstream of the pruned layer "
+                   "cannot absorb a channel change\n")

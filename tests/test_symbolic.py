@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -482,3 +483,58 @@ def test_canonical_terms_are_the_builders_nodes(monkeypatch):
     value = eval_canonical(form, env, "relu")
     assert len(calls) <= 150
     assert value.tobytes() == fresh.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# provenance text and form size at depth
+# ---------------------------------------------------------------------------
+
+
+# sha256 of the classification rows (display, dependence, provenance), one
+# row a line, tab-separated
+PROVENANCE_SHA256 = {
+    "residual": (lambda: build_residual_chain(8, 4, 3),
+                 "ff2bf1dac8c4186e68a95285d148cab249ef898d9bd100af0cd6d65ed18acddc"),
+    "transformer": (lambda: build_transformer_chain(5, 2, 4, 2, 3),
+                    "f1ceda61decf23c566459b454b22f74ca4b228e6a784fe1021b2152bb714ccb2"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PROVENANCE_SHA256))
+def test_provenance_bytes_are_pinned(family):
+    build, digest = PROVENANCE_SHA256[family]
+    rows = "\n".join(f"{r.display}\t{r.dependence.value}\t{r.provenance}"
+                     for r in classify_params(build().canonical))
+    assert hashlib.sha256(rows.encode("utf-8")).hexdigest() == digest
+
+
+def _distinct_nodes(root):
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo.extend(node.children())
+    return len(seen)
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda: build_residual_chain(256, 8, 6), 16 * 256),
+    (lambda: build_transformer_chain(64, 4, 8, 2, 16), 5000),
+], ids=["residual", "transformer"])
+def test_canonical_form_size_is_bounded(build, bound):
+    # each merged bias holds the state the chain carried, not its expansion
+    nodes = _distinct_nodes(build().canonical.expression)
+    assert nodes <= bound
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_residual_chain(256, 8, 6),
+    lambda: build_transformer_chain(32, 4, 8, 2, 16),
+], ids=["residual", "transformer"])
+def test_deep_canonical_matches_composed_expression(build):
+    chain = build()
+    env = chain.random_binding(np.random.default_rng(13))
+    want = eval_vector(chain.expression, env, "relu")
+    got = eval_canonical(chain.canonical, env, "relu")
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
