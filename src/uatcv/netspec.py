@@ -94,15 +94,12 @@ from .reference import (
 from .tensor import (
     AXIS_NAMES, SplitMix64, Tensor, TensorShape, element_cap, flatten, random_uniform, zeros,
 )
-from . import symbolic
 from .symbolic import (
-    ChainStage,
-    ParamAtom,
-    bias_atom,
+    bind,
     build_residual_chain,
     build_transformer_chain,
     dense_chain,
-    weight_atom,
+    transformer_block_values,
 )
 
 
@@ -115,10 +112,11 @@ class LayerSpec:
     """Base of the layer kinds; each kind's class holds all of its rules:
     ``validate``, ``infer`` (output shape), ``draw`` (RtLayer weight fields,
     each array from ``draw(*shape)``), ``apply`` (direct computation),
-    ``stages`` (matrix-vector stages at a value, returned by ``lower``) and
+    ``stages`` (matrix-vector stages at a value, returned by ``lower``),
     ``check`` (by default ``lowered_output``, the stages' output, against
-    ``apply``).  Defaults here serve the kinds that lack a part or refuse an
-    analysis."""
+    ``apply``) and ``expansion_values`` (the values its atoms take in the
+    expanded form).  Defaults here serve the kinds that lack a part or
+    refuse an analysis."""
 
     kind: ClassVar[str]
     note: ClassVar[str] = ""  # the report's note on what the check compares
@@ -146,6 +144,13 @@ class LayerSpec:
 
     def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
         return []
+
+    def expansion_values(self, rt: RtLayer, sigma: str) -> tuple:
+        """The values of the layer's atoms in its chain's ``block_atoms``
+        order; by default the map ``W'^T`` of its one stage lowered at zero
+        (W' does not depend on x'), then that stage's bias if it has one."""
+        (form,) = self.lower(rt, zeros(rt.in_shape), sigma)
+        return (form.linear_map(),) if form.bias is None else (form.linear_map(), form.bias)
 
     def receptive_window(self) -> tuple[tuple[str, ...], tuple[int, ...], int] | None:
         """Spatial axes, extents and stride of the receptive-field window."""
@@ -354,6 +359,10 @@ class ResidualBlockSpec(LayerSpec):
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
         return value.flat + forms[1].evaluate()
 
+    def expansion_values(self, rt: RtLayer, sigma: str) -> tuple:
+        r = rt.residual
+        return r.w_1, r.b_1, r.w_2, r.b_2
+
     def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
         return getattr(rt.residual, _lora_target(rt, target, ("w_1", "w_2")))
 
@@ -495,6 +504,9 @@ class TransformerBlockSpec(_TokenSpec):
 
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
         return forms[0].input_vector + forms[1].evaluate()  # h + FFN(h)
+
+    def expansion_values(self, rt: RtLayer, sigma: str) -> tuple:
+        return transformer_block_values(rt.attn_params, rt.in_shape.extent("token"))
 
 
 _LAYER_KINDS: dict[str, type[LayerSpec]] = {
@@ -849,78 +861,25 @@ def verify_network(
 @dataclass
 class ExpandableNetwork:
     """A network mapped onto one of the expandable chain families, together
-    with the numeric binding of its primitive atoms.  The binding is built by
-    ``bind`` on first read and then kept: reading only the chain lowers no
+    with the numeric binding of the chain's primitive atoms, by atom name.
+    Each layer the chain covers gives its atoms (its entry of the chain's
+    ``block_atoms``) the values of its ``expansion_values``; the binding is
+    built on first read and then kept, so reading only the chain lowers no
     layer (conv and pooling layers are lowered as they are at that read).
-    Conv and pooling weights are bound as the maps ``W'^T`` of their window
-    patterns, and transformer FFN weights as row-wise maps; no dense matrix
-    is built for either."""
+    Conv and pooling weights are bound as the maps ``W'^T`` of their
+    window patterns, and transformer FFN weights as row-wise maps; no dense
+    matrix is built for either."""
 
     family: str  # "vgg" | "residual" | "transformer"
     chain: object
-    bind: Callable[[], dict[str, np.ndarray | LinearMap]]
+    layers: list[RtLayer]  # the layers the chain covers, in block_atoms order
+    sigma: str
     preprocessing: str | None = None  # e.g. patchify note for token models
 
     @cached_property
     def binding(self) -> dict[str, np.ndarray | LinearMap]:
-        return self.bind()
-
-
-def _conv_chain(net: MaterializedNetwork) -> ExpandableNetwork:
-    stages: list[ChainStage] = []
-    atoms: list[tuple[RtLayer, ParamAtom, ParamAtom | None]] = []  # per layer, to bind
-    pending: list[ParamAtom] = []  # pool atoms waiting to fold into the next stage
-    pool_idx = 0
-    for rt in net.layers:
-        if rt.spec.kind == "mean_pool":
-            p_atom = weight_atom(symbolic._name("P", symbolic._sub(pool_idx)))
-            pool_idx += 1
-            pending.insert(0, p_atom)
-            atoms.append((rt, p_atom, None))
-            continue
-        sub = symbolic._sub(len(stages))
-        w = weight_atom(symbolic._name("W", sub))
-        b = None if rt.conv_params.bias is None else bias_atom(symbolic._name("b", sub))
-        atoms.append((rt, w, b))
-        stages.append(ChainStage(weights=(w, *pending), bias=b))
-        pending = []
-
-    def bind() -> dict[str, np.ndarray | LinearMap]:
-        binding = {}
-        for rt, w, b in atoms:
-            (form,) = rt.spec.lower(rt, zeros(rt.in_shape), net.activation)
-            binding[w.name] = form.linear_map()
-            if b is not None:
-                binding[b.name] = form.bias
-        return binding
-
-    chain = dense_chain(stages, net.spec.input_shape.size, {})
-    return ExpandableNetwork(family="vgg", chain=chain, bind=bind)
-
-
-def _residual_chain(net: MaterializedNetwork) -> ExpandableNetwork:
-    hidden = len(net.layers[0].residual.b_1)
-    chain = build_residual_chain(len(net.layers), net.spec.input_shape.size, hidden)
-    weights = ((r.w_1, r.b_1, r.w_2, r.b_2) for r in (rt.residual for rt in net.layers))
-    pairs = [(a.name, v) for atoms, w in zip(chain.block_atoms, weights) for a, v in zip(atoms, w)]
-    return ExpandableNetwork(family="residual", chain=chain, bind=partial(dict, pairs))
-
-
-def _transformer_chain(net: MaterializedNetwork) -> ExpandableNetwork:
-    layers = net.layers
-    preprocessing = None
-    if layers[0].spec.kind == "patchify":
-        preprocessing = (
-            f"patchify {layers[0].spec.patch} reshapes the image into the token matrix"
-        )
-        layers = layers[1:]
-    shape, block = layers[0].in_shape, layers[0].spec
-    tokens, d = shape.extent("token"), shape.extent("feature")
-    chain = build_transformer_chain(len(layers), tokens, d, block.heads, block.hidden_dim)
-    bind = partial(chain.binding, [rt.attn_params for rt in layers])
-    return ExpandableNetwork(
-        family="transformer", chain=chain, bind=bind, preprocessing=preprocessing
-    )
+        values = (rt.spec.expansion_values(rt, self.sigma) for rt in self.layers)
+        return bind(self.chain.block_atoms, values)
 
 
 def expansion_family(net: NetworkSpec) -> tuple[str, int]:
@@ -960,8 +919,20 @@ def expansion_family(net: NetworkSpec) -> tuple[str, int]:
 def to_expandable(net: MaterializedNetwork) -> ExpandableNetwork:
     """The network on the chain of its ``expansion_family``, weights bound."""
     family, _ = expansion_family(net.spec)
-    build = {"vgg": _conv_chain, "residual": _residual_chain, "transformer": _transformer_chain}
-    return build[family](net)
+    layers, preprocessing, size = net.layers, None, net.spec.input_shape.size
+    if layers[0].spec.kind == "patchify":
+        preprocessing = f"patchify {layers[0].spec.patch} reshapes the image into the token matrix"
+        layers = layers[1:]
+    if family == "vgg":
+        pooling = [(rt.spec.kind == "mean_pool", getattr(rt.spec, "bias", False)) for rt in layers]
+        chain = dense_chain(pooling, size)
+    elif family == "residual":
+        chain = build_residual_chain(len(layers), size, len(layers[0].residual.b_1))
+    else:
+        shape, block = layers[0].in_shape, layers[0].spec
+        chain = build_transformer_chain(len(layers), shape.extent("token"),
+                                        shape.extent("feature"), block.heads, block.hidden_dim)
+    return ExpandableNetwork(family, chain, layers, net.activation, preprocessing)
 
 
 def _chain_vector(net: MaterializedNetwork, t: Tensor) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 A network built from lowered layers is an expression graph over: the input
 vector symbol, parameter atoms (weights and biases), linear application,
-addition, and an opaque elementwise activation ``sigma``.  Expanding a
-composition rewrites it into a canonical approximator form
+addition, and an opaque elementwise activation ``sigma``.  Every primitive
+the graph reads, the attention projections included, is a parameter atom,
+bound by its name: a binding maps atom names and the input symbol to
+values, and :func:`bind` builds one from each block's atoms and values.
+Expanding a composition rewrites it into a canonical approximator form
 
     G(x) = [L x] + sum_j outer_j sigma(inner_j x + bias_j) + [const]
 
@@ -39,10 +42,10 @@ of maps composes them, so each is applied to vectors and never densified.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -100,6 +103,13 @@ class Node:
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        # one line whatever the depth: a generated repr would print a shared
+        # node once per path to it
+        tag = getattr(self, "name", None) or getattr(self, "label", None)
+        tag = "" if tag is None else f"{tag!r}, "
+        return f"{type(self).__name__}({tag}children={len(self.children())})"
+
     def __eq__(self, other) -> bool:
         return self is other or (
             type(other) is type(self) and self._hash == other._hash
@@ -126,7 +136,7 @@ class Node:
         return Apply(_product(weights), self) if weights else self
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Input(Node):
     """The network input vector symbol."""
 
@@ -142,7 +152,7 @@ class Input(Node):
         return _render_name(self.name, fmt)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ParamAtom(Node):
     """A named parameter: primitive (bound directly) or merged (carrying the
     folding expression that defines it)."""
@@ -171,7 +181,7 @@ class ParamAtom(Node):
         return _render_name(self.name, fmt, mark if self.merged else None)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Apply(Node):
     """Linear application: weight value times the argument vector."""
 
@@ -209,7 +219,7 @@ class Apply(Node):
         return f"{w}({arg})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(Node):
     terms: tuple["VectorExpr", ...]
 
@@ -234,7 +244,7 @@ class Add(Node):
         return " + ".join(t.render(fmt) for t in self.terms)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Activate(Node):
     """Elementwise sigma; kept opaque, resolved only at evaluation time."""
 
@@ -257,7 +267,7 @@ class Activate(Node):
         return f"{_sigma_symbol(fmt)}({self.arg.render(fmt)})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class MatProduct(Node):
     factors: tuple["MatrixExpr", ...]
 
@@ -271,7 +281,7 @@ class MatProduct(Node):
         return "".join(f.render(fmt) for f in self.factors)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class IdentityMat(Node):
     dim: int
 
@@ -282,7 +292,7 @@ class IdentityMat(Node):
         return _render_name("I", fmt)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class AttnMatrix(Node):
     """The attention effective matrix of one block, as a matrix-valued node.
 
@@ -290,24 +300,24 @@ class AttnMatrix(Node):
     token matrix, and freezes the softmax probabilities there; the value is
     the attention map at that input, held as its per-head factors.  The node
     is therefore input-dependent whenever ``arg`` reaches the input symbol.
+    Its four projections are primitive atoms, bound by name like any other.
     """
 
     label: str  # display label, e.g. "A_{i+1}"
     arg_label: str  # short display for the block input, e.g. "x'_{i+1}"
-    proj_keys: tuple[str, str, str, str]  # binding keys of W_Q, W_K, W_V, W_O
+    projections: tuple[ParamAtom, ParamAtom, ParamAtom, ParamAtom]  # W_Q, W_K, W_V, W_O
     heads: int
     tokens: int
     model_dim: int
     arg: "VectorExpr"
 
     def children(self) -> tuple[Node, ...]:
-        return (self.arg,)
+        return (*self.projections, self.arg)
 
     def value(self, ev: _Evaluation) -> LinearMap:
         x = ev(self.arg).reshape(self.tokens, self.model_dim)
-        projections = [ev.lookup(key) for key in self.proj_keys]
         # called through the module global, so a wrapper installed on it sees every call
-        return effective_matrix_from_projections(x, *projections, self.heads)
+        return effective_matrix_from_projections(x, *map(ev, self.projections), self.heads)
 
     def render(self, fmt: str) -> str:
         return f"{_render_name(self.label, fmt)}({_render_name(self.arg_label, fmt)})"
@@ -361,6 +371,17 @@ def is_identity(atom: ParamAtom | None) -> bool:
 # ---------------------------------------------------------------------------
 
 Binding = Mapping[str, "np.ndarray | LinearMap"]
+
+
+def bind(block_atoms: Iterable[Sequence[ParamAtom]],
+         block_values: Iterable[Sequence]) -> dict[str, np.ndarray | LinearMap]:
+    """The binding that gives each block's atoms, by name, the block's values,
+    one value per atom and in the atoms' order."""
+    return {
+        atom.name: value
+        for atoms, values in zip(block_atoms, block_values, strict=True)
+        for atom, value in zip(atoms, values, strict=True)
+    }
 
 
 class _Evaluation:
@@ -580,15 +601,6 @@ def _name(base: str, sub: str, prime: bool = True) -> str:
     return f"{base}{tick}_{{{sub}}}"
 
 
-@dataclass(frozen=True)
-class ChainStage:
-    """One sigma stage of a feed-forward chain: the weights (leftmost applied
-    last) multiply the stage input, then bias, then sigma."""
-
-    weights: tuple[ParamAtom, ...]
-    bias: ParamAtom | None
-
-
 class _PrimitiveChain:
     """A chain over an ``input_dim`` input whose parameters are all primitive
     atoms (``param_shapes``)."""
@@ -605,47 +617,48 @@ class DenseChain(_PrimitiveChain):
     """Feed-forward chain sigma(W_k ... sigma(W_0 x + b_0) ... + b_k)."""
 
     input_dim: int
-    stages: tuple[ChainStage, ...]
     expression: VectorExpr
     canonical: CanonicalUAT
-    param_shapes: dict[str, tuple[int, ...]]
-
-    @property
-    def depth(self) -> int:
-        return len(self.stages)
+    block_atoms: tuple[tuple[ParamAtom, ...], ...]  # per layer: (P,), (W,) or (W, b)
+    param_shapes: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
 
-def dense_chain(stages: Sequence[ChainStage], input_dim: int,
-                param_shapes: Mapping[str, tuple[int, ...]]) -> DenseChain:
-    """Assemble a feed-forward chain from prepared stages.
-
-    Used directly by the network bridge (where stages may carry extra fixed
-    linear factors, e.g. a pooling matrix folded into the next stage).
-    """
-    if not stages:
-        raise SpecError("chain depth must be >= 1")
+def dense_chain(layers: Sequence[tuple[bool, bool]], input_dim: int) -> DenseChain:
+    """A feed-forward chain over an ``input_dim`` input, one (pooling, has
+    bias) pair per layer.  A stage multiplies by its weight W, adds its bias
+    b if it has one, then applies sigma; a pooling layer's fixed matrix P
+    folds into the next stage's merged weight."""
     expr: VectorExpr = Input()
     terms: list[SigmaTerm] = []
-    for st in stages:
-        inner_expr: VectorExpr = expr
-        for w in reversed(st.weights):
-            inner_expr = Apply(w, inner_expr)
-        pre = Add((inner_expr, st.bias)) if st.bias is not None else inner_expr
-        expr = Activate(pre)
-        terms.append(SigmaTerm(None, _wrap_weight(st.weights, st.weights[0].name), st.bias))
+    block_atoms: list[tuple[ParamAtom, ...]] = []
+    pools: list[ParamAtom] = []  # the pooling matrices since the last stage, last first
+    n_pools = 0
+    for pooling, has_bias in layers:
+        if pooling:
+            pools.insert(0, weight_atom(_name("P", _sub(n_pools))))
+            n_pools += 1
+            block_atoms.append((pools[0],))
+            continue
+        sub = _sub(len(terms))
+        w = weight_atom(_name("W", sub))
+        b = bias_atom(_name("b", sub)) if has_bias else None
+        weights = (w, *pools)
+        pre: VectorExpr = expr
+        for m in reversed(weights):
+            pre = Apply(m, pre)
+        expr = Activate(pre if b is None else Add((pre, b)))
+        terms.append(SigmaTerm(None, _wrap_weight(weights, w.name), b))
+        block_atoms.append((w,) if b is None else (w, b))
+        pools = []
+    if not terms:
+        raise SpecError("chain depth must be >= 1")
     canonical = CanonicalUAT(
         linear_term=None,
         sigma_terms=tuple(terms),
         constant_term=None,
         structure="chain",
     )
-    return DenseChain(
-        input_dim=input_dim,
-        stages=tuple(stages),
-        expression=expr,
-        canonical=canonical,
-        param_shapes=dict(param_shapes),
-    )
+    return DenseChain(input_dim, expr, canonical, tuple(block_atoms))
 
 
 def build_vgg_chain(dims: Sequence[int]) -> DenseChain:
@@ -656,15 +669,10 @@ def build_vgg_chain(dims: Sequence[int]) -> DenseChain:
         raise SpecError("chain depth must be >= 1 (need at least two dims)")
     if any(d < 1 for d in dims):
         raise ShapeError(f"dims must be positive, got {dims}")
-    stages = []
-    shapes: dict[str, tuple[int, ...]] = {}
-    for k in range(len(dims) - 1):
-        w = weight_atom(_name("W", _sub(k)))
-        b = bias_atom(_name("b", _sub(k)))
-        shapes[w.name] = (dims[k + 1], dims[k])
-        shapes[b.name] = (dims[k + 1],)
-        stages.append(ChainStage(weights=(w,), bias=b))
-    return dense_chain(stages, dims[0], shapes)
+    chain = dense_chain([(False, True)] * (len(dims) - 1), dims[0])
+    for (w, b), n_in, n_out in zip(chain.block_atoms, dims, dims[1:]):
+        chain.param_shapes[w.name], chain.param_shapes[b.name] = (n_out, n_in), (n_out,)
+    return chain
 
 
 @dataclass
@@ -777,9 +785,7 @@ class TransformerChain:
     ffn_dim: int
     expression: VectorExpr
     canonical: CanonicalUAT
-    proj_keys: tuple[tuple[str, str, str, str], ...]  # per block Q/K/V/O env keys
-    raw_keys: tuple[tuple[str, str, str, str], ...]  # per block raw FFN env keys
-    ffn_atoms: tuple[tuple[ParamAtom, ParamAtom, ParamAtom, ParamAtom], ...]
+    block_atoms: tuple[tuple[ParamAtom, ...], ...]  # per block: W_Q, W_K, W_V, W_O, W2, W3, b2, b3
 
     @property
     def flat_dim(self) -> int:
@@ -789,44 +795,17 @@ class TransformerChain:
         x = rng.normal(size=self.flat_dim)  # the input is drawn first
         blocks = [random_attn_params(self.model_dim, self.heads, self.ffn_dim, rng)
                   for _ in range(self.depth)]
-        return self.binding(blocks, x)
+        values = (transformer_block_values(p, self.tokens) for p in blocks)
+        return {INPUT_NAME: x, **bind(self.block_atoms, values)}
 
-    def binding(
-        self, blocks: Sequence[AttnParams], x: np.ndarray | None = None
-    ) -> dict[str, np.ndarray | LinearMap]:
-        """Bind each block's AttnParams (and the input ``x``, if given); the
-        row-wise FFN weights are bound as maps over the flattened tokens."""
-        env: dict[str, np.ndarray | LinearMap] = {} if x is None else {INPUT_NAME: x}
-        for k, p in enumerate(blocks):
-            q_key, k_key, v_key, o_key = self.proj_keys[k]
-            env[q_key], env[k_key] = p.w_q, p.w_k
-            env[v_key], env[o_key] = p.w_v, p.w_o
-            w2_key, w3_key, b2_key, b3_key = self.raw_keys[k]
-            env[w2_key], env[w3_key] = p.w_2, p.w_3
-            env[b2_key], env[b3_key] = p.b_2, p.b_3
-            w2a, w3a, b2a, b3a = self.ffn_atoms[k]
-            env[w2a.name] = tokenwise_map(p.w_2, self.tokens)
-            env[w3a.name] = tokenwise_map(p.w_3, self.tokens)
-            env[b2a.name] = np.tile(p.b_2, self.tokens)
-            env[b3a.name] = np.tile(p.b_3, self.tokens)
-        return env
 
-    def block_params(self, env: Binding, k: int) -> AttnParams:
-        """Reassemble the k-th block's attention/FFN parameters from a binding."""
-        q_key, k_key, v_key, o_key = self.proj_keys[k]
-        w2_key, w3_key, b2_key, b3_key = self.raw_keys[k]
-        return AttnParams(
-            model_dim=self.model_dim,
-            heads=self.heads,
-            w_q=env[q_key],
-            w_k=env[k_key],
-            w_v=env[v_key],
-            w_o=env[o_key],
-            w_2=env[w2_key],
-            w_3=env[w3_key],
-            b_2=env[b2_key],
-            b_3=env[b3_key],
-        )
+def transformer_block_values(p: AttnParams, tokens: int) -> tuple:
+    """A transformer block's values in its ``block_atoms`` order: the
+    projections as given, the row-wise FFN weights as maps over the
+    flattened tokens, and the FFN biases tiled over the tokens."""
+    return (p.w_q, p.w_k, p.w_v, p.w_o,
+            tokenwise_map(p.w_2, tokens), tokenwise_map(p.w_3, tokens),
+            np.tile(p.b_2, tokens), np.tile(p.b_3, tokens))
 
 
 def build_transformer_chain(
@@ -841,9 +820,7 @@ def build_transformer_chain(
         raise ShapeError(f"head count {heads} must divide model dim {model_dim}")
 
     expr: VectorExpr = Input()
-    proj_keys = []
-    raw_keys = []
-    ffn_atoms = []
+    block_atoms = []
 
     linear_factors: tuple = ()  # the attention matrices so far, last block first
     carried: list[VectorExpr] = []  # the earlier sigma terms as this block's input holds them
@@ -852,17 +829,14 @@ def build_transformer_chain(
 
     for k in range(depth):
         sub = _sub(k)
-        keys = (f"W_Q[{sub}]", f"W_K[{sub}]", f"W_V[{sub}]", f"W_O[{sub}]")
-        proj_keys.append(keys)
-        raw_keys.append((f"w2[{sub}]", f"w3[{sub}]", f"b2[{sub}]", f"b3[{sub}]"))
-
+        projections = tuple(weight_atom(_name("W", f"{sub},{r}", prime=False)) for r in "QKVO")
         attn = merged_atom(
             _name("W", f"{sub},1"),
             "weight",
             AttnMatrix(
                 label=_name("A", sub, prime=False),
                 arg_label=_name("x", sub),
-                proj_keys=keys,
+                projections=projections,
                 heads=heads,
                 tokens=tokens,
                 model_dim=model_dim,
@@ -873,7 +847,7 @@ def build_transformer_chain(
         w3 = weight_atom(_name("W", f"{sub},3"))
         b2 = bias_atom(_name("b", f"{sub},2"))
         b3 = bias_atom(_name("b", f"{sub},3"))
-        ffn_atoms.append((w2, w3, b2, b3))
+        block_atoms.append((*projections, w2, w3, b2, b3))
 
         # composed expression: h = A v; h + W3 sigma(W2 h + b2) + b3
         h = Apply(attn, expr)
@@ -906,7 +880,7 @@ def build_transformer_chain(
         terms.append(SigmaTerm(outer=outer, inner=inner, bias=bias))
 
     if depth == 1:
-        constant = ffn_atoms[0][3]
+        constant = b3
     else:
         constant = merged_atom(_name("b", f"{_sub(depth - 2)},1"), "bias", const_expr)
 
@@ -923,7 +897,5 @@ def build_transformer_chain(
         ffn_dim=ffn_dim,
         expression=expr,
         canonical=canonical,
-        proj_keys=tuple(proj_keys),
-        raw_keys=tuple(raw_keys),
-        ffn_atoms=tuple(ffn_atoms),
+        block_atoms=tuple(block_atoms),
     )

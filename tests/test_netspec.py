@@ -24,7 +24,8 @@ from uatcv.netspec import (
     to_expandable,
     verify_network,
 )
-from uatcv.tensor import SplitMix64, TensorShape
+from uatcv.reference import ACTIVATIONS
+from uatcv.tensor import AXIS_NAMES, SplitMix64, TensorShape
 
 MINIMAL = """
 {"input_shape": [["C_I", 1], ["H", 2], ["W", 2]],
@@ -627,6 +628,93 @@ def test_claim_check_at_vit_b16_size(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[validation]: layer 1 (transformer_block): ")
     assert "index grid of shape (196, 768, 3072)" in err
+
+
+@st.composite
+def _expandable_descriptions(draw):
+    """A small description of an expandable family: a conv stack with
+    pooling, bias, stride and padding; residual blocks over a 1- to 4-D
+    input; or transformer blocks of random heads and hidden width, behind an
+    optional patchify."""
+    family = draw(st.sampled_from(["vgg", "residual", "transformer"]))
+    layers = []
+    if family == "vgg":
+        extents = [draw(st.integers(2, 7)), draw(st.integers(2, 7))]
+        input_shape = [["C_I", draw(st.integers(1, 2))], ["H", extents[0]], ["W", extents[1]]]
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                window = [draw(st.integers(1, min(2, n))) for n in extents]
+                stride = draw(st.integers(1, 2))
+                extents = [(n - k) // stride + 1 for n, k in zip(extents, window)]
+                layers.append({"kind": "mean_pool", "window": window, "stride": stride})
+            padding, stride = draw(st.integers(0, 1)), draw(st.integers(1, 2))
+            kernel = [draw(st.integers(1, min(3, n + 2 * padding))) for n in extents]
+            extents = [(n + 2 * padding - k) // stride + 1 for n, k in zip(extents, kernel)]
+            layers.append({"kind": "conv2d", "out_channels": draw(st.integers(1, 3)),
+                           "kernel": kernel, "stride": stride, "padding": padding,
+                           "bias": draw(st.booleans())})
+    elif family == "residual":
+        axes = draw(st.permutations(AXIS_NAMES))[:draw(st.integers(1, 4))]
+        input_shape = [[a, draw(st.integers(1, 3))] for a in axes]
+        hidden = draw(st.sampled_from([None, 1, 3, 5]))
+        layers = [{"kind": "residual_block", "hidden_dim": hidden}] * draw(st.integers(1, 4))
+    else:
+        if draw(st.booleans()):
+            patch = [draw(st.integers(1, 2)), draw(st.integers(1, 2))]
+            channels = draw(st.integers(1, 2))
+            input_shape = [["H", patch[0] * draw(st.integers(1, 3))],
+                           ["W", patch[1] * draw(st.integers(1, 2))], ["C_I", channels]]
+            layers.append({"kind": "patchify", "patch": patch})
+            d = patch[0] * patch[1] * channels
+        else:
+            d = draw(st.integers(1, 6))
+            input_shape = [["token", draw(st.integers(1, 4))], ["feature", d]]
+        heads = draw(st.sampled_from([h for h in range(1, d + 1) if d % h == 0]))
+        block = {"kind": "transformer_block", "heads": heads,
+                 "hidden_dim": draw(st.integers(1, 6))}
+        layers += [block] * draw(st.integers(1, 3))
+    return json.dumps({"input_shape": input_shape, "seed": draw(st.integers(0, 999)),
+                       "activation": draw(st.sampled_from(sorted(ACTIVATIONS))),
+                       "layers": layers})
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=_expandable_descriptions())
+def test_expanded_form_matches_forward(text):
+    from uatcv.netspec import expandable_output
+
+    net = materialize(parse_spec_text(text))
+    x = random_input(net.spec, net.spec.seed + 1)
+    want = expandable_output(net, forward(net, x)[-1])
+    assert np.max(np.abs(_claim(net, x) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+CONV_POOL_CONV = json.dumps({
+    "input_shape": [["C_I", 2], ["H", 6], ["W", 6]], "seed": 4, "activation": "relu",
+    "layers": [{"kind": "conv2d", "out_channels": 2, "kernel": [3, 3], "bias": True},
+               {"kind": "mean_pool", "window": [2, 2], "stride": 2},
+               {"kind": "conv2d", "out_channels": 1, "kernel": [2, 2]}],
+})
+
+
+@pytest.mark.parametrize("name", ["vgg3", "resblock2", "vit1", "conv_pool_conv"])
+def test_binding_holds_exactly_the_primitive_atoms_the_form_reads(specs_dir, name):
+    from uatcv.symbolic import ParamAtom
+
+    if name == "conv_pool_conv":
+        net = materialize(parse_spec_text(CONV_POOL_CONV))
+    else:
+        net = materialize(parse_spec(specs_dir / f"{name}.json"))
+    exp = to_expandable(net)
+    read, seen, todo = set(), set(), [exp.chain.canonical.expression]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo.extend(node.children())
+            if isinstance(node, ParamAtom) and not node.merged:
+                read.add(node.name)
+    assert set(exp.binding) == read
 
 
 # hand-built descriptions at the edges of the expandable families: (input shape, layers)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from uatcv.reference import (
     attention_probabilities_raw,
     ffn_direct,
     mha_direct,
+    random_attn_params,
     transformer_block_direct,
 )
 from uatcv.symbolic import (
     INPUT_NAME,
     Dependence,
     atom_value,
+    bind,
     build_residual_block,
     build_residual_chain,
     build_transformer_chain,
@@ -25,6 +28,7 @@ from uatcv.symbolic import (
     emit,
     eval_canonical,
     eval_vector,
+    transformer_block_values,
 )
 
 SIGMAS = tuple(ACTIVATIONS)
@@ -187,10 +191,19 @@ def test_residual_depth3_matches_sequential():
 # ---------------------------------------------------------------------------
 
 
-def _sequential_transformer(env, chain, sigma):
+def _transformer_binding(chain, rng, **replaced):
+    """A binding of ``chain`` drawn as ``random_binding`` draws it, with every
+    block's ``replaced`` fields set, and the blocks' raw parameters."""
+    x = rng.normal(size=chain.flat_dim)
+    blocks = [replace(random_attn_params(chain.model_dim, chain.heads, chain.ffn_dim, rng),
+                      **replaced) for _ in range(chain.depth)]
+    env = bind(chain.block_atoms, [transformer_block_values(p, chain.tokens) for p in blocks])
+    return {INPUT_NAME: x, **env}, blocks
+
+
+def _sequential_transformer(env, blocks, chain, sigma):
     x = env[INPUT_NAME].reshape(chain.tokens, chain.model_dim)
-    for k in range(chain.depth):
-        p = chain.block_params(env, k)
+    for p in blocks:
         h = mha_direct(x, p)
         x = h + ffn_direct(h, p, sigma)
     return x.reshape(-1)
@@ -214,9 +227,9 @@ def test_transformer_depth2_canonical_matches_sequential():
     chain = build_transformer_chain(2, tokens=3, model_dim=4, heads=2, ffn_dim=5)
     for sigma in SIGMAS:
         for _ in range(8):
-            env = chain.random_binding(rng)
+            env, blocks = _transformer_binding(chain, rng)
             got = eval_canonical(chain.canonical, env, sigma)
-            want = _sequential_transformer(env, chain, sigma)
+            want = _sequential_transformer(env, blocks, chain, sigma)
             assert np.max(np.abs(got - want)) <= 1e-8
 
 
@@ -224,9 +237,9 @@ def test_transformer_depth3_canonical_matches_sequential():
     rng = np.random.default_rng(5)
     chain = build_transformer_chain(3, tokens=2, model_dim=4, heads=2, ffn_dim=3)
     for sigma in SIGMAS:
-        env = chain.random_binding(rng)
+        env, blocks = _transformer_binding(chain, rng)
         got = eval_canonical(chain.canonical, env, sigma)
-        want = _sequential_transformer(env, chain, sigma)
+        want = _sequential_transformer(env, blocks, chain, sigma)
         assert np.max(np.abs(got - want)) <= 1e-8
 
 
@@ -242,21 +255,19 @@ def test_transformer_expression_matches_canonical():
 def test_transformer_zero_query_key_gives_uniform_attention():
     rng = np.random.default_rng(7)
     chain = build_transformer_chain(1, tokens=4, model_dim=4, heads=2, ffn_dim=5)
-    env = chain.random_binding(rng)
-    q_key, k_key, _, _ = chain.proj_keys[0]
-    env[q_key] = np.zeros_like(env[q_key])
-    env[k_key] = np.zeros_like(env[k_key])
+    zero = np.zeros((4, 4))
+    env, blocks = _transformer_binding(chain, rng, w_q=zero, w_k=zero)
     x = env[INPUT_NAME].reshape(4, 4)
-    for a in attention_probabilities_raw(x, env[q_key], env[k_key], 2):
+    for a in attention_probabilities_raw(x, blocks[0].w_q, blocks[0].w_k, 2):
         assert np.max(np.abs(a - 0.25)) < 1e-12
     got = eval_canonical(chain.canonical, env, "relu")
-    want = _sequential_transformer(env, chain, "relu")
+    want = _sequential_transformer(env, blocks, chain, "relu")
     assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def test_atom_value_of_merged_weights_is_a_dense_array():
     chain = build_transformer_chain(2, tokens=3, model_dim=4, heads=2, ffn_dim=5)
-    env = chain.random_binding(np.random.default_rng(11))
+    env, (p0, p1) = _transformer_binding(chain, np.random.default_rng(11))
     merged = [a for _, a in chain.canonical.slots() if a.kind == "weight" and a.merged]
     assert merged
     for atom in merged:
@@ -264,7 +275,6 @@ def test_atom_value_of_merged_weights_is_a_dense_array():
         assert isinstance(value, np.ndarray) and value.ndim == 2, atom.display
     # the linear term A_{i+1} A_i: the two blocks' effective matrices at their inputs
     x0 = env[INPUT_NAME].reshape(3, 4)
-    p0, p1 = chain.block_params(env, 0), chain.block_params(env, 1)
     x1 = transformer_block_direct(x0, p0, "relu")
     want = extract_mha_effective_matrix(x1, p1) @ extract_mha_effective_matrix(x0, p0)
     got = atom_value(chain.canonical.linear_term, env, "relu")
@@ -458,8 +468,6 @@ def test_residual_evaluation_reads_binding_linearly():
 def test_canonical_terms_are_the_builders_nodes(monkeypatch):
     # the form's term nodes are the objects the merged-bias provenance holds,
     # so the evaluator's memo matches them by identity, not by deep equality
-    from dataclasses import replace
-
     from uatcv.symbolic import Add, Input, Node
 
     chain = build_residual_chain(16, 8, 6)
@@ -526,6 +534,18 @@ def test_canonical_form_size_is_bounded(build, bound):
     # each merged bias holds the state the chain carried, not its expansion
     nodes = _distinct_nodes(build().canonical.expression)
     assert nodes <= bound
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_residual_chain(12, 2, 2).canonical.sigma_terms[-1].bias,
+    lambda: build_transformer_chain(3, 2, 4, 2, 3).canonical.sigma_terms[-1].bias,
+], ids=["residual", "transformer"])
+def test_merged_atom_repr_is_bounded(build):
+    # a repr that prints a shared node once per path to it doubles with every
+    # block, and a failing assert would spend memory on the message
+    atom = build()
+    assert atom.merged
+    assert len(repr(atom)) < 500
 
 
 @pytest.mark.parametrize("build", [
