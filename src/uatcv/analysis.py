@@ -21,6 +21,7 @@ from .netspec import (
     expansion_family,
     forward,
     infer_shapes,
+    lower_layer,
 )
 from .tensor import Tensor, zeros
 
@@ -153,18 +154,16 @@ def apply_lora(net: MaterializedNetwork, delta: LoraDelta) -> MaterializedNetwor
     return new
 
 
-def _conv_wvalues(rt: RtLayer, sigma: str) -> np.ndarray:
+def _conv_wvalues(rt: RtLayer) -> np.ndarray:
     """The kernel elements that occupy a cell of a conv layer's W' at its
     input shape, one row per channel pair (W' does not depend on the input
     values, and which elements it places only on the shapes)."""
-    (form,) = rt.spec.lower(rt, zeros(rt.in_shape), sigma)
+    (form,) = lower_layer(rt, zeros(rt.in_shape))
     placed = form.weight_index_map.offset_counts > 0
     return form.weights.reshape(*form.weights.shape[:2], -1)[..., placed]
 
 
-def lora_equivalence_check(
-    net: MaterializedNetwork, delta: LoraDelta, x: Tensor, sigma: str | None = None
-) -> dict:
+def lora_equivalence_check(net: MaterializedNetwork, delta: LoraDelta, x: Tensor) -> dict:
     """Verify the low-rank update behaves linearly through the lowering.
 
     Checks (for conv targets) that lowering the patched kernel equals the
@@ -174,28 +173,27 @@ def lora_equivalence_check(
     form of a layer places the same elements in the same cells, so comparing
     the elements compares the W'.
     """
-    sigma = net.activation if sigma is None else sigma
     patched = apply_lora(net, delta)
     report: dict = {"layer": delta.layer, "target": delta.target, "rank": delta.rank}
 
     rt = net.layers[delta.layer]
     if rt.conv_weights is not None:
-        base = _conv_wvalues(rt, sigma)
-        patched_values = _conv_wvalues(patched.layers[delta.layer], sigma)
+        base = _conv_wvalues(rt)
+        patched_values = _conv_wvalues(patched.layers[delta.layer])
         delta_rt = copy.deepcopy(rt)
         rt.spec.set_lora_matrix(delta_rt, delta.target, delta.update())
-        lin = np.max(np.abs(patched_values - (base + _conv_wvalues(delta_rt, sigma))), initial=0.0)
+        lin = np.max(np.abs(patched_values - (base + _conv_wvalues(delta_rt))), initial=0.0)
         report["lowering_linearity_max_abs"] = float(lin)
 
     untouched = []
     for i, (a, b) in enumerate(zip(net.layers, patched.layers)):
         if i == delta.layer or a.conv_weights is None:
             continue
-        untouched.append(bool(np.array_equal(_conv_wvalues(a, sigma), _conv_wvalues(b, sigma))))
+        untouched.append(bool(np.array_equal(_conv_wvalues(a), _conv_wvalues(b))))
     report["untouched_layers_identical"] = all(untouched) if untouched else True
 
-    out_base = forward(net, x, sigma)[-1].flat
-    out_patched = forward(patched, x, sigma)[-1].flat
+    out_base = forward(net, x)[-1].flat
+    out_patched = forward(patched, x)[-1].flat
     report["output_max_abs_change"] = float(np.max(np.abs(out_patched - out_base)))
     return report
 
@@ -273,19 +271,13 @@ def prune(net: MaterializedNetwork, mask: PruneMask) -> MaterializedNetwork:
     return new
 
 
-def prune_impact(
-    net: MaterializedNetwork,
-    mask: PruneMask,
-    inputs: list[Tensor],
-    sigma: str | None = None,
-) -> dict:
+def prune_impact(net: MaterializedNetwork, mask: PruneMask, inputs: list[Tensor]) -> dict:
     """Output deviation between the original and pruned networks.
 
     When the channel change survives to the network output (no downstream
     conv re-mixes), the comparison restricts the original output to the
     surviving channels.
     """
-    sigma = net.activation if sigma is None else sigma
     channels = resolve_mask(net, mask)
     pruned = prune(net, mask)
     n_out = net.layers[mask.layer].conv_params.out_channels
@@ -293,8 +285,8 @@ def prune_impact(
 
     devs = []
     for x in inputs:
-        a = forward(net, x, sigma)[-1]
-        b = forward(pruned, x, sigma)[-1]
+        a = forward(net, x)[-1]
+        b = forward(pruned, x)[-1]
         if a.shape == b.shape:
             devs.append(float(np.max(np.abs(a.data - b.data))))
         else:

@@ -15,12 +15,15 @@ overrides the description's seed, ``--cap`` the element cap for this call
 Exit codes: 0 success; 2 parse/validation error, including a weight
 array over the element cap, a UATCV_CAP that is not a positive integer, a
 ``--tol`` that is negative or not finite, a ``--lora-rank`` above the
-smaller side of the target matrix, a ``--prune-channels`` that lists no
+smaller side of the target matrix, a ``--lora-target`` on a conv layer
+(whose one target is its kernel), a ``--prune-channels`` that lists no
 channel, a prune whose channel change a downstream layer cannot absorb, a
 layer whose values overflow to non-finite entries (the message names the
-layer), and an ``--out`` path (or its ``.tex`` sidecar) that cannot be
-written; 3 verification failure; 4 internal invariant breach.  Errors
-print one line to stderr: ``error[<code>]: <message>``.
+layer), a ``report --format latex`` whose ``--out`` ends in ``.tex`` (its
+sidecar would overwrite it; nothing is written), and an ``--out`` path (or
+its ``.tex`` sidecar) that cannot be written; 3 verification failure; 4
+internal invariant breach.  Errors print one line to stderr:
+``error[<code>]: <message>``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from .analysis import LoraDelta, PruneMask, prune
 from .errors import (
     ParseError, RangeError, SpecError, UatcvError, ValidationError, VerificationError,
 )
-from .netspec import draw_weights, materialize, parse_spec, to_expandable, verify_network
+from .netspec import (
+    MaterializedNetwork, draw_weights, materialize, parse_spec, to_expandable, verify_network,
+)
 from .report import analysis_section, build_report, layer_section, report_json, report_latex
 from .symbolic import classify_params, emit
 from .tensor import SplitMix64, element_cap, set_element_cap
@@ -81,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=8, help="impact-sample inputs")
     p.add_argument("--lora-layer", type=int, default=None)
     p.add_argument("--lora-rank", type=int, default=None, help="default 1")
-    p.add_argument("--lora-target", default=None, help="default w_2")
+    p.add_argument("--lora-target", default=None, help="default w_2; none on conv layers")
     p.add_argument("--prune-layer", type=int, default=None)
     p.add_argument("--prune-channels", default=None, help="comma-separated indices")
     p.add_argument("--prune-threshold", type=float, default=None)
@@ -96,19 +101,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load(args) -> "tuple":
+def _load(args) -> MaterializedNetwork:
     spec = parse_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    return spec, materialize(spec)
+    return materialize(spec)
 
 
-def _random_lora(net, layer: int, rank: int, target: str) -> LoraDelta:
+def _random_lora(net, layer: int, rank: int, target: str | None) -> LoraDelta:
     if not 0 <= layer < len(net.layers):
         raise ValidationError(f"no layer {layer} in a {len(net.layers)}-layer network")
     if rank < 1:
         raise ValidationError(f"--lora-rank must be >= 1, got {rank}")
     rt = net.layers[layer]
+    if rt.conv_weights is not None and target is not None:
+        raise ValidationError(
+            f"layer {layer} ({rt.spec.kind}) takes no --lora-target: its one target is the kernel"
+        )
+    target = "w_2" if target is None else target
     m, n = rt.spec.lora_matrix(rt, target).shape
     if rank > min(m, n):
         raise ValidationError(f"--lora-rank {rank} exceeds min(target dims) = {min(m, n)}")
@@ -144,8 +154,8 @@ def _write(path: Path, text: str) -> None:
 
 
 def _cmd_lower(args) -> int:
-    _, net = _load(args)
-    doc = {"layers": layer_section(net, net.activation)}
+    net = _load(args)
+    doc = {"layers": layer_section(net)}
     text = report_json(doc)
     if args.out:
         _write(args.out, text)
@@ -155,7 +165,7 @@ def _cmd_lower(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _, net = _load(args)
+    net = _load(args)
     result = verify_network(net, trials=args.trials, tol=args.tol)
     for i, diff in enumerate(result["per_layer_max_abs_diff"]):
         status = "ok" if diff <= args.tol else "FAIL"
@@ -172,7 +182,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    _, net = _load(args)
+    net = _load(args)
     exp = to_expandable(net)
     if exp.preprocessing:
         print(f"% {exp.preprocessing}" if args.format == "latex" else f"# {exp.preprocessing}")
@@ -181,7 +191,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _, net = _load(args)
+    net = _load(args)
     exp = to_expandable(net)
     rows = classify_params(exp.chain.canonical)
     width = max(len(r.display) for r in rows)
@@ -196,12 +206,11 @@ def _cmd_analyze(args) -> int:
         raise ValidationError("--lora-rank and --lora-target need --lora-layer")
     if args.prune_layer is None and (args.prune_channels, args.prune_threshold) != (None, None):
         raise ValidationError("--prune-channels and --prune-threshold need --prune-layer")
-    _, net = _load(args)
+    net = _load(args)
     lora = None
     if args.lora_layer is not None:
         rank = 1 if args.lora_rank is None else args.lora_rank
-        target = "w_2" if args.lora_target is None else args.lora_target
-        lora = _random_lora(net, args.lora_layer, rank, target)
+        lora = _random_lora(net, args.lora_layer, rank, args.lora_target)
     mask = None
     if args.prune_layer is not None:
         mask = _prune_mask(net, args.prune_layer, args.prune_channels, args.prune_threshold)
@@ -211,7 +220,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _, net = _load(args)
+    if args.out and args.format == "latex" and args.out.suffix == ".tex":
+        raise ValidationError(f"--out {args.out} is the path of its own .tex sidecar")
+    net = _load(args)
     doc = build_report(net, trials=args.trials, tol=args.tol)
     text = report_json(doc)
     if args.out:

@@ -453,7 +453,7 @@ def _ffn_stage(
     )
 
 
-def lower_ffn(x: np.ndarray, p: AttnParams, sigma: str = "relu") -> tuple[LoweredForm, LoweredForm]:
+def lower_ffn(x: np.ndarray, p: AttnParams, sigma: str) -> tuple[LoweredForm, LoweredForm]:
     """Row-wise FFN as two matrix stages over the flattened token matrix.
 
     Stage one maps x' to the hidden pre-activation, stage two maps the

@@ -111,20 +111,23 @@ from .symbolic import (
 class LayerSpec:
     """Base of the layer kinds; each kind's class holds all of its rules:
     ``validate``, ``infer`` (output shape), ``draw`` (RtLayer weight fields,
-    each array from ``draw(*shape)``), ``apply`` (direct computation),
-    ``stages`` (matrix-vector stages at a value, returned by ``lower``),
-    ``check`` (by default ``lowered_output``, the stages' output, against
-    ``apply``) and ``expansion_values`` (the values its atoms take in the
-    expanded form).  Defaults here serve the kinds that lack a part or
-    refuse an analysis."""
+    each array from ``draw(*shape)``), and the rules on a materialized layer
+    ``rt`` at a stage value, each ``(rt, value)`` and reading the network's
+    activation from ``rt.activation``: ``apply`` (direct computation),
+    ``stages`` (matrix-vector stages) and ``check`` (by default
+    ``lowered_output``, the stages' output, against ``apply``).  Callers run
+    those three through :func:`apply_layer`, :func:`lower_layer` and
+    :func:`check_layer`.  ``expansion_values(rt)`` gives the values its atoms
+    take in the expanded form.  Defaults here serve the kinds that lack a
+    part or refuse an analysis."""
 
     kind: ClassVar[str]
     note: ClassVar[str] = ""  # the report's note on what the check compares
 
-    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
+    def check(self, rt: RtLayer, value: Tensor) -> LayerCheck:
         """The lowered output at ``value`` against the direct one, ``apply``."""
-        forms = self.lower(rt, value, sigma)
-        out = self.apply(rt, value, sigma)
+        forms = self.stages(rt, value)
+        out = self.apply(rt, value)
         diff = np.max(np.abs(self.lowered_output(rt, value, forms) - out.flat))
         return LayerCheck(rt.index, self.kind, float(diff), forms, out, self.note)
 
@@ -134,22 +137,14 @@ class LayerSpec:
     def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
         return {}
 
-    def lower(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
-        """The layer's stages at ``value``; a lowering whose index grid is over
-        the element cap is a ValidationError naming the layer."""
-        try:
-            return self.stages(rt, value, sigma)
-        except CapacityError as exc:
-            raise ValidationError(f"layer {rt.index} ({self.kind}): {exc}") from None
-
-    def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+    def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         return []
 
-    def expansion_values(self, rt: RtLayer, sigma: str) -> tuple:
+    def expansion_values(self, rt: RtLayer) -> tuple:
         """The values of the layer's atoms in its chain's ``block_atoms``
         order; by default the map ``W'^T`` of its one stage lowered at zero
         (W' does not depend on x'), then that stage's bias if it has one."""
-        (form,) = self.lower(rt, zeros(rt.in_shape), sigma)
+        (form,) = lower_layer(rt, zeros(rt.in_shape))
         return (form.linear_map(),) if form.bias is None else (form.linear_map(), form.bias)
 
     def receptive_window(self) -> tuple[tuple[str, ...], tuple[int, ...], int] | None:
@@ -227,18 +222,18 @@ class _ConvSpec(LayerSpec):
             "conv_weights": Tensor(TensorShape(zip(axes, weights.shape)), weights),
         }
 
-    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
-        return Tensor(rt.out_shape, activation(sigma)(self._direct(rt, value).data))
+    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
+        return Tensor(rt.out_shape, activation(rt.activation)(self._direct(rt, value).data))
 
-    def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+    def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         lower = lower_conv2d_I_O if len(self.spatial) == 2 else lower_conv3d
         return [lower(value, rt.conv_params, rt.conv_weights)]
 
-    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
-        (form,) = self.lower(rt, value, sigma)
+    def check(self, rt: RtLayer, value: Tensor) -> LayerCheck:
+        (form,) = self.stages(rt, value)
         direct = self._direct(rt, value)
         diff = np.max(np.abs(form.evaluate() - stage_vector(direct)))
-        out = Tensor(rt.out_shape, activation(sigma)(direct.data))  # as apply computes it
+        out = Tensor(rt.out_shape, activation(rt.activation)(direct.data))  # as apply computes it
         return LayerCheck(rt.index, self.kind, float(diff), [form], out)
 
     def receptive_window(self) -> tuple[tuple[str, ...], tuple[int, ...], int]:
@@ -309,10 +304,10 @@ class MeanPoolSpec(LayerSpec):
     def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
         return {"pool_params": PoolParams(window=self.window, stride=self.stride)}
 
-    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
+    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
         return Tensor(rt.out_shape, mean_pool_direct(value, rt.pool_params).data)
 
-    def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+    def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         return [lower_mean_pool(value, rt.pool_params)]
 
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
@@ -342,15 +337,15 @@ class ResidualBlockSpec(LayerSpec):
         w_2, b_2 = draw(dim, hidden), draw(dim)
         return {"residual": ResidualWeights(w_1=w_1, b_1=b_1, w_2=w_2, b_2=b_2)}
 
-    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
-        act = activation(sigma)
+    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
+        act = activation(rt.activation)
         v = value.flat
         r = rt.residual
         out = v + r.w_2 @ act(r.w_1 @ v + r.b_1) + r.b_2
         return Tensor(rt.out_shape, out.reshape(rt.out_shape.extents))
 
-    def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
-        act = activation(sigma)
+    def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
+        act = activation(rt.activation)
         r = rt.residual
         stage1 = _dense_form(r.w_1, r.b_1, value.flat)
         stage2 = _dense_form(r.w_2, r.b_2, act(stage1.evaluate()))
@@ -359,7 +354,7 @@ class ResidualBlockSpec(LayerSpec):
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
         return value.flat + forms[1].evaluate()
 
-    def expansion_values(self, rt: RtLayer, sigma: str) -> tuple:
+    def expansion_values(self, rt: RtLayer) -> tuple:
         r = rt.residual
         return r.w_1, r.b_1, r.w_2, r.b_2
 
@@ -391,11 +386,11 @@ class PatchifySpec(LayerSpec):
         c = shape.extent("C_I") if "C_I" in shape.axes else 1
         return TensorShape([("token", (h // ph) * (w // pw)), ("feature", ph * pw * c)])
 
-    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
+    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
         return Tensor(rt.out_shape, patchify(value, self.patch))
 
-    def check(self, rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
-        out = self.apply(rt, value, sigma)
+    def check(self, rt: RtLayer, value: Tensor) -> LayerCheck:
+        out = self.apply(rt, value)
         back = unpatchify(out.data, value.shape, self.patch)
         diff = np.max(np.abs(back.data - value.data))
         return LayerCheck(rt.index, self.kind, float(diff), [], out, "reassembly")
@@ -459,7 +454,7 @@ class MhaSpec(_TokenSpec):
     hidden_dim: ClassVar[None] = None
     heads: int
 
-    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
+    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
         return Tensor(rt.out_shape, mha_direct(_tokens(value), rt.attn_params))
 
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
@@ -474,11 +469,11 @@ class FfnSpec(_TokenSpec):
     heads: ClassVar[None] = None
     hidden_dim: int
 
-    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
-        return Tensor(rt.out_shape, ffn_direct(_tokens(value), rt.attn_params, sigma))
+    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
+        return Tensor(rt.out_shape, ffn_direct(_tokens(value), rt.attn_params, rt.activation))
 
-    def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
-        return list(lower_ffn(_tokens(value), rt.attn_params, sigma))
+    def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
+        return list(lower_ffn(_tokens(value), rt.attn_params, rt.activation))
 
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
         return forms[1].evaluate()
@@ -491,21 +486,21 @@ class TransformerBlockSpec(_TokenSpec):
     heads: int
     hidden_dim: int
 
-    def apply(self, rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
-        out = transformer_block_direct(_tokens(value), rt.attn_params, sigma)
+    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
+        out = transformer_block_direct(_tokens(value), rt.attn_params, rt.activation)
         return Tensor(rt.out_shape, out)
 
-    def stages(self, rt: RtLayer, value: Tensor, sigma: str) -> list[LoweredForm]:
+    def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         # the FFN stages at h = M(X) X, with M the effective attention matrix
         tokens, p = _tokens(value), rt.attn_params
         m = effective_matrix_from_projections(tokens, p.w_q, p.w_k, p.w_v, p.w_o, p.heads)
         h = (m @ tokens.reshape(-1)).reshape(tokens.shape)
-        return list(lower_ffn(h, p, sigma))
+        return list(lower_ffn(h, p, rt.activation))
 
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
         return forms[0].input_vector + forms[1].evaluate()  # h + FFN(h)
 
-    def expansion_values(self, rt: RtLayer, sigma: str) -> tuple:
+    def expansion_values(self, rt: RtLayer) -> tuple:
         return transformer_block_values(rt.attn_params, rt.in_shape.extent("token"))
 
 
@@ -694,12 +689,15 @@ class ResidualWeights:
 
 @dataclass
 class RtLayer:
-    """One materialized layer: the spec plus its drawn weights and shapes."""
+    """One materialized layer: the spec plus its drawn weights and shapes,
+    and ``activation``, the network's activation as the description states
+    it, which the layer's rules read."""
 
     index: int
     spec: LayerSpec
     in_shape: TensorShape
     out_shape: TensorShape
+    activation: str
     conv_params: ConvParams | None = None
     conv_weights: Tensor | None = None
     pool_params: PoolParams | None = None
@@ -738,7 +736,7 @@ def materialize(net: NetworkSpec) -> MaterializedNetwork:
         draw = partial(draw_weights, gen, f"layer {i} ({spec.kind})")
         layers.append(
             RtLayer(index=i, spec=spec, in_shape=shapes[i], out_shape=shapes[i + 1],
-                    **spec.draw(shapes[i], draw))
+                    activation=net.activation, **spec.draw(shapes[i], draw))
         )
     return MaterializedNetwork(spec=net, shapes=shapes, layers=layers)
 
@@ -757,31 +755,36 @@ def _tokens(value: Tensor) -> np.ndarray:
     return value.data.reshape(value.shape.extent("token"), value.shape.extent("feature"))
 
 
-def _run_layer(rt: RtLayer, step: Callable, value: Tensor, sigma: str):
-    """``step(rt, value, sigma)``, where an overflow leaves non-finite entries
-    without a numpy warning, and the RangeError they raise becomes a
-    ValidationError naming the layer."""
+def _run_layer(rt: RtLayer, rule: Callable, value: Tensor):
+    """``rule(rt, value)``, where an overflow leaves non-finite entries
+    without a numpy warning.  The one place that names a failing layer: the
+    RangeError of a non-finite value and the CapacityError of a lowering over
+    the element cap become a ValidationError naming the layer."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            return step(rt, value, sigma)
-        except RangeError as exc:
+            return rule(rt, value)
+        except (RangeError, CapacityError) as exc:
             raise ValidationError(f"layer {rt.index} ({rt.spec.kind}): {exc}") from None
 
 
-def apply_layer(rt: RtLayer, value: Tensor, sigma: str) -> Tensor:
+def apply_layer(rt: RtLayer, value: Tensor) -> Tensor:
     """Run one materialized layer on a stage value."""
-    return _run_layer(rt, rt.spec.apply, value, sigma)
+    return _run_layer(rt, rt.spec.apply, value)
 
 
-def forward(net: MaterializedNetwork, x: Tensor, sigma: str | None = None) -> list[Tensor]:
+def lower_layer(rt: RtLayer, value: Tensor) -> list[LoweredForm]:
+    """The layer's matrix-vector stages at a stage value."""
+    return _run_layer(rt, rt.spec.stages, value)
+
+
+def forward(net: MaterializedNetwork, x: Tensor) -> list[Tensor]:
     """Stage values through the network: element 0 is x, element i + 1 the
     output of layer i (activation applied where the layer calls for it)."""
-    sigma = net.activation if sigma is None else sigma
     if x.shape != net.spec.input_shape:
         raise ShapeError(f"input shape {x.shape} != declared {net.spec.input_shape}")
     values = [x]
     for rt in net.layers:
-        values.append(apply_layer(rt, values[-1], sigma))
+        values.append(apply_layer(rt, values[-1]))
     return values
 
 
@@ -810,37 +813,34 @@ def _dense_form(matrix: np.ndarray, bias: np.ndarray, x: np.ndarray) -> LoweredF
     return _ffn_stage(matrix.T, bias, x, 1, "dense stage: W' = matrix^T over the flat input")
 
 
-def check_layer(rt: RtLayer, value: Tensor, sigma: str) -> LayerCheck:
+def check_layer(rt: RtLayer, value: Tensor) -> LayerCheck:
     """Compare the layer's matrix-vector path against the direct path at
     ``value`` (pre-activation for convolutions), which gives the output too."""
-    return _run_layer(rt, rt.spec.check, value, sigma)
+    return _run_layer(rt, rt.spec.check, value)
 
 
-def check_network(net: MaterializedNetwork, x: Tensor, sigma: str) -> Iterator[LayerCheck]:
+def check_network(net: MaterializedNetwork, x: Tensor) -> Iterator[LayerCheck]:
     """Check every layer in order, each at the output the previous check
     carried (the first at ``x``).  A caller that keeps no yielded check (as
     ``map`` does) holds one layer's lowered stages at a time."""
     value = x
     for rt in net.layers:
-        check = check_layer(rt, value, sigma)
+        check = check_layer(rt, value)
         value = check.output
         yield check
         del check  # freed before the next layer is lowered
 
 
-def verify_network(
-    net: MaterializedNetwork, trials: int, tol: float, sigma: str | None = None
-) -> dict:
+def verify_network(net: MaterializedNetwork, trials: int, tol: float) -> dict:
     """Run ``trials`` random-input sweeps of :func:`check_network`.
 
     Returns a summary dict; ``passed`` is False as soon as any layer's
     max-abs diff exceeds ``tol`` or is NaN in any trial.
     """
-    sigma = net.activation if sigma is None else sigma
     per_layer = [0.0] * len(net.layers)
     for t in range(trials):
         x = random_input(net.spec, seed=net.spec.seed + 1 + t)
-        for index, diff in map(attrgetter("index", "max_abs_diff"), check_network(net, x, sigma)):
+        for index, diff in map(attrgetter("index", "max_abs_diff"), check_network(net, x)):
             # np.maximum keeps NaN, so a non-finite diff fails the run
             per_layer[index] = float(np.maximum(per_layer[index], diff))
     worst = float(np.max(per_layer)) if per_layer else 0.0
@@ -873,12 +873,11 @@ class ExpandableNetwork:
     family: str  # "vgg" | "residual" | "transformer"
     chain: object
     layers: list[RtLayer]  # the layers the chain covers, in block_atoms order
-    sigma: str
     preprocessing: str | None = None  # e.g. patchify note for token models
 
     @cached_property
     def binding(self) -> dict[str, np.ndarray | LinearMap]:
-        values = (rt.spec.expansion_values(rt, self.sigma) for rt in self.layers)
+        values = (rt.spec.expansion_values(rt) for rt in self.layers)
         return bind(self.chain.block_atoms, values)
 
 
@@ -932,7 +931,7 @@ def to_expandable(net: MaterializedNetwork) -> ExpandableNetwork:
         shape, block = layers[0].in_shape, layers[0].spec
         chain = build_transformer_chain(len(layers), shape.extent("token"),
                                         shape.extent("feature"), block.heads, block.hidden_dim)
-    return ExpandableNetwork(family, chain, layers, net.activation, preprocessing)
+    return ExpandableNetwork(family, chain, layers, preprocessing)
 
 
 def _chain_vector(net: MaterializedNetwork, t: Tensor) -> np.ndarray:

@@ -321,7 +321,7 @@ def mha_direct(x: np.ndarray, p: AttnParams) -> np.ndarray:
     return np.concatenate(heads, axis=1) @ p.w_o
 
 
-def ffn_direct(x: np.ndarray, p: AttnParams, sigma: str = "relu") -> np.ndarray:
+def ffn_direct(x: np.ndarray, p: AttnParams, sigma: str) -> np.ndarray:
     """Two-stage feed-forward block applied row-wise:
     ``sigma(X @ w_2 + b_2) @ w_3 + b_3``."""
     x = _check_tokens(x, p)
@@ -329,7 +329,7 @@ def ffn_direct(x: np.ndarray, p: AttnParams, sigma: str = "relu") -> np.ndarray:
     return act(x @ p.w_2 + p.b_2) @ p.w_3 + p.b_3
 
 
-def transformer_block_direct(x: np.ndarray, p: AttnParams, sigma: str = "relu") -> np.ndarray:
+def transformer_block_direct(x: np.ndarray, p: AttnParams, sigma: str) -> np.ndarray:
     """One block of the analyzed transformer: h = MHA(x); h + FFN(h)."""
     h = mha_direct(x, p)
     return h + ffn_direct(h, p, sigma)

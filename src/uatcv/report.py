@@ -64,10 +64,10 @@ def _layer_row(net: MaterializedNetwork, check) -> dict:
     }
 
 
-def layer_section(net: MaterializedNetwork, sigma: str) -> list[dict]:
+def layer_section(net: MaterializedNetwork) -> list[dict]:
     """Per-layer lowering stats and the max-abs diff at the seed input."""
     x = random_input(net.spec, seed=net.spec.seed)
-    return list(map(partial(_layer_row, net), check_network(net, x, sigma)))
+    return list(map(partial(_layer_row, net), check_network(net, x)))
 
 
 def expansion_section(net: MaterializedNetwork) -> dict:
@@ -103,9 +103,7 @@ def analysis_section(
     lora: LoraDelta | None = None,
     prune_mask: PruneMask | None = None,
     impact_inputs: int = 8,
-    sigma: str | None = None,
 ) -> dict:
-    sigma = net.activation if sigma is None else sigma
     out: dict = {}
     try:
         out["term_counts"] = [
@@ -120,27 +118,26 @@ def analysis_section(
         out["receptive_field"] = {"error": str(exc)}
     if lora is not None:
         x = random_input(net.spec, seed=net.spec.seed + 1)
-        out["lora"] = lora_equivalence_check(net, lora, x, sigma)
+        out["lora"] = lora_equivalence_check(net, lora, x)
     if prune_mask is not None:
         inputs = [
             random_input(net.spec, seed=net.spec.seed + 1 + t) for t in range(impact_inputs)
         ]
-        out["prune"] = prune_impact(net, prune_mask, inputs, sigma)
+        out["prune"] = prune_impact(net, prune_mask, inputs)
     return out
 
 
 def build_report(net: MaterializedNetwork, trials: int = 20, tol: float = 1e-9) -> dict:
     """The full report document (plain dict of JSON-safe values)."""
-    sigma = net.activation
     return {
         "tool": {"name": "uatcv", "version": __version__},
         "element_cap": element_cap(),
         "description": json.loads(emit_spec(net.spec)),
         "shapes": [list(list(d) for d in s.dims) for s in net.shapes],
-        "layers": layer_section(net, sigma),
-        "verification": verify_network(net, trials=trials, tol=tol, sigma=sigma),
+        "layers": layer_section(net),
+        "verification": verify_network(net, trials=trials, tol=tol),
         "expansion": expansion_section(net),
-        "analysis": analysis_section(net, sigma=sigma),
+        "analysis": analysis_section(net),
     }
 
 

@@ -432,13 +432,13 @@ class _Evaluation:
         return self(root)
 
 
-def atom_value(atom: ParamAtom, env: Binding, sigma: str = "relu") -> np.ndarray:
+def atom_value(atom: ParamAtom, env: Binding, sigma: str) -> np.ndarray:
     """The atom's value as an array; a weight held as a map is made dense."""
     value = _Evaluation(env, sigma, [atom]).value(atom)
     return value.dense() if isinstance(value, LinearMap) else value
 
 
-def eval_vector(expr: VectorExpr, env: Binding, sigma: str = "relu") -> np.ndarray:
+def eval_vector(expr: VectorExpr, env: Binding, sigma: str) -> np.ndarray:
     return _Evaluation(env, sigma, [expr]).value(expr)
 
 
@@ -530,7 +530,7 @@ class CanonicalUAT:
         return self.expression.render(fmt)
 
 
-def eval_canonical(form: CanonicalUAT, env: Binding, sigma: str = "relu") -> np.ndarray:
+def eval_canonical(form: CanonicalUAT, env: Binding, sigma: str) -> np.ndarray:
     """Numeric value of the canonical form under a primitive-atom binding."""
     return eval_vector(form.expression, env, sigma)
 

@@ -251,7 +251,7 @@ def test_prune_dead_channel_zero_impact():
     bias[1] = 0.0
     rt.conv_params = replace(rt.conv_params, bias=bias)
     inputs = [random_input(net.spec, 50 + t) for t in range(5)]
-    report = prune_impact(net, PruneMask(layer=0, channels=(1,)), inputs, "relu")
+    report = prune_impact(net, PruneMask(layer=0, channels=(1,)), inputs)
     assert report["max_deviation"] == 0.0
 
 
@@ -300,7 +300,7 @@ def test_prune_keeps_the_specs_in_step():
     assert a.spec.layers[1] == a.layers[1].spec == replace(second, in_channels=2)
     assert a.spec == replace(b.spec, layers=(b.spec.layers[0], replace(second, in_channels=2)))
     x = random_input(a.spec, 3)
-    assert forward(a, x, "relu")[-1].data.tobytes() == forward(b, x, "relu")[-1].data.tobytes()
+    assert forward(a, x)[-1].data.tobytes() == forward(b, x)[-1].data.tobytes()
 
 
 def test_prune_all_channels_rejected():
@@ -323,8 +323,8 @@ def test_prune_magnitude_ordering_reported():
     norms = channel_norms(net, 0)
     lo, hi = int(np.argmin(norms)), int(np.argmax(norms))
     inputs = [random_input(net.spec, 100 + t) for t in range(10)]
-    low = prune_impact(net, PruneMask(layer=0, channels=(lo,)), inputs, "relu")
-    high = prune_impact(net, PruneMask(layer=0, channels=(hi,)), inputs, "relu")
+    low = prune_impact(net, PruneMask(layer=0, channels=(lo,)), inputs)
+    high = prune_impact(net, PruneMask(layer=0, channels=(hi,)), inputs)
     # descriptive report only; both runs must carry comparable fields
     assert set(low) == set(high)
     assert low["pruned_channels"] == [lo] and high["pruned_channels"] == [hi]
@@ -339,7 +339,7 @@ def test_prune_last_layer_compares_surviving_channels():
         )
     )
     inputs = [random_input(net.spec, 7)]
-    report = prune_impact(net, PruneMask(layer=0, channels=(2,)), inputs, "relu")
+    report = prune_impact(net, PruneMask(layer=0, channels=(2,)), inputs)
     assert report["max_deviation"] == 0.0  # surviving channels are untouched
 
 

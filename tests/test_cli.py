@@ -124,6 +124,35 @@ def test_report_latex_sidecar(capsys, specs_dir, tmp_path):
     assert r"\hat{\mathbf{b}}" in sidecar.read_text()
 
 
+def test_report_out_that_is_its_own_sidecar_is_validation_error(capsys, specs_dir, tmp_path):
+    out_path = tmp_path / "r.tex"
+    code, out, err = run(capsys, "report", str(specs_dir / "vgg3.json"), "--trials", "1",
+                         "--out", str(out_path), "--format", "latex")
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error[validation]: ")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("activation", ["logistic", "identity"])
+@pytest.mark.parametrize("name", ["vgg3", "resblock2", "vit1"])
+def test_commands_run_non_relu_descriptions(capsys, specs_dir, tmp_path, name, activation):
+    spec = tmp_path / f"{name}.json"
+    doc = json.loads((specs_dir / f"{name}.json").read_text())
+    spec.write_text(json.dumps({**doc, "activation": activation}))
+    code, out, _ = run(capsys, "verify", str(spec), "--trials", "2")
+    assert code == EXIT_OK and out.endswith("PASS\n")
+    code, out, _ = run(capsys, "report", str(spec), "--trials", "1")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["description"]["activation"] == activation
+    assert report["verification"]["passed"]
+    if name == "vgg3":
+        code, out, _ = run(capsys, "analyze", str(spec), "--lora-layer", "1",
+                           "--prune-layer", "0", "--prune-channels", "0")
+        assert code == EXIT_OK
+        assert json.loads(out)["prune"]["pruned_channels"] == [0]
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -245,6 +274,9 @@ TOKENS = [["token", 3], ["feature", 4]]
         (TOKENS, {"kind": "mha", "heads": 2}, "nope"),
         ([["feature", 4]], {"kind": "residual_block"}, "w_3"),
         ([["H", 4], ["W", 4]], {"kind": "patchify", "patch": [2, 2]}, "w_2"),  # no matrix
+        # a conv layer's one target is its kernel, so it takes no named target
+        ([["C_I", 1], ["H", 4], ["W", 4]], {"kind": "conv2d", "out_channels": 2, "kernel": [2, 2]},
+         "w_q"),
     ],
 )
 def test_lora_target_must_name_a_part_of_the_layer(capsys, tmp_path, shape, layer, target):
@@ -257,7 +289,7 @@ def test_lora_target_must_name_a_part_of_the_layer(capsys, tmp_path, shape, laye
     assert "error[validation]" in err and f"layer 0 ({layer['kind']})" in err
 
 
-@pytest.mark.parametrize("command", ["lower", "verify", "report"])
+@pytest.mark.parametrize("command", ["lower", "verify", "report", "analyze"])
 def test_lowering_over_cap_is_validation_error(capsys, tmp_path, monkeypatch, command):
     from uatcv.tensor import set_element_cap
 
@@ -271,7 +303,8 @@ def test_lowering_over_cap_is_validation_error(capsys, tmp_path, monkeypatch, co
     }))
     monkeypatch.delenv("UATCV_CAP", raising=False)
     set_element_cap(None)
-    code, _, err = run(capsys, command, str(big))
+    flags = ["--lora-layer", "0"] if command == "analyze" else []  # lowers the kernel's W'
+    code, _, err = run(capsys, command, str(big), *flags)
     assert code == EXIT_PARSE
     assert "error[validation]" in err and "layer 0 (conv2d)" in err
 

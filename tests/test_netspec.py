@@ -214,8 +214,8 @@ def test_check_layer_covers_every_kind(specs_dir):
         assert parse_spec_text(emit_spec(spec)) == spec, kind
         rt = materialize(spec).layers[0]
         x = random_input(spec, 4)
-        assert check_layer(rt, x, "relu").max_abs_diff <= 1e-9, kind
-        assert apply_layer(rt, x, "relu").shape == infer_shapes(spec)[-1], kind
+        assert check_layer(rt, x).max_abs_diff <= 1e-9, kind
+        assert apply_layer(rt, x).shape == infer_shapes(spec)[-1], kind
 
     net = materialize(
         parse_spec_text(
@@ -231,17 +231,17 @@ def test_check_layer_covers_every_kind(specs_dir):
     x = random_input(net.spec, 4)
     value = x
     for rt in net.layers:
-        res = check_layer(rt, value, "relu")
+        res = check_layer(rt, value)
         assert res.max_abs_diff <= 1e-9
         from uatcv.netspec import apply_layer
 
-        value = apply_layer(rt, value, "relu")
+        value = apply_layer(rt, value)
 
 
-def _one_layer(kind):
+def _one_layer(kind, sigma):
     input_shape, layer = KIND_EXAMPLES[kind]
     return parse_spec_text(
-        json.dumps({"input_shape": input_shape, "seed": 3, "activation": "relu",
+        json.dumps({"input_shape": input_shape, "seed": 3, "activation": sigma,
                     "layers": [layer]})
     )
 
@@ -249,11 +249,11 @@ def _one_layer(kind):
 @pytest.mark.parametrize("sigma", ["relu", "logistic"])
 @pytest.mark.parametrize("kind", sorted(_LAYER_KINDS))
 def test_check_carries_the_layer_output(kind, sigma):
-    spec = _one_layer(kind)
+    spec = _one_layer(kind, sigma)
     rt = materialize(spec).layers[0]
     x = random_input(spec, 4)
-    got = check_layer(rt, x, sigma).output
-    want = apply_layer(rt, x, sigma)
+    got = check_layer(rt, x).output
+    want = apply_layer(rt, x)
     assert got.shape == want.shape and got.data.shape == want.data.shape
     assert np.array_equal(got.data, want.data)
 
@@ -285,14 +285,14 @@ def test_check_network_checks_one_layer_at_a_time(specs_dir, monkeypatch):
 
     real, calls = netspec.check_layer, []
 
-    def counted(rt, value, sigma):
+    def counted(rt, value):
         calls.append(rt.index)
-        return real(rt, value, sigma)
+        return real(rt, value)
 
     monkeypatch.setattr(netspec, "check_layer", counted)
     net = materialize(parse_spec(specs_dir / "vgg3.json"))
     x = random_input(net.spec, 5)
-    checks = check_network(net, x, net.activation)
+    checks = check_network(net, x)
     assert calls == []
     first = next(checks)
     assert calls == [0] and first.index == 0
@@ -312,9 +312,9 @@ def test_each_check_is_freed_before_the_next_layer(specs_dir, monkeypatch, consu
 
     real, refs, alive = netspec.check_layer, [], []
 
-    def spying(rt, value, sigma):
+    def spying(rt, value):
         alive.append([ref() is not None for ref in refs])
-        check = real(rt, value, sigma)
+        check = real(rt, value)
         refs.append(weakref.ref(check))
         return check
 
@@ -323,7 +323,7 @@ def test_each_check_is_freed_before_the_next_layer(specs_dir, monkeypatch, consu
     if consumer == "verify_network":
         verify_network(net, trials=1, tol=1e-9)
     else:
-        layer_section(net, net.activation)
+        layer_section(net)
     assert alive == [[], [False], [False, False]]
 
 
@@ -519,8 +519,8 @@ def test_verify_network_fails_on_nan_diff(specs_dir, monkeypatch, capsys):
     real = netspec.check_layer
     calls = []
 
-    def nan_after_first_trial(rt, value, sigma):
-        check = real(rt, value, sigma)
+    def nan_after_first_trial(rt, value):
+        check = real(rt, value)
         calls.append(rt.index)
         if len(calls) > 2 and rt.index == 1:  # resblock2 has two layers
             check.max_abs_diff = float("nan")
