@@ -12,18 +12,19 @@
 overrides the description's seed, ``--cap`` the element cap for this call
 (the UATCV_CAP environment variable otherwise).
 
-Exit codes: 0 success; 2 parse/validation error, including a weight
-array over the element cap, a UATCV_CAP that is not a positive integer, a
-``--tol`` that is negative or not finite, a ``--lora-rank`` above the
-smaller side of the target matrix, a ``--lora-target`` on a conv layer
-(whose one target is its kernel), a ``--prune-channels`` that lists no
-channel, a prune whose channel change a downstream layer cannot absorb, a
-layer whose values overflow to non-finite entries (the message names the
-layer), a ``report --format latex`` whose ``--out`` ends in ``.tex`` (its
-sidecar would overwrite it; nothing is written), and an ``--out`` path (or
-its ``.tex`` sidecar) that cannot be written; 3 verification failure; 4
-internal invariant breach.  Errors print one line to stderr:
-``error[<code>]: <message>``.
+Exit codes: 0 success; 2 parse/validation error, including a weight array
+over the element cap, a conv whose direct computation would allocate a
+padded input or column block over the element cap, a UATCV_CAP that is not a
+positive integer, a ``--tol`` that is negative or not finite, a
+``--lora-rank`` above the smaller side of the target matrix, a
+``--lora-target`` on a conv layer (whose one target is its kernel), a
+``--prune-channels`` that lists no channel, a prune whose channel change a
+downstream layer cannot absorb, a layer whose values overflow to non-finite
+entries (the message names the layer), a ``report --format latex`` whose
+``--out`` ends in ``.tex`` (its sidecar would overwrite it; nothing is
+written), and an ``--out`` path (or its ``.tex`` sidecar) that cannot be
+written; 3 verification failure; 4 internal invariant breach.  Errors print
+one line to stderr: ``error[<code>]: <message>``.
 """
 
 from __future__ import annotations

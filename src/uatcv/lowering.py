@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, RangeError, ShapeError
+from .errors import RangeError, ShapeError
 from .reference import (
     AttnParams,
     ConvParams,
@@ -54,7 +54,7 @@ from .reference import (
     activation,
     attention_probabilities_raw,
 )
-from .tensor import Tensor, as_matrix, as_vector, element_cap, flatten, matvec
+from .tensor import Tensor, as_matrix, as_vector, check_cap, flatten, matvec
 
 
 def stage_vector(t: Tensor) -> np.ndarray:
@@ -94,7 +94,7 @@ class LinearMap:
         return self._apply(other)
 
     def dense(self) -> np.ndarray:
-        _check_cap("dense map", self.shape)
+        check_cap("dense map", self.shape)
         return self._dense()
 
 
@@ -337,14 +337,6 @@ class LoweredForm:
         return LinearMap((n_out, n_in), self._apply, lambda: self.weight_matrix.T)
 
 
-def _check_cap(what: str, dims: tuple[int, ...]) -> None:
-    """An array of extents ``dims`` over the element cap is a CapacityError,
-    raised before it is allocated."""
-    n = math.prod(dims)
-    if n > element_cap():
-        raise CapacityError(f"{what} of shape {dims} has {n} elements, cap is {element_cap()}")
-
-
 # Window patterns kept at once.  check_network visits a network's window
 # layers in a cycle, so a cache smaller than its number of geometries would
 # miss on every lookup; a pattern is O(outputs x kernel) integers, and
@@ -372,7 +364,7 @@ def _lower_conv(x: Tensor, p: ConvParams, w: Tensor) -> LoweredForm:
     spatial = _check_conv_input(x, p)
     weights = _check_weights(w, p)
     outs = p.out_extents(spatial)
-    _check_cap("lowering index grid", (p.out_channels, p.in_channels, *outs, *p.kernel))
+    check_cap("lowering index grid", (p.out_channels, p.in_channels, *outs, *p.kernel))
     per_chan_out = math.prod(outs)
     layout = ("x': (C_I,H,W) row-major; y': (C_O,H,W) row-major" if p.ndim == 2
               else "x': (C_I,D,H,W) row-major; y': (C_O,D,H,W) row-major")
@@ -420,7 +412,7 @@ def lower_mean_pool(x: Tensor, p: PoolParams) -> LoweredForm:
     chans, h, wd = x.shape.extents
     h_out, w_out = p.out_extents((h, wd))
     kh, kw = p.window
-    _check_cap("lowering index grid", (chans, h_out, w_out, kh, kw))
+    check_cap("lowering index grid", (chans, h_out, w_out, kh, kw))
     return LoweredForm(
         weights=np.full((chans, kh, kw), 1.0 / (kh * kw)),
         input_vector=stage_vector(x),
@@ -439,7 +431,7 @@ def _ffn_stage(
     note: str,
 ) -> LoweredForm:
     rows_in, cols_out = weight.shape
-    _check_cap("lowering index grid", (tokens, rows_in, cols_out))
+    check_cap("lowering index grid", (tokens, rows_in, cols_out))
     t, i, j = (g.reshape(-1) for g in np.indices((tokens, rows_in, cols_out)))
     rows = t * rows_in + i
     cols = t * cols_out + j

@@ -7,10 +7,15 @@ arrays straight from its definition: convolution and pooling read their
 windows from one strided view of the input, and nothing here uses a lowered
 matrix.  The per-position loops in ``tests/oracles.py`` are the reference
 for these.
+
+Convolution keeps two summation orders that checks rely on bitwise: input
+channels are summed left to right, and each output channel is its own row
+product, independent of the layer's other output channels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import RangeError, ShapeError
-from .tensor import Tensor, TensorShape, as_matrix, as_vector
+from .tensor import Tensor, TensorShape, as_matrix, as_vector, check_cap
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -199,21 +204,44 @@ def _conv_direct(x: Tensor, p: ConvParams, w: Tensor) -> Tensor:
     over input channels.
 
     y[o, i...] = sum_{c, a...} w[o, c, a...] * x_pad[c, i*s + a...] (+ bias[o]).
+
+    Input channel c's windows are copied to one (K, P) column block (K kernel
+    offsets, P output positions), and each output channel's kernel row
+    multiplies it as its own (1, K) @ (K, P) product.  So input channels are
+    summed left to right, and dropping an all-zero one moves no output bit;
+    and an output channel's row does not depend on the layer's other output
+    channels, so pruning some moves no bit of the rest.  The padded input and
+    the column block are checked against the element cap before they are
+    allocated.
     """
     spatial = _check_conv_input(x, p)
     weights = _check_weights(w, p)
     outs = p.out_extents(spatial)
-    xp = np.pad(x.data, [(0, 0)] + [(p.padding, p.padding)] * p.ndim)
-    windows = sliding_window_view(xp, p.kernel, axis=tuple(range(1, p.ndim + 1)))
+    padded = tuple(n + 2 * p.padding for n in spatial)
+    k, positions = math.prod(p.kernel), math.prod(outs)
+    check_cap("padded input", (p.in_channels, *padded))
+    check_cap("column block", (k, positions))
+    xp = np.zeros((p.in_channels, *padded))
+    xp[(slice(None), *(slice(p.padding, p.padding + n) for n in spatial))] = x.data
+    spatial_axes = tuple(range(1, p.ndim + 1))
+    windows = sliding_window_view(xp, p.kernel, axis=spatial_axes)
     windows = windows[(slice(None),) + (slice(None, None, p.stride),) * p.ndim]
-    kern, pos = "abc"[: p.ndim], "ijk"[: p.ndim]
-    out = np.zeros((p.out_channels, *outs))
-    # channels summed left to right, so dropping an all-zero one is bitwise exact
+    # kernel-offset axes ahead of the output positions: (C_I, *kernel, *outs)
+    windows = np.moveaxis(windows, tuple(range(p.ndim + 1, 2 * p.ndim + 1)), spatial_axes)
+    # a stack of (1, K) rows, not one (C_O, K) matrix, whose blocked product
+    # would make a row's round-off depend on how many rows there are
+    kern = weights.reshape(p.out_channels, p.in_channels, 1, k)
+    cols = np.empty((k, positions))
+    out = np.zeros((p.out_channels, positions))
     for c in range(p.in_channels):
-        out = out + np.einsum(f"o{kern},{pos}{kern}->o{pos}", weights[:, c], windows[c])
+        cols.reshape(*p.kernel, *outs)[...] = windows[c]
+        out += (kern[:, c] @ cols)[:, 0]
     if p.bias is not None:
-        out += p.bias.reshape(-1, *(1,) * p.ndim)
-    return Tensor(TensorShape([("C_O", p.out_channels), *zip(x.shape.axes[1:], outs)]), out)
+        out += p.bias[:, None]
+    return Tensor(
+        TensorShape([("C_O", p.out_channels), *zip(x.shape.axes[1:], outs)]),
+        out.reshape(p.out_channels, *outs),
+    )
 
 
 def conv2d_direct(x: Tensor, p: ConvParams, w: Tensor) -> Tensor:

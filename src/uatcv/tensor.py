@@ -63,6 +63,14 @@ def set_element_cap(cap: int | None) -> int | None:
     return previous
 
 
+def check_cap(what: str, dims: tuple[int, ...]) -> None:
+    """An array of extents ``dims`` over the element cap is a CapacityError,
+    raised before it is allocated."""
+    n = math.prod(dims)
+    if n > element_cap():
+        raise CapacityError(f"{what} of shape {dims} has {n} elements, cap is {element_cap()}")
+
+
 @dataclass(frozen=True)
 class TensorShape:
     """Ordered list of (axis name, extent) pairs.

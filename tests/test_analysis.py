@@ -343,6 +343,26 @@ def test_prune_last_layer_compares_surviving_channels():
     assert report["max_deviation"] == 0.0  # surviving channels are untouched
 
 
+
+@pytest.mark.parametrize("channels", [(0,), (5,), (1, 2, 9), tuple(range(1, 12))])
+def test_prune_wide_last_layer_leaves_surviving_channels_bitwise(channels):
+    # 12 output channels span several BLAS row blocks; each surviving
+    # channel's row is computed on its own, so pruning others moves no bit
+    net = materialize(
+        _net(
+            [("C_I", 3), ("H", 9), ("W", 9)],
+            [
+                Conv2dSpec(out_channels=5, kernel=(3, 3), padding=1, bias=True),
+                Conv2dSpec(out_channels=12, kernel=(3, 3), padding=1, bias=True),
+            ],
+            seed=37,
+        )
+    )
+    inputs = [random_input(net.spec, 60 + t) for t in range(3)]
+    report = prune_impact(net, PruneMask(layer=1, channels=channels), inputs)
+    assert report["max_deviation"] == 0.0
+
+
 def test_prune_mask_validation():
     with pytest.raises(SpecError):
         PruneMask(layer=0)

@@ -309,6 +309,45 @@ def test_lowering_over_cap_is_validation_error(capsys, tmp_path, monkeypatch, co
     assert "error[validation]" in err and "layer 0 (conv2d)" in err
 
 
+
+def _write_conv_spec(path, input_hw, layer):
+    path.write_text(json.dumps({
+        "input_shape": [["C_I", 1], ["H", input_hw], ["W", input_hw]],
+        "seed": 1,
+        "activation": "relu",
+        "layers": [{"kind": "conv2d", **layer}],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["lower", "verify", "report"])
+def test_padded_input_over_cap_is_validation_error(capsys, tmp_path, monkeypatch, command):
+    from uatcv.tensor import set_element_cap
+
+    # the lowering index grid holds 81 elements, the padded input 124 x 124 = 15,376
+    spec = _write_conv_spec(tmp_path / "padded.json", 4, {
+        "out_channels": 1, "kernel": [3, 3], "stride": 60, "padding": 60,
+    })
+    monkeypatch.setenv("UATCV_CAP", "10000")
+    set_element_cap(None)
+    code, _, err = run(capsys, command, spec)
+    assert code == EXIT_PARSE
+    assert "error[validation]: layer 0 (conv2d): padded input" in err
+
+
+def test_column_block_over_cap_is_validation_error(capsys, tmp_path, monkeypatch):
+    from uatcv.tensor import set_element_cap
+
+    # analyze with a prune runs the direct conv only: the input holds 1,600
+    # elements, the output 882, the 400-offset x 441-position column block 176,400
+    spec = _write_conv_spec(tmp_path / "wide.json", 40, {"out_channels": 2, "kernel": [20, 20]})
+    monkeypatch.setenv("UATCV_CAP", "10000")
+    set_element_cap(None)
+    code, _, err = run(capsys, "analyze", spec, "--prune-layer", "0", "--prune-channels", "0")
+    assert code == EXIT_PARSE
+    assert "error[validation]: layer 0 (conv2d): column block" in err
+
+
 # sha256 of each report with the round-off fields masked (see _mask_roundoff)
 REPORT_LAYOUT = {
     ("resblock2", "text"): "269c67e118fd818da06e7f12b6bae968bf4f6c3cb5daed04b09a80152f526b13",

@@ -1,5 +1,11 @@
+import ast
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uatcv.errors import ShapeError
 from uatcv.reference import (
@@ -155,6 +161,121 @@ def test_conv3d_all_zero_channel_drops_bitwise(dead):
     )
     assert full.shape == dropped.shape
     assert np.array_equal(full.data, dropped.data)
+
+
+_CONV_AXES = {2: (("C_I", "H", "W"), ("C_O", "C_I", "H", "W")),
+              3: (("C_I", "H", "W", "D"), ("C_O", "C_I", "H", "W", "D"))}
+
+
+def _conv(x, kern, stride=1, padding=0, bias=None):
+    """The direct conv of plain arrays, x (C_I, *spatial) and kern (C_O, C_I, *kernel)."""
+    axes, kaxes = _CONV_AXES[x.ndim - 1]
+    p = ConvParams(x.shape[0], kern.shape[0], kern.shape[2:], stride, padding, bias)
+    direct = conv2d_direct if x.ndim == 3 else conv3d_direct
+    return direct(_t(axes, x), p, _t(kaxes, kern)).data
+
+
+@pytest.mark.parametrize("c_in,c_out,hw", [(3, 8, 24), (8, 16, 12), (16, 16, 12)])
+def test_conv2d_all_zero_channel_drops_bitwise(c_in, c_out, hw):
+    # conv_mid's layer shapes (kernel 3x3, padding 1), each channel dead in turn
+    rng = np.random.default_rng(c_in * 100 + c_out)
+    x = rng.normal(size=(c_in, hw, hw))
+    kern = rng.normal(size=(c_out, c_in, 3, 3))
+    bias = rng.normal(size=c_out)
+    for dead in range(c_in):
+        xd = x.copy()
+        xd[dead] = 0.0
+        keep = [c for c in range(c_in) if c != dead]
+        full = _conv(xd, kern, 1, 1, bias)
+        assert np.array_equal(full, _conv(xd[keep], kern[:, keep], 1, 1, bias))
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_conv_output_channel_rows_do_not_depend_on_other_channels(ndim):
+    # C_O from 1 to 17 crosses the widths BLAS kernels block output rows by
+    rng = np.random.default_rng(40 + ndim)
+    spatial, kernel = ((7, 6), (3, 2)) if ndim == 2 else ((4, 5, 3), (2, 3, 2))
+    x = rng.normal(size=(3, *spatial))
+    for c_out in range(1, 18):
+        kern = rng.normal(size=(c_out, 3, *kernel))
+        bias = rng.normal(size=c_out)
+        full = _conv(x, kern, 1, 1, bias)
+        subsets = [[o] for o in range(c_out)]
+        if c_out > 1:
+            subsets += [[o for o in range(c_out) if o != gone] for gone in range(c_out)]
+        subsets.append(sorted(rng.choice(c_out, size=(c_out + 1) // 2, replace=False)))
+        for rows in subsets:
+            assert np.array_equal(_conv(x, kern[rows], 1, 1, bias[rows]), full[rows])
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(n: int) -> float:
+    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+
+
+@st.composite
+def _conv_cases(draw):
+    ndim = draw(st.sampled_from([2, 3]))
+    kernel = tuple(draw(st.integers(1, 3)) for _ in range(ndim))
+    padding = draw(st.integers(0, 2))
+    largest = 6 if ndim == 2 else 3  # keeps the oracle's loops short
+    spatial = tuple(draw(st.integers(max(1, k - 2 * padding), largest)) for k in kernel)
+    c_in, c_out = draw(st.integers(1, 8)), draw(st.integers(1, 17))
+    stride = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    x = scale * rng.normal(size=(c_in, *spatial))
+    kern = rng.normal(size=(c_out, c_in, *kernel))
+    bias = scale * rng.normal(size=c_out) if draw(st.booleans()) else None
+    return x, kern, stride, padding, bias
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_conv_cases())
+def test_conv_direct_within_roundoff_bound_of_oracle(case):
+    # Each side is within gamma_n (|W| * |x|) + gamma_1 |bias| of the exact
+    # value, n = C_I K + 1 (Higham, Accuracy and Stability, section 3.1), so
+    # the two are within twice that of each other.
+    x, kern, stride, padding, bias = case
+    naive = conv2d_naive if x.ndim == 3 else conv3d_naive
+    got = _conv(x, kern, stride, padding, bias)
+    want = naive(x, kern, stride, padding, bias)
+    magnitude = naive(np.abs(x), np.abs(kern), stride, padding)
+    n = x.shape[0] * np.prod(kern.shape[2:]) + 1
+    abs_bias = 0.0 if bias is None else np.abs(bias).reshape(-1, *(1,) * (x.ndim - 1))
+    bound = 2 * (_gamma(n) * magnitude + _gamma(1) * abs_bias)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_conv_direct_never_builds_the_whole_column_array():
+    # one input channel's column block at a time: the whole (C_I K, P) array
+    # alone would be 9 MiB here
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(32, 64, 64))
+    kern = rng.normal(size=(32, 32, 3, 3))
+    tracemalloc.start()
+    try:
+        _conv(x, kern, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
+
+
+def test_reference_imports_nothing_from_lowering():
+    # the direct path is the independent side of every check of a lowering
+    path = Path(__file__).resolve().parent.parent / "src" / "uatcv" / "reference.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [alias.name for alias in node.names if node.level and not node.module]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not [m for m in imported if "lowering" in m.split(".")]
 
 
 # ---------------------------------------------------------------------------
