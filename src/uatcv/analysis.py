@@ -8,7 +8,6 @@ the lowering.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -139,19 +138,27 @@ class LoraDelta:
 
 
 def apply_lora(net: MaterializedNetwork, delta: LoraDelta) -> MaterializedNetwork:
-    """A copy of the network with the targeted matrix replaced by W + BA."""
+    """A copy of the network with the targeted matrix replaced by W + BA.
+
+    The copy is a new network with new layer objects.  Only the targeted
+    matrix is a new (read-only) array; every other array, the target
+    layer's included, is the source's own object, shared.  The arrays are
+    read-only, so neither network can change the other through them.
+    """
     if not 0 <= delta.layer < len(net.layers):
         raise SpecError(f"no layer {delta.layer} in a {len(net.layers)}-layer network")
-    new = copy.deepcopy(net)
-    rt = new.layers[delta.layer]
+    layers = [replace(rt) for rt in net.layers]
+    rt = layers[delta.layer]
     current = rt.spec.lora_matrix(rt, delta.target)
     update = delta.update()
     if update.shape != current.shape:
         raise ShapeError(
             f"update shape {update.shape} does not match target {current.shape}"
         )
-    rt.spec.set_lora_matrix(rt, delta.target, current + update)
-    return new
+    patched = current + update
+    patched.flags.writeable = False
+    rt.spec.set_lora_matrix(rt, delta.target, patched)
+    return replace(net, shapes=list(net.shapes), layers=layers)
 
 
 def _conv_wvalues(rt: RtLayer) -> np.ndarray:
@@ -180,7 +187,7 @@ def lora_equivalence_check(net: MaterializedNetwork, delta: LoraDelta, x: Tensor
     if rt.conv_weights is not None:
         base = _conv_wvalues(rt)
         patched_values = _conv_wvalues(patched.layers[delta.layer])
-        delta_rt = copy.deepcopy(rt)
+        delta_rt = replace(rt)
         rt.spec.set_lora_matrix(delta_rt, delta.target, delta.update())
         lin = np.max(np.abs(patched_values - (base + _conv_wvalues(delta_rt))), initial=0.0)
         report["lowering_linearity_max_abs"] = float(lin)
@@ -250,36 +257,50 @@ def channel_norms(net: MaterializedNetwork, layer: int) -> np.ndarray:
 
 def prune(net: MaterializedNetwork, mask: PruneMask) -> MaterializedNetwork:
     """Remove the masked output channels and shrink the first downstream conv
-    layer's matching input channels (pooling passes channels through)."""
+    layer's matching input channels (pooling passes channels through).
+
+    The result is a new network with new layer objects and a new spec.  The
+    pruned layer's kernel and bias, and the downstream conv's kernel, are new
+    arrays holding the kept channels; every other array is the source's own
+    object, shared.
+    """
     channels = resolve_mask(net, mask)
     keep = [c for c in range(net.layers[mask.layer].conv_params.out_channels) if c not in channels]
 
-    new = copy.deepcopy(net)
-    rt = new.layers[mask.layer]
+    layers = [replace(rt) for rt in net.layers]
+    rt = layers[mask.layer]
     rt.spec.keep_channels(rt, keep, axis=0)
 
     # shrink the first layer downstream that consumes these channels
-    for later in new.layers[mask.layer + 1 :]:
+    for later in layers[mask.layer + 1 :]:
         if later.spec.follow_pruning(later, keep):
             break
 
-    new.spec = replace(new.spec, layers=tuple(layer.spec for layer in new.layers))
-    new.shapes = infer_shapes(new.spec)
-    for rt2, in_shape, out_shape in zip(new.layers, new.shapes, new.shapes[1:]):
+    spec = replace(net.spec, layers=tuple(layer.spec for layer in layers))
+    shapes = infer_shapes(spec)
+    for rt2, in_shape, out_shape in zip(layers, shapes, shapes[1:]):
         rt2.in_shape = in_shape
         rt2.out_shape = out_shape
-    return new
+    return MaterializedNetwork(spec=spec, shapes=shapes, layers=layers)
 
 
-def prune_impact(net: MaterializedNetwork, mask: PruneMask, inputs: list[Tensor]) -> dict:
+def prune_impact(
+    net: MaterializedNetwork,
+    mask: PruneMask,
+    inputs: list[Tensor],
+    pruned: MaterializedNetwork | None = None,
+) -> dict:
     """Output deviation between the original and pruned networks.
 
-    When the channel change survives to the network output (no downstream
-    conv re-mixes), the comparison restricts the original output to the
+    ``pruned`` is ``prune(net, mask)`` when the caller has already built it
+    (the CLI does, to check the mask); otherwise it is built here.  When the
+    channel change survives to the network output (no downstream conv
+    re-mixes), the comparison restricts the original output to the
     surviving channels.
     """
     channels = resolve_mask(net, mask)
-    pruned = prune(net, mask)
+    if pruned is None:
+        pruned = prune(net, mask)
     n_out = net.layers[mask.layer].conv_params.out_channels
     keep = [c for c in range(n_out) if c not in channels]
 

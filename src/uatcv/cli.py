@@ -25,11 +25,18 @@ entries (the message names the layer), a ``report --format latex`` whose
 written), and an ``--out`` path (or its ``.tex`` sidecar) that cannot be
 written; 3 verification failure; 4 internal invariant breach.  Errors print
 one line to stderr: ``error[<code>]: <message>``.
+
+``main(argv)`` may be called many times in one process, as perfbench and
+the tests call it.  The argument parser is built once per process, on the
+first call, and serves every later one (parsing leaves it unchanged).  Each
+call restores the element cap and clears the cell-pattern cache when it
+returns or raises, so no call sees another's cap or patterns.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -62,6 +69,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, default=None, help="element cap override")
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="uatcv", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -130,7 +138,11 @@ def _random_lora(net, layer: int, rank: int, target: str | None) -> LoraDelta:
     return LoraDelta(layer=layer, a=a, b=b, target=target)
 
 
-def _prune_mask(net, layer: int, channels: str | None, threshold: float | None) -> PruneMask:
+def _prune(
+    net, layer: int, channels: str | None, threshold: float | None
+) -> tuple[PruneMask, MaterializedNetwork]:
+    """The mask the flags name and the network it prunes, which the impact
+    measurement reuses."""
     if channels is not None:
         try:
             channels = tuple(int(c) for c in channels.split(",") if c.strip())
@@ -140,10 +152,10 @@ def _prune_mask(net, layer: int, channels: str | None, threshold: float | None) 
             raise ValidationError("--prune-channels lists no channel")
     try:
         mask = PruneMask(layer=layer, channels=channels, threshold=threshold)
-        prune(net, mask)  # an existing conv layer and channels, one left, absorbed downstream
+        # an existing conv layer and channels, one left, absorbed downstream
+        return mask, prune(net, mask)
     except SpecError as exc:  # the library's own checks, here on command-line values
         raise ValidationError(str(exc)) from None
-    return mask
 
 
 def _write(path: Path, text: str) -> None:
@@ -212,10 +224,12 @@ def _cmd_analyze(args) -> int:
     if args.lora_layer is not None:
         rank = 1 if args.lora_rank is None else args.lora_rank
         lora = _random_lora(net, args.lora_layer, rank, args.lora_target)
-    mask = None
+    mask = pruned = None
     if args.prune_layer is not None:
-        mask = _prune_mask(net, args.prune_layer, args.prune_channels, args.prune_threshold)
-    doc = analysis_section(net, lora=lora, prune_mask=mask, impact_inputs=args.trials)
+        mask, pruned = _prune(net, args.prune_layer, args.prune_channels, args.prune_threshold)
+    doc = analysis_section(
+        net, lora=lora, prune_mask=mask, pruned=pruned, impact_inputs=args.trials
+    )
     sys.stdout.write(report_json(doc))
     return EXIT_OK
 

@@ -256,6 +256,8 @@ class _ConvSpec(LayerSpec):
         rt.conv_weights = Tensor(TensorShape(dims), rt.conv_weights.data.take(keep, axis=axis))
         if axis == 0:
             bias = None if rt.conv_params.bias is None else rt.conv_params.bias[keep]
+            if bias is not None:
+                bias.flags.writeable = False  # read-only like every drawn weight
             rt.conv_params = replace(rt.conv_params, out_channels=len(keep), bias=bias)
             rt.spec = replace(self, out_channels=len(keep))
         else:
@@ -717,14 +719,17 @@ class MaterializedNetwork:
 
 
 def draw_weights(gen: SplitMix64, where: str, *shape: int) -> np.ndarray:
-    """A uniform [-1, 1) array from ``gen``; an array over the element cap
-    is a ValidationError naming ``where``, raised before it is allocated."""
+    """A read-only uniform [-1, 1) array from ``gen``, so networks derived
+    from one another can share it; an array over the element cap is a
+    ValidationError naming ``where``, raised before it is allocated."""
     n = math.prod(shape)
     if n > element_cap():
         raise ValidationError(
             f"{where}: weight array of shape {shape} has {n} elements, cap is {element_cap()}"
         )
-    return gen.uniform(n, -1.0, 1.0).reshape(shape)
+    weights = gen.uniform(n, -1.0, 1.0).reshape(shape)
+    weights.flags.writeable = False
+    return weights
 
 
 def materialize(net: NetworkSpec) -> MaterializedNetwork:

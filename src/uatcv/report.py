@@ -103,6 +103,7 @@ def analysis_section(
     lora: LoraDelta | None = None,
     prune_mask: PruneMask | None = None,
     impact_inputs: int = 8,
+    pruned: MaterializedNetwork | None = None,
 ) -> dict:
     out: dict = {}
     try:
@@ -123,7 +124,7 @@ def analysis_section(
         inputs = [
             random_input(net.spec, seed=net.spec.seed + 1 + t) for t in range(impact_inputs)
         ]
-        out["prune"] = prune_impact(net, prune_mask, inputs)
+        out["prune"] = prune_impact(net, prune_mask, inputs, pruned=pruned)
     return out
 
 

@@ -1,8 +1,9 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from uatcv import analysis, cli
 from uatcv.analysis import (
     LoraDelta,
     PruneMask,
@@ -25,6 +26,7 @@ from uatcv.netspec import (
     TransformerBlockSpec,
     forward,
     materialize,
+    parse_spec,
     random_input,
 )
 from uatcv.tensor import Tensor, TensorShape
@@ -400,3 +402,108 @@ def test_count_uat_terms_draws_weights_once(specs_dir, monkeypatch):
     assert calls == []
     assert [(r.prefix_len, r.n_terms) for r in rows] == [(1, 1), (2, 2)]
     assert [r.n_terms for r in deep_rows] == list(range(1, 17))
+
+
+# ---------------------------------------------------------------------------
+# derived networks: shared read-only weights
+# ---------------------------------------------------------------------------
+
+
+def _weight_arrays(rt) -> dict[str, np.ndarray]:
+    """Every weight array of a materialized layer, by field name."""
+    found = {} if rt.conv_weights is None else {"kernel": rt.conv_weights.data}
+    for part in (rt.conv_params, rt.attn_params, rt.residual):
+        if part is not None:
+            values = {f.name: getattr(part, f.name) for f in fields(part)}
+            found.update({k: v for k, v in values.items() if isinstance(v, np.ndarray)})
+    return found
+
+
+def test_drawn_weights_are_read_only(specs_dir):
+    arrays = [
+        (path.name, rt.index, name, array)
+        for path in sorted(specs_dir.glob("*.json"))
+        for rt in materialize(parse_spec(path)).layers
+        for name, array in _weight_arrays(rt).items()
+    ]
+    assert {name for _, _, name, _ in arrays} >= {"kernel", "bias", "w_1", "w_q", "w_2", "b_3"}
+    for spec, index, name, array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.0
+            pytest.fail(f"{spec} layer {index} {name} is writable")
+
+
+@pytest.mark.parametrize("name, layer, target", [
+    ("vgg3", 1, "w_2"), ("resblock2", 1, "w_1"), ("vit1", 1, "w_q"), ("vit1", 1, "w_3"),
+])
+def test_derived_networks_leave_their_source_unchanged(specs_dir, name, layer, target):
+    net = materialize(parse_spec(specs_dir / f"{name}.json"))
+    x = random_input(net.spec, 3)
+    before = forward(net, x)[-1].data.tobytes()
+    rt = net.layers[layer]
+    m, n = rt.spec.lora_matrix(rt, target).shape
+    rng = np.random.default_rng(4)
+    delta = LoraDelta(layer=layer, a=rng.normal(size=(1, n)), b=rng.normal(size=(m, 1)),
+                      target=target)
+    derived = [apply_lora(net, delta)]
+    lora_equivalence_check(net, delta, x)
+    if rt.conv_weights is not None:
+        derived.append(prune(net, PruneMask(layer=0, channels=(0,))))
+    for other in derived:
+        assert forward(other, x)[-1].data.tobytes() != before
+        assert all(a is not b for a, b in zip(net.layers, other.layers))
+    assert forward(net, x)[-1].data.tobytes() == before
+
+
+def test_apply_lora_shares_every_array_but_its_target():
+    net = materialize(_net([("feature", 6)], [ResidualBlockSpec(hidden_dim=4)] * 2, seed=2))
+    rng = np.random.default_rng(5)
+    delta = LoraDelta(layer=1, a=rng.normal(size=(1, 6)), b=rng.normal(size=(4, 1)), target="w_1")
+    patched = apply_lora(net, delta)
+    (kept0, kept1), (new0, new1) = ([_weight_arrays(rt) for rt in n.layers] for n in (net, patched))
+    assert all(new0[k] is kept0[k] for k in kept0)
+    assert new1["w_1"] is not kept1["w_1"]
+    assert not new1["w_1"].flags.writeable
+    assert all(new1[k] is kept1[k] for k in ("b_1", "w_2", "b_2"))
+
+
+def test_prune_shares_the_layers_it_does_not_shrink():
+    net = materialize(_net(
+        [("C_I", 2), ("H", 8), ("W", 8)],
+        [
+            Conv2dSpec(out_channels=4, kernel=(2, 2), bias=True),
+            MeanPoolSpec(window=(2, 2)),
+            Conv2dSpec(out_channels=3, kernel=(2, 2), bias=True),
+            Conv2dSpec(out_channels=2, kernel=(2, 2), bias=True),
+        ],
+        seed=43,
+    ))
+    pruned = prune(net, PruneMask(layer=0, channels=(1,)))
+    kept, new = ([_weight_arrays(rt) for rt in n.layers] for n in (net, pruned))
+    assert new[0]["kernel"] is not kept[0]["kernel"] and new[0]["bias"] is not kept[0]["bias"]
+    assert new[2]["kernel"] is not kept[2]["kernel"] and new[2]["bias"] is kept[2]["bias"]
+    assert all(new[3][k] is kept[3][k] for k in kept[3])
+    assert all(not a.flags.writeable for layer in new for a in layer.values())
+    # the shapes follow in the copy only
+    assert [rt.in_shape.extent("C_I") for rt in net.layers[1:3]] == [4, 4]
+    assert [rt.in_shape.extent("C_I") for rt in pruned.layers[1:3]] == [3, 3]
+
+
+def test_analyze_prunes_once(specs_dir, monkeypatch, capsys):
+    masks = []
+
+    def spy(net, mask):
+        masks.append(mask)
+        return prune(net, mask)
+
+    monkeypatch.setattr(analysis, "prune", spy)
+    monkeypatch.setattr(cli, "prune", spy)
+    for flags in (
+        ["--prune-layer", "0", "--prune-channels", "1"],
+        ["--prune-layer", "1", "--prune-threshold", "1.0"],
+        ["--prune-layer", "2", "--prune-channels", "0", "--lora-layer", "1"],
+    ):
+        masks.clear()
+        assert cli.main(["analyze", str(specs_dir / "vgg3.json"), *flags]) == 0
+        assert len(masks) == 1
+    capsys.readouterr()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from uatcv.cli import EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
+from uatcv.cli import EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, _random_lora, main
+from uatcv.netspec import materialize, parse_spec
 
 
 def run(capsys, *argv):
@@ -543,3 +545,52 @@ def test_unabsorbable_prune_is_validation_error(capsys, tmp_path):
     assert code == EXIT_PARSE and out == ""
     assert err == ("error[validation]: layer 1 (residual_block) downstream of the pruned layer "
                    "cannot absorb a channel change\n")
+
+
+def test_main_builds_its_parser_once(capsys, specs_dir, monkeypatch):
+    spec = str(specs_dir / "resblock2.json")
+    assert run(capsys, "classify", spec)[0] == EXIT_OK
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "expand", spec, "--seed", "3")[0] == EXIT_OK
+    assert run(capsys, "verify", spec, "--trials", "0")[0] == EXIT_PARSE
+    assert built == []
+
+
+def test_repeated_main_calls_are_independent(capsys, specs_dir):
+    # each call, run again after others with different flags, prints what
+    # it printed the first time: no flag or default carries over
+    calls = []
+    for name, analyze_flags in (
+        ("vgg3", ("--lora-layer", "1", "--prune-layer", "0", "--prune-channels", "1")),
+        ("resblock2", ("--lora-layer", "0", "--lora-rank", "2")),
+    ):
+        spec = str(specs_dir / f"{name}.json")
+        calls += [
+            ("lower", spec, "--seed", "3"), ("lower", spec),
+            ("verify", spec, "--trials", "3"), ("verify", spec, "--seed", "3"),
+            ("expand", spec, "--seed", "3"), ("expand", spec),
+            ("classify", spec, "--seed", "3"), ("classify", spec),
+            ("analyze", spec, "--trials", "2", *analyze_flags), ("analyze", spec),
+            ("analyze", spec, "--seed", "3", *analyze_flags),
+            ("report", spec, "--seed", "3", "--trials", "2"), ("report", spec),
+            ("verify", spec, "--tol", "-1"),
+        ]
+    first = {argv: run(capsys, *argv) for argv in calls}
+    assert [code for code, _, _ in first.values()].count(EXIT_OK) == len(calls) - 2
+    again = {argv: run(capsys, *argv) for argv in reversed(calls)}
+    assert again == first
+
+
+def test_lora_factors_are_read_only(specs_dir):
+    net = materialize(parse_spec(specs_dir / "vgg3.json"))
+    delta = _random_lora(net, layer=1, rank=2, target=None)
+    for factor in (delta.a, delta.b):
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 0.0
