@@ -175,10 +175,10 @@ def lora_equivalence_check(net: MaterializedNetwork, delta: LoraDelta, x: Tensor
 
     Checks (for conv targets) that lowering the patched kernel equals the
     lowered original plus the lowered update, on every kernel element W'
-    places; that untouched layers place bit-identical elements; and that the
-    patched network's output matches direct evaluation with W + BA.  Every
-    form of a layer places the same elements in the same cells, so comparing
-    the elements compares the W'.
+    places; that untouched conv layers keep bit-identical kernels; and that
+    the patched network's output matches direct evaluation with W + BA.
+    Every form of a layer places the same elements in the same cells, so
+    comparing the elements compares the W'.
     """
     patched = apply_lora(net, delta)
     report: dict = {"layer": delta.layer, "target": delta.target, "rank": delta.rank}
@@ -196,7 +196,7 @@ def lora_equivalence_check(net: MaterializedNetwork, delta: LoraDelta, x: Tensor
     for i, (a, b) in enumerate(zip(net.layers, patched.layers)):
         if i == delta.layer or a.conv_weights is None:
             continue
-        untouched.append(bool(np.array_equal(_conv_wvalues(a), _conv_wvalues(b))))
+        untouched.append(bool(np.array_equal(a.conv_weights.data, b.conv_weights.data)))
     report["untouched_layers_identical"] = all(untouched) if untouched else True
 
     out_base = forward(net, x)[-1].flat

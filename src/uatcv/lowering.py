@@ -24,10 +24,9 @@ geometry.  The stage gathers x' once per kernel offset and adds
 ``W[:, c, s] (outer) window[c, s]`` for each input channel c and offset s
 in ascending order.  That is the order in which the cells' weighted
 ``bincount`` adds each output, so the sums are bitwise those of the cells;
-it uses no BLAS call, whose blocking would reorder them.  The broadcast
-cells, their values and the dense W' are built only when read.  A token or
-dense stage stores its cells and their values, and sums them by
-``bincount``.
+it uses no BLAS call, whose blocking would reorder them.  A token or dense
+stage stores its cells and their values, and sums them by ``bincount``.
+Either stage builds its dense W' only when read.
 
 The expansion binds every matrix as a :class:`LinearMap` in its own structure
 (``W'^T`` as its stage's structure, ``I_n (x) W`` as ``W``, attention as
@@ -114,24 +113,15 @@ def tokenwise_map(weight: np.ndarray, tokens: int) -> LinearMap:
 class WeightIndexMap:
     """W' of a token or dense stage as its structural cells, held as given:
     parallel arrays of (row, col) positions and the flat index, into the
-    kernel of shape ``kernel_shape``, of the element each cell carries.  The
-    stage's weights are the cells' values, and W'^T v is their weighted
-    ``bincount``."""
+    kernel, of the element each cell carries.  The stage's weights are the
+    cells' values, and W'^T v is their weighted ``bincount``."""
 
     rows: np.ndarray
     cols: np.ndarray
     kernel_index: np.ndarray
-    kernel_shape: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @property
-    def sources(self) -> np.ndarray:
-        """Each cell's kernel coordinate, (n_cells, kernel ndim), read-only."""
-        sources = np.stack(np.unravel_index(self.kernel_index, self.kernel_shape), axis=1)
-        sources.flags.writeable = False
-        return sources
 
     def sharing_counts(self) -> np.ndarray:
         """How many cells each distinct kernel element occupies, in the
@@ -151,12 +141,14 @@ class WeightIndexMap:
                 f"({n_in}, {n_out})"
             )
 
-    def cell_values(self, values: np.ndarray) -> np.ndarray:
-        return values
-
     def apply(self, values: np.ndarray, v: np.ndarray, n_out: int) -> np.ndarray:
         out = np.bincount(self.cols, values * v[self.rows], minlength=n_out)
         return out.astype(np.float64, copy=False)  # bincount over no cells gives ints
+
+    def dense(self, values: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
+        w = np.zeros((n_in, n_out))
+        w[self.rows, self.cols] = values
+        return w
 
 
 class WindowPattern:
@@ -174,11 +166,6 @@ class WindowPattern:
     shape (channels, *kernel).  A 3-D layer puts depth outermost inside each
     channel block.  The stage's weights are the kernel, so a stage holds no
     array of size C_O*C_I*outputs*kernel.
-
-    The cells themselves (``cells`` and its ``rows``, ``cols``,
-    ``kernel_index`` and ``sources``) are built on first read and kept,
-    read-only, for inspection; evaluation and the stage statistics never
-    read them.
     """
 
     def __init__(self, out_channels: int, in_channels: int, kernel: tuple[int, ...], stride: int,
@@ -244,34 +231,17 @@ class WindowPattern:
                     out += w[:, c, s, None] * win[c, s]
         return out.ravel()
 
-    @functools.cached_property
-    def cells(self) -> WeightIndexMap:
-        """The pattern broadcast over the channel pairs: W''s structural
-        cells, ordered by channel pair, then output position in (H, W[, D])
-        row-major order, then kernel offset."""
-        nd = len(self.outs)
-        # the y' position of each output position in (H, W[, D]) row-major order
-        points = np.indices(self.outs).reshape(nd, -1)
-        col_of = np.ravel_multi_index(tuple(points[self.order]), [self.outs[a] for a in self.order])
-        by_point = self.gather[:, col_of].T
-        in_block = math.prod(self.in_extents[1:])
-        p, s = np.nonzero(by_point < in_block)
-        pair = np.arange(self.pairs)
-        o, c = (pair, pair) if self.per_channel else np.divmod(pair, self.in_extents[0])
-        rows = (c[:, None] * in_block + by_point[p, s]).ravel()
-        cols = (o[:, None] * len(col_of) + col_of[p]).ravel()
-        kernel_index = (pair[:, None] * len(self.offset_counts) + s).ravel()
-        for array in (rows, cols, kernel_index):
-            array.flags.writeable = False
-        return WeightIndexMap(rows, cols, kernel_index, self.kernel_shape)
-
-    rows = property(lambda self: self.cells.rows)
-    cols = property(lambda self: self.cells.cols)
-    kernel_index = property(lambda self: self.cells.kernel_index)
-    sources = property(lambda self: self.cells.sources)
-
-    def cell_values(self, kernel: np.ndarray) -> np.ndarray:
-        return kernel.ravel()[self.kernel_index]
+    def dense(self, kernel: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
+        """W' from the kernel: each window point inside the input, placed in
+        every channel pair (only o == c per channel) in one scatter."""
+        in_block, n_pos = math.prod(self.in_extents[1:]), self.gather.shape[1]
+        p, s = np.nonzero(self.gather.T < in_block)  # output position outermost: faster
+        w = kernel.reshape(*self.kernel_shape[: -len(self.outs)], -1)[..., s]
+        c = np.arange(self.in_extents[0])[:, None]
+        o = c if self.per_channel else np.arange(self.kernel_shape[0])[:, None, None]
+        out = np.zeros((n_in, n_out))
+        out[c * in_block + self.gather[s, p], o * n_pos + p] = w
+        return out
 
 
 @dataclass(frozen=True)
@@ -282,9 +252,14 @@ class LoweredForm:
     ``weight_index_map``, and ``weights``: a conv or pooling stage holds the
     :class:`WindowPattern` of its geometry and its kernel, a token or dense
     stage a :class:`WeightIndexMap` and one value per cell.  Each structural
-    cell carries one kernel element; every other entry of W' is zero.
-    ``weight_matrix`` is derived on read.  x' is the stage input flattened,
-    so no input element feeds two x' positions.
+    cell carries one kernel element; every other entry of W' is zero.  Both
+    structures serve one protocol, each given ``weights``:
+    ``check(weights, n_in, n_out)`` rejects weights or a W' shape that do not
+    fit, ``apply(weights, v, n_out)`` is W'^T v, ``dense(weights, n_in,
+    n_out)`` is W' as an array (``weight_matrix``, built on read),
+    ``sharing_counts()`` counts the cells of each kernel element, and
+    ``len`` is the cell count.  x' is the stage input flattened, so no input
+    element feeds two x' positions.
     """
 
     weights: np.ndarray
@@ -310,10 +285,7 @@ class LoweredForm:
     @property
     def weight_matrix(self) -> np.ndarray:
         """W' as a dense array, built anew on every read."""
-        cells = self.weight_index_map
-        w = np.zeros(self.shape)
-        w[cells.rows, cells.cols] = cells.cell_values(self.weights)
-        return w
+        return self.weight_index_map.dense(self.weights, *self.shape)
 
     @property
     def nnz(self) -> int:
@@ -439,7 +411,7 @@ def _ffn_stage(
         weights=np.tile(np.ravel(weight), tokens),
         input_vector=input_vector,
         output_len=tokens * cols_out,
-        weight_index_map=WeightIndexMap(rows, cols, i * cols_out + j, weight.shape),
+        weight_index_map=WeightIndexMap(rows, cols, i * cols_out + j),
         layout_note=note,
         bias=np.tile(bias, tokens),
     )

@@ -238,6 +238,25 @@ def mean_pool_cells_full_grid(channels: int, window: tuple[int, int], stride: in
     return rows, cols, np.stack([c, a, b], axis=1)
 
 
+def token_cells_full_grid(tokens: int, rows_in: int, cols_out: int):
+    """(rows, cols, kernel sources) of a token stage's W' = I_tokens (x) W
+    from one index grid over every (token, input feature, output feature)
+    combination; the sources are W's (row, column)."""
+    t, i, j = (g.reshape(-1) for g in np.indices((tokens, rows_in, cols_out)))
+    return t * rows_in + i, t * cols_out + j, np.stack([i, j], axis=1)
+
+
+def dense_from_cells(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                     shape: tuple[int, int]) -> np.ndarray:
+    """W' with each cell's value at its own (row, col) and zero elsewhere;
+    no two cells may share a position."""
+    if len(set(zip(rows.tolist(), cols.tolist()))) != len(rows):
+        raise ValueError("two cells share a position")
+    w = np.zeros(shape)
+    w[rows, cols] = values
+    return w
+
+
 def _ravel(coords: list[np.ndarray], extents: tuple[int, ...]) -> np.ndarray:
     flat = np.zeros_like(coords[0])
     for pos, ext in zip(coords, extents):

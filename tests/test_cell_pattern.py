@@ -1,5 +1,6 @@
-"""Window-layer cells built from their geometry pattern, and the per-command
-cache that keeps those patterns."""
+"""Window-layer W' built from its geometry pattern and kernel, checked
+against the full-grid oracle, and the per-command cache that keeps those
+patterns."""
 
 import functools
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import conv_cells_full_grid, mean_pool_cells_full_grid
+from oracles import conv_cells_full_grid, dense_from_cells, mean_pool_cells_full_grid
 from uatcv import cli, lowering
 from uatcv.errors import CapacityError
 from uatcv.lowering import lower_conv2d_I_O, lower_conv3d, lower_mean_pool
@@ -23,13 +24,14 @@ def _t(axes, arr):
     return Tensor(TensorShape(list(zip(axes, arr.shape))), arr)
 
 
-def _assert_cells_match(form, rows, cols, sources, weights):
-    cells = form.weight_index_map
-    assert np.array_equal(cells.rows, rows)
-    assert np.array_equal(cells.cols, cols)
-    assert np.array_equal(cells.sources, sources)
-    # the oracle's cells, evaluated the same way, give the same bits
+def _assert_matches_oracle(form, rows, cols, sources, weights):
+    # W' is the oracle's cells scattered into a dense matrix, bit for bit
     values = weights[tuple(sources.T)]
+    assert np.array_equal(form.weight_matrix, dense_from_cells(rows, cols, values, form.shape))
+    assert form.nnz == len(rows)
+    _, counts = np.unique(sources, axis=0, return_counts=True)
+    assert np.array_equal(form.weight_index_map.sharing_counts(), counts)
+    # the oracle's cells, evaluated as a weighted bincount, give the same bits
     want = np.bincount(cols, values * form.input_vector[rows], minlength=form.output_len)
     if form.bias is not None:
         want = want + form.bias
@@ -61,7 +63,7 @@ def test_conv_cells_match_the_full_grid(geometry):
               rng.normal(size=(c_out, c_in, *kernel)))
     form = (lower_conv2d_I_O if len(kernel) == 2 else lower_conv3d)(x, p, kern)
     rows, cols, sources = conv_cells_full_grid(c_out, c_in, kernel, stride, padding, spatial)
-    _assert_cells_match(form, rows, cols, sources, kern.data)
+    _assert_matches_oracle(form, rows, cols, sources, kern.data)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -73,7 +75,7 @@ def test_mean_pool_cells_match_the_full_grid(chans, kh, kw, stride, extra_h, ext
     x = _t(("C_I", "H", "W"), rng.normal(size=(chans, *spatial)))
     form = lower_mean_pool(x, PoolParams((kh, kw), stride))
     rows, cols, sources = mean_pool_cells_full_grid(chans, (kh, kw), stride, spatial)
-    _assert_cells_match(form, rows, cols, sources, np.full((chans, kh, kw), 1.0 / (kh * kw)))
+    _assert_matches_oracle(form, rows, cols, sources, np.full((chans, kh, kw), 1.0 / (kh * kw)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +127,11 @@ def pattern_calls(monkeypatch):
 def test_one_pattern_per_conv_geometry(capsys, vgg3, pattern_calls, argv):
     path, net = vgg3
     assert cli.main([argv[0], str(path), *argv[1:]]) == 0
-    # vgg3's three conv layers have three distinct geometries
+    # vgg3's three conv layers have three distinct geometries; analyze lowers
+    # only the LoRA target (its kernel, the patched kernel and the update)
+    lowered = net.layers[:1] if argv[0] == "analyze" else net.layers
     builds = pattern_calls["builds"]
-    assert sorted(builds) == sorted(map(_geometry, net.layers))
+    assert sorted(builds) == sorted(map(_geometry, lowered))
     assert len(pattern_calls["lookups"]) > len(builds)
 
 
@@ -168,21 +172,20 @@ def test_cache_is_empty_after_main(capsys, vgg3, monkeypatch):
     assert lowering.cell_pattern.cache_info().currsize == 0
 
 
-def test_cells_are_read_only():
+def test_window_pattern_is_read_only_and_shared():
     x = _t(("C_I", "H", "W"), np.ones((2, 4, 4)))
     p = ConvParams(2, 3, (2, 2), 1, 1)
     kern = _t(("C_O", "C_I", "H", "W"), np.ones((3, 2, 2, 2)))
-    form = lower_conv2d_I_O(x, p, kern)
-    cells = form.weight_index_map
-    for array in (cells.rows, cells.cols, cells.kernel_index, cells.sources):
+    pattern = lower_conv2d_I_O(x, p, kern).weight_index_map
+    for array in (pattern.gather, pattern.offset_counts):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
-    # a second lowering of the geometry shares the same arrays
-    assert lower_conv2d_I_O(x, p, kern).weight_index_map.rows is cells.rows
+    # a second lowering of the geometry shares the same pattern
+    assert lower_conv2d_I_O(x, p, kern).weight_index_map is pattern
 
 
 # ---------------------------------------------------------------------------
-# window stages evaluate from the pattern: the cells are for inspection only
+# window stages evaluate from the pattern: no command places W''s cells
 # ---------------------------------------------------------------------------
 
 
@@ -223,10 +226,10 @@ def test_commands_never_build_window_cells(argv, specs_dir, tmp_path, monkeypatc
         ]),
     }
 
-    def refuse(pattern):
-        raise AssertionError("a window stage's cells were built")
+    def refuse(pattern, kernel, n_in, n_out):
+        raise AssertionError("a window stage's cells were placed in a dense W'")
 
-    monkeypatch.setattr(lowering.WindowPattern, "cells", property(refuse))
+    monkeypatch.setattr(lowering.WindowPattern, "dense", refuse)
     assert cli.main([argv[0], str(specs[argv[1]]), *argv[2:]]) == 0
 
 

@@ -311,6 +311,32 @@ def test_lowering_over_cap_is_validation_error(capsys, tmp_path, monkeypatch, co
     assert "error[validation]" in err and "layer 0 (conv2d)" in err
 
 
+@pytest.mark.parametrize("layer, code", [(1, EXIT_OK), (0, EXIT_PARSE)])
+def test_lora_check_lowers_only_its_target(capsys, tmp_path, monkeypatch, layer, code):
+    from uatcv.tensor import set_element_cap
+
+    # lowering index grids: layer 0 (4->4) 5,184 elements, over the cap; layer 1 (4->2) 2,592
+    spec = tmp_path / "two_convs.json"
+    spec.write_text(json.dumps({
+        "input_shape": [["C_I", 4], ["H", 6], ["W", 6]],
+        "seed": 1,
+        "activation": "relu",
+        "layers": [{"kind": "conv2d", "out_channels": n, "kernel": [3, 3], "padding": 1}
+                   for n in (4, 2)],
+    }))
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    try:
+        got, out, err = run(capsys, "analyze", str(spec), "--lora-layer", str(layer),
+                            "--lora-rank", "1", "--cap", "3000")
+    finally:
+        set_element_cap(None)
+    assert got == code
+    if code == EXIT_OK:
+        assert json.loads(out)["lora"]["untouched_layers_identical"] is True
+    else:
+        assert err.startswith("error[validation]: layer 0 (conv2d): lowering index grid")
+
+
 
 def _write_conv_spec(path, input_hw, layer):
     path.write_text(json.dumps({

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mha_kron_sum
+from oracles import (
+    conv_cells_full_grid,
+    dense_from_cells,
+    mean_pool_cells_full_grid,
+    mha_kron_sum,
+    token_cells_full_grid,
+)
 from uatcv.errors import CapacityError, ShapeError
 from uatcv.lowering import (
     diamond,
@@ -157,22 +163,22 @@ def test_lower_conv2d_I_O_random_oracle():
 
 
 def test_lower_conv2d_block_grid_layout():
-    # block (input channel j, output channel i) of W' carries kernel (i, j)
+    # block (input channel c, output channel o) of W' is the one-channel W'
+    # of kernel (o, c)
     rng = np.random.default_rng(6)
     x = _t(("C_I", "H", "W"), rng.normal(size=(2, 3, 3)))
     p = ConvParams(2, 2, (2, 2))
     kern = _t(("C_O", "C_I", "H", "W"), rng.normal(size=(2, 2, 2, 2)))
-    form = lower_conv2d_I_O(x, p, kern)
+    w = lower_conv2d_I_O(x, p, kern).weight_matrix
     per_in, per_out = 9, 4
-    assert form.weight_matrix.shape == (2 * per_in, 2 * per_out)
-    for entry, src in zip(
-        zip(form.weight_index_map.rows, form.weight_index_map.cols),
-        form.weight_index_map.sources,
-    ):
-        row, col = entry
-        o, c = src[0], src[1]
-        assert row // per_in == c
-        assert col // per_out == o
+    assert w.shape == (2 * per_in, 2 * per_out)
+    rows, cols, sources = conv_cells_full_grid(1, 1, (2, 2), 1, 0, (3, 3))
+    for o in range(2):
+        for c in range(2):
+            block = dense_from_cells(rows, cols, kern.data[o, c][tuple(sources[:, 2:].T)],
+                                     (per_in, per_out))
+            assert np.array_equal(w[c * per_in : (c + 1) * per_in,
+                                    o * per_out : (o + 1) * per_out], block)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +208,13 @@ def test_conv_lowering_index_map_unique_and_complete():
     rng = np.random.default_rng(8)
     x, p, kern = _rand_conv2d(rng)
     form = lower_conv2d_I_O(x, p, kern)
-    cells = list(zip(form.weight_index_map.rows.tolist(), form.weight_index_map.cols.tolist()))
-    assert len(cells) == len(set(cells))  # every cell traces to exactly one element
-    mask = np.zeros(form.weight_matrix.shape, dtype=bool)
-    mask[form.weight_index_map.rows, form.weight_index_map.cols] = True
-    assert np.all(form.weight_matrix[~mask] == 0.0)
-    # structural cells carry exactly the kernel element the map claims
-    vals = form.weight_matrix[form.weight_index_map.rows, form.weight_index_map.cols]
-    claimed = kern.data[tuple(form.weight_index_map.sources.T)]
-    assert np.array_equal(vals, claimed)
+    rows, cols, sources = conv_cells_full_grid(p.out_channels, p.in_channels, p.kernel,
+                                               p.stride, p.padding, x.shape.extents[1:])
+    # every cell traces to exactly one element and carries that element; every
+    # other entry is zero
+    want = dense_from_cells(rows, cols, kern.data[tuple(sources.T)], form.shape)
+    assert np.array_equal(form.weight_matrix, want)
+    assert form.nnz == len(rows) == np.count_nonzero(want)
 
 
 def test_conv_lowering_linear_in_kernel():
@@ -514,7 +518,8 @@ def test_dense_over_the_cap_raises_before_allocating(monkeypatch):
 
 @st.composite
 def _small_stage_forms(draw):
-    """The forms of one small conv2d, conv3d, pool, FFN or dense stage."""
+    """The forms of one small conv2d, conv3d, pool, FFN or dense stage, each
+    with its oracle: the full-grid cells and the kernel their sources index."""
     from uatcv.netspec import _dense_form
 
     kind = draw(st.sampled_from(["conv2d", "conv3d", "pool", "ffn", "dense"]))
@@ -532,18 +537,26 @@ def _small_stage_forms(draw):
         axes = ("H", "W", "D")[:nd]
         x = _t(("C_I", *axes), rng.normal(size=(c_in, *spatial)))
         kern = _t(("C_O", "C_I", *axes), rng.normal(size=(c_out, c_in, *kernel)))
-        return [(lower_conv2d_I_O if nd == 2 else lower_conv3d)(x, p, kern)]
+        cells = conv_cells_full_grid(c_out, c_in, kernel, stride, padding, spatial)
+        return [((lower_conv2d_I_O if nd == 2 else lower_conv3d)(x, p, kern), cells, kern.data)]
     if kind == "pool":
         window = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
         h, w = (draw(st.integers(k, k + 3)) for k in window)
-        x = _t(("C_I", "H", "W"), rng.normal(size=(draw(st.integers(1, 3)), h, w)))
-        return [lower_mean_pool(x, PoolParams(window, draw(st.integers(1, 2))))]
+        chans, stride = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        x = _t(("C_I", "H", "W"), rng.normal(size=(chans, h, w)))
+        cells = mean_pool_cells_full_grid(chans, window, stride, (h, w))
+        return [(lower_mean_pool(x, PoolParams(window, stride)), cells,
+                 np.full((chans, *window), 1.0 / (window[0] * window[1])))]
     if kind == "ffn":
         d, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
         p = random_attn_params(d, 1, draw(st.integers(1, 5)), rng)
-        return list(lower_ffn(rng.normal(size=(n, d)), p, "relu"))
+        forms = lower_ffn(rng.normal(size=(n, d)), p, "relu")
+        return [(form, token_cells_full_grid(n, *w.shape), w)
+                for form, w in zip(forms, (p.w_2, p.w_3))]
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    return [_dense_form(rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=n))]
+    matrix = rng.normal(size=(m, n))
+    form = _dense_form(matrix, rng.normal(size=m), rng.normal(size=n))
+    return [(form, token_cells_full_grid(1, n, m), matrix.T)]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -552,15 +565,30 @@ def test_cell_evaluation_matches_dense_diamond(forms):
     # each result is within gamma_n * (|W'|^T |x'| + |b|) of the exact value
     # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
     # with n = len(x') + 1 for the bias; so the two are within twice that
-    for form in forms:
-        w, x = form.weight_matrix, form.input_vector
+    for form, (rows, cols, sources), kernel in forms:
+        w = dense_from_cells(rows, cols, kernel[tuple(sources.T)], form.shape)
+        assert np.array_equal(form.weight_matrix, w)
+        x = form.input_vector
         bias = np.zeros(form.output_len) if form.bias is None else form.bias
         dense = diamond(w, x) + bias
         nu = (len(x) + 1) * np.finfo(np.float64).eps / 2
         bound = 2 * nu / (1 - nu) * (np.abs(w).T @ np.abs(x) + np.abs(bias))
         assert np.all(np.abs(form.evaluate() - dense) <= bound)
-        _, counts = np.unique(form.weight_index_map.sources, axis=0, return_counts=True)
+        _, counts = np.unique(sources, axis=0, return_counts=True)
         assert np.array_equal(form.weight_index_map.sharing_counts(), counts)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_small_stage_forms())
+def test_every_stage_structure_serves_one_protocol(forms):
+    # conv, pool, FFN and dense stages alike: the map's dense form is W'^T,
+    # every cell belongs to one kernel element, and evaluate() applies the map
+    for form, _, _ in forms:
+        m, structure = form.linear_map(), form.weight_index_map
+        assert np.array_equal(m.dense(), form.weight_matrix.T)
+        assert structure.sharing_counts().sum() == form.nnz == len(structure)
+        bias = 0.0 if form.bias is None else form.bias
+        assert np.array_equal(form.evaluate(), m @ form.input_vector + bias)
 
 
 def test_conv_lowering_memory_is_linear_in_cells():
