@@ -11,8 +11,8 @@ matrices flattened row-major (token, feature).
 Every W' entry that carries a kernel element, whatever its value, is a
 structural cell; every other entry is zero, and a kernel element generally
 occupies many cells (weight sharing).  W' is stored as the structure that
-implies its cells, never dense, and every index grid a lowering stands for
-counts against the element cap, checked on every call.
+implies its cells, never with its zeros, and every index grid a lowering
+stands for counts against the element cap, checked on every call.
 
 A conv or pooling stage stores its kernel and the :class:`WindowPattern`
 of its geometry (channels, kernel, stride, padding, input extents), which
@@ -24,9 +24,9 @@ geometry.  The stage gathers x' once per kernel offset and adds
 ``W[:, c, s] (outer) window[c, s]`` for each input channel c and offset s
 in ascending order.  That is the order in which the cells' weighted
 ``bincount`` adds each output, so the sums are bitwise those of the cells;
-it uses no BLAS call, whose blocking would reorder them.  A token or dense
-stage stores its cells and their values, and sums them by ``bincount``.
-Either stage builds its dense W' only when read.
+it uses no BLAS call, whose blocking would reorder them.  A token stage
+stores its cells and their values, and sums them by ``bincount``; a dense
+stage holds W' itself (:class:`DenseMatrix`) and adds in that same order.
 
 The expansion binds every matrix as a :class:`LinearMap` in its own structure
 (``W'^T`` as its stage's structure, ``I_n (x) W`` as ``W``, attention as
@@ -111,7 +111,7 @@ def tokenwise_map(weight: np.ndarray, tokens: int) -> LinearMap:
 
 @dataclass(frozen=True)
 class WeightIndexMap:
-    """W' of a token or dense stage as its structural cells, held as given:
+    """W' of a token stage as its structural cells, held as given:
     parallel arrays of (row, col) positions and the flat index, into the
     kernel, of the element each cell carries.  The stage's weights are the
     cells' values, and W'^T v is their weighted ``bincount``."""
@@ -149,6 +149,35 @@ class WeightIndexMap:
         w = np.zeros((n_in, n_out))
         w[self.rows, self.cols] = values
         return w
+
+
+@dataclass(frozen=True)
+class DenseMatrix:
+    """W' of a dense stage as itself: the stage's weights are W', of shape
+    ``shape`` = (n_in, n_out), and each entry is a structural cell."""
+
+    shape: tuple[int, int]
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    def sharing_counts(self) -> np.ndarray:
+        return np.ones(len(self), dtype=np.int64)
+
+    def check(self, w: np.ndarray, n_in: int, n_out: int) -> None:
+        if not w.shape == (n_in, n_out) == self.shape:
+            raise ShapeError(f"W' of shape {w.shape} for a dense stage of shape {self.shape}")
+
+    def apply(self, w: np.ndarray, v: np.ndarray, n_out: int) -> np.ndarray:
+        """W'^T v, each output added over its inputs in ascending order from
+        +0.0 as the cells' ``bincount`` adds it (a ``reduce`` may go pairwise)."""
+        terms = np.zeros((len(v) + 1, n_out))
+        np.multiply(v[:, None], w, out=terms[1:])
+        np.add.accumulate(terms, axis=0, out=terms)
+        return terms[-1].copy()
+
+    def dense(self, w: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
+        return np.array(w, order="C")
 
 
 class WindowPattern:
@@ -248,11 +277,12 @@ class WindowPattern:
 class LoweredForm:
     """One matrix-vector stage: y' = W' <> x' (+ bias).
 
-    W' has shape ``(len(x'), output_len)`` and is held as its structure,
-    ``weight_index_map``, and ``weights``: a conv or pooling stage holds the
-    :class:`WindowPattern` of its geometry and its kernel, a token or dense
-    stage a :class:`WeightIndexMap` and one value per cell.  Each structural
-    cell carries one kernel element; every other entry of W' is zero.  Both
+    W' has shape ``(len(x'), output_len)`` and is held as one of three
+    structures, ``weight_index_map``, and ``weights``: a conv or pooling
+    stage holds the :class:`WindowPattern` of its geometry and its kernel, a
+    token stage a :class:`WeightIndexMap` and one value per cell, and a
+    dense stage a :class:`DenseMatrix` and W' itself.  Each structural cell
+    carries one kernel element; every other entry of W' is zero.  The three
     structures serve one protocol, each given ``weights``:
     ``check(weights, n_in, n_out)`` rejects weights or a W' shape that do not
     fit, ``apply(weights, v, n_out)`` is W'^T v, ``dense(weights, n_in,
@@ -265,7 +295,7 @@ class LoweredForm:
     weights: np.ndarray
     input_vector: np.ndarray
     output_len: int
-    weight_index_map: WeightIndexMap | WindowPattern
+    weight_index_map: WeightIndexMap | WindowPattern | DenseMatrix
     layout_note: str
     bias: np.ndarray | None = None
 

@@ -66,9 +66,9 @@ from .errors import (
     ValidationError,
 )
 from .lowering import (
+    DenseMatrix,
     LinearMap,
     LoweredForm,
-    _ffn_stage,
     effective_matrix_from_projections,
     lower_conv2d_I_O,
     lower_conv3d,
@@ -92,7 +92,8 @@ from .reference import (
     unpatchify,
 )
 from .tensor import (
-    AXIS_NAMES, SplitMix64, Tensor, TensorShape, element_cap, flatten, random_uniform, zeros,
+    AXIS_NAMES, SplitMix64, Tensor, TensorShape, check_cap, element_cap, flatten, random_uniform,
+    zeros,
 )
 from .symbolic import (
     bind,
@@ -813,9 +814,13 @@ class LayerCheck:
 
 
 def _dense_form(matrix: np.ndarray, bias: np.ndarray, x: np.ndarray) -> LoweredForm:
-    """A dense matrix as a lowered stage: W' = matrix^T so the diamond
-    product reproduces ``matrix @ x`` (a one-token FFN stage)."""
-    return _ffn_stage(matrix.T, bias, x, 1, "dense stage: W' = matrix^T over the flat input")
+    """A dense matrix as a lowered stage: W' = matrix^T as a
+    :class:`DenseMatrix`, so the diamond product reproduces ``matrix @ x``."""
+    n_out, n_in = matrix.shape
+    check_cap("lowering index grid", (1, n_in, n_out))  # before anything is built
+    return LoweredForm(weights=matrix.T, input_vector=x, output_len=n_out,
+                       weight_index_map=DenseMatrix((n_in, n_out)),
+                       layout_note="dense stage: W' = matrix^T over the flat input", bias=bias)
 
 
 def check_layer(rt: RtLayer, value: Tensor) -> LayerCheck:

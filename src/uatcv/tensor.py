@@ -161,31 +161,36 @@ class SplitMix64:
 
     Uniform floats in [0, 1) take the top 53 bits: ``(z >> 11) * 2**-53``.
     All arithmetic is mod 2^64.  This recurrence is the normative stream
-    contract; tests hold an independent implementation against it.
+    contract, whatever computes it (here a Python-int state and one ``uint64``
+    array per draw, mixed in place, which wraps without a warning); tests
+    hold an independent implementation against it.
     """
 
-    GAMMA = np.uint64(0x9E3779B97F4A7C15)
+    GAMMA = 0x9E3779B97F4A7C15
     MIX1 = np.uint64(0xBF58476D1CE4E5B9)
     MIX2 = np.uint64(0x94D049BB133111EB)
+    S11, S27, S30, S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
     def __init__(self, seed: int):
-        self._state = np.uint64(seed % (1 << 64))
+        self._state = seed % (1 << 64)
 
     def next_raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs."""
-        with np.errstate(over="ignore"):
-            states = self._state + self.GAMMA * np.arange(1, n + 1, dtype=np.uint64)
-            self._state = self._state + self.GAMMA * np.uint64(n)
-            z = states
-            z = (z ^ (z >> np.uint64(30))) * self.MIX1
-            z = (z ^ (z >> np.uint64(27))) * self.MIX2
-            z = z ^ (z >> np.uint64(31))
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(self.GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + self.GAMMA * n) % (1 << 64)
+        z ^= z >> self.S30
+        z *= self.MIX1
+        z ^= z >> self.S27
+        z *= self.MIX2
+        z ^= z >> self.S31
         return z
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         if not lo < hi:
             raise RangeError(f"need lo < hi, got [{lo}, {hi})")
-        u = (self.next_raw(n) >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+        u = (self.next_raw(n) >> self.S11).astype(np.float64) / float(1 << 53)
         return lo + (hi - lo) * u
 
 

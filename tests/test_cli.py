@@ -620,3 +620,30 @@ def test_lora_factors_are_read_only(specs_dir):
     for factor in (delta.a, delta.b):
         with pytest.raises(ValueError, match="read-only"):
             factor[0, 0] = 0.0
+
+
+def test_residual_commands_build_no_cells(capsys, specs_dir, monkeypatch):
+    # a residual block's dense stages hold W' itself; only token stages
+    # still build an index grid and its cells
+    from uatcv import lowering
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("structural cells were built")
+
+    monkeypatch.setattr(lowering, "_ffn_stage", refuse)
+    monkeypatch.setattr(lowering, "WeightIndexMap", refuse)
+    spec = str(specs_dir / "resblock2.json")
+    for argv in (("lower", spec), ("verify", spec), ("report", spec),
+                 ("analyze", spec, "--lora-layer", "0", "--lora-target", "w_1")):
+        assert run(capsys, *argv)[0] == EXIT_OK, argv
+    monkeypatch.undo()
+    built = []
+    ffn_stage = lowering._ffn_stage
+
+    def counting(*args, **kwargs):
+        built.append(args[3])  # tokens
+        return ffn_stage(*args, **kwargs)
+
+    monkeypatch.setattr(lowering, "_ffn_stage", counting)
+    run(capsys, "verify", str(specs_dir / "vit1.json"))
+    assert built

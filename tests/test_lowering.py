@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -12,6 +12,7 @@ from oracles import (
 )
 from uatcv.errors import CapacityError, ShapeError
 from uatcv.lowering import (
+    DenseMatrix,
     diamond,
     effective_matrix_from_projections,
     extract_mha_effective_matrix,
@@ -612,6 +613,7 @@ def test_conv_lowering_memory_is_linear_in_cells():
 
 def test_lowering_index_grid_is_capped(monkeypatch):
     from uatcv.errors import CapacityError
+    from uatcv.netspec import _dense_form
     from uatcv.tensor import set_element_cap
 
     rng = np.random.default_rng(25)
@@ -628,8 +630,112 @@ def test_lowering_index_grid_is_capped(monkeypatch):
             lower_conv2d_I_O(x, p, kern)
         with pytest.raises(CapacityError):
             lower_ffn(rng.normal(size=(grid, 1)), random_attn_params(1, 1, 1, rng), "relu")
+        # a dense stage counts its (1, n_in, n_out) grid, though it builds none
+        m, n = 6, 8
+        matrix, bias, flat = rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=n)
+        set_element_cap(m * n)
+        _dense_form(matrix, bias, flat)
+        set_element_cap(m * n - 1)
+        with pytest.raises(CapacityError, match=f"lowering index grid .* has {m * n} elements"):
+            _dense_form(matrix, bias, flat)
     finally:
         set_element_cap(None)
+
+
+# ---------------------------------------------------------------------------
+# dense stages: W' held as itself, summed in the cells' order
+# ---------------------------------------------------------------------------
+
+
+def _mixed_scale(rng, shape):
+    """Normal entries scaled by 2^-40, 1 or 2^40, about a fifth of them -0.0:
+    their sums change with the order in which they are added."""
+    a = rng.normal(size=shape) * 2.0 ** rng.choice([-40, 0, 40], size=shape)
+    a[rng.random(shape) < 0.2] = -0.0
+    return a
+
+
+@st.composite
+def _dense_stages(draw):
+    """(matrix, bias, x) of a dense stage, single-output about half the time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    n = draw(st.integers(1, 16))
+    return _mixed_scale(rng, (m, n)), _mixed_scale(rng, m), _mixed_scale(rng, n)
+
+
+def _cell_sums(matrix, bias, x):
+    """The oracle: the full-grid cells of W' = matrix^T, summed by weighted
+    ``bincount``, plus the bias."""
+    rows, cols, sources = token_cells_full_grid(1, matrix.shape[1], matrix.shape[0])
+    values = matrix.T[tuple(sources.T)]
+    return np.bincount(cols, values * x[rows], minlength=len(bias)) + bias
+
+
+def _sums_like_the_cells(stage) -> bool:
+    from uatcv.netspec import _dense_form
+
+    return _dense_form(*stage).evaluate().tobytes() == _cell_sums(*stage).tobytes()
+
+
+# one output over 16 inputs: 7.0 added in order, 14.0 added pairwise, as a
+# reduce adds a single output
+_SINGLE_OUTPUT = (np.array([[2.0**53, *[1.0] * 7, -(2.0**53), *[1.0] * 7]]), np.array([0.5]),
+                  np.ones(16))
+# every product is -0.0, so only a sum started at +0.0 gives +0.0 (and a -0.0
+# bias keeps the sign visible)
+_NEGATIVE_ZERO_PRODUCTS = (np.full((3, 5), -0.0), np.full(3, -0.0), np.arange(1.0, 6.0))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_dense_stages())
+@example(_SINGLE_OUTPUT)
+@example(_NEGATIVE_ZERO_PRODUCTS)
+def test_dense_stage_sums_bitwise_in_cell_order(stage):
+    assert _sums_like_the_cells(stage)
+
+
+def _reduce_of_transposed_product(self, w, v, n_out):
+    return np.add.reduce(v[:, None] * w, axis=0)  # F-ordered like w: added pairwise
+
+
+def _reduce_of_c_ordered_product(self, w, v, n_out):
+    return np.add.reduce(np.ascontiguousarray(v[:, None] * w), axis=0)
+
+
+def _accumulate_from_first_product(self, w, v, n_out):
+    return np.add.accumulate(np.ascontiguousarray(v[:, None] * w), axis=0)[-1]
+
+
+@pytest.mark.parametrize("apply", [_reduce_of_transposed_product, _reduce_of_c_ordered_product,
+                                   _accumulate_from_first_product])
+def test_dense_sum_order_property_rejects_other_orders(apply, monkeypatch):
+    from hypothesis import find
+
+    monkeypatch.setattr(DenseMatrix, "apply", apply)
+    assert not all(map(_sums_like_the_cells, (_SINGLE_OUTPUT, _NEGATIVE_ZERO_PRODUCTS)))
+    with pytest.raises(AssertionError):
+        test_dense_stage_sums_bitwise_in_cell_order()
+    # the drawn stages catch it without the explicit examples
+    find(_dense_stages(), lambda stage: not _sums_like_the_cells(stage),
+         settings=settings(max_examples=200, derandomize=True))
+
+
+def test_dense_stage_memory_is_linear_in_its_matrix():
+    import tracemalloc
+
+    from uatcv.netspec import _dense_form
+
+    rng = np.random.default_rng(29)
+    matrix, bias, x = rng.normal(size=(1024, 1024)), rng.normal(size=1024), rng.normal(size=1024)
+    tracemalloc.start()
+    try:
+        out = _dense_form(matrix, bias, x).evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * matrix.nbytes
+    np.testing.assert_allclose(out, matrix @ x + bias, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize(

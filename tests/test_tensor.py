@@ -105,6 +105,20 @@ def test_splitmix_long_stream_matches_oracle():
     assert gen.next_raw(500).tolist() == splitmix64_reference(123456789, 500)
 
 
+@pytest.mark.parametrize("seed", [0, -5, 2**63, 2**64 - 1])
+def test_splitmix_interleaved_draws_match_oracle_without_warnings(seed):
+    # the state wraps mod 2^64 between draws of every size, the empty one
+    # included, and no overflow warns
+    import warnings
+
+    draws = [0, 1, 48, 1000, 0, 48, 1, 1000]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gen = SplitMix64(seed)
+        stream = [z for n in draws for z in gen.next_raw(n).tolist()]
+    assert stream == splitmix64_reference(seed, sum(draws))
+
+
 def test_random_uniform_deterministic():
     shape = TensorShape([("H", 4), ("W", 3)])
     a = random_uniform(shape, seed=42)
