@@ -16,7 +16,6 @@ from .errors import RankError, ShapeError, SpecError
 from .netspec import (
     MaterializedNetwork,
     NetworkSpec,
-    RtLayer,
     expansion_family,
     forward,
     infer_shapes,
@@ -161,15 +160,6 @@ def apply_lora(net: MaterializedNetwork, delta: LoraDelta) -> MaterializedNetwor
     return replace(net, shapes=list(net.shapes), layers=layers)
 
 
-def _conv_wvalues(rt: RtLayer) -> np.ndarray:
-    """The kernel elements that occupy a cell of a conv layer's W' at its
-    input shape, one row per channel pair (W' does not depend on the input
-    values, and which elements it places only on the shapes)."""
-    (form,) = lower_layer(rt, zeros(rt.in_shape))
-    placed = form.weight_index_map.offset_counts > 0
-    return form.weights.reshape(*form.weights.shape[:2], -1)[..., placed]
-
-
 def lora_equivalence_check(net: MaterializedNetwork, delta: LoraDelta, x: Tensor) -> dict:
     """Verify the low-rank update behaves linearly through the lowering.
 
@@ -185,11 +175,16 @@ def lora_equivalence_check(net: MaterializedNetwork, delta: LoraDelta, x: Tensor
 
     rt = net.layers[delta.layer]
     if rt.conv_weights is not None:
-        base = _conv_wvalues(rt)
-        patched_values = _conv_wvalues(patched.layers[delta.layer])
-        delta_rt = replace(rt)
-        rt.spec.set_lora_matrix(delta_rt, delta.target, delta.update())
-        lin = np.max(np.abs(patched_values - (base + _conv_wvalues(delta_rt))), initial=0.0)
+        # W' places the same kernel elements whatever the kernel, so one
+        # lowering at a zero input finds them; a conv stage's weights are its kernel
+        (form,) = lower_layer(rt, zeros(rt.in_shape))
+        placed = form.weight_index_map.offset_counts > 0
+        kernel = rt.conv_weights.data
+        base, patched_values, update = (
+            k.reshape(*kernel.shape[:2], -1)[..., placed]
+            for k in (kernel, patched.layers[delta.layer].conv_weights.data, delta.update())
+        )
+        lin = np.max(np.abs(patched_values - (base + update)), initial=0.0)
         report["lowering_linearity_max_abs"] = float(lin)
 
     untouched = []

@@ -24,9 +24,9 @@ geometry.  The stage gathers x' once per kernel offset and adds
 ``W[:, c, s] (outer) window[c, s]`` for each input channel c and offset s
 in ascending order.  That is the order in which the cells' weighted
 ``bincount`` adds each output, so the sums are bitwise those of the cells;
-it uses no BLAS call, whose blocking would reorder them.  A token stage
-stores its cells and their values, and sums them by ``bincount``; a dense
-stage holds W' itself (:class:`DenseMatrix`) and adds in that same order.
+it uses no BLAS call, whose blocking would reorder them.  A token or dense
+stage stores W, with ``W' = I_tokens (x) W`` (:class:`DenseMatrix`; a dense
+stage is one token), and adds in that same order.  No stage stores cells.
 
 The expansion binds every matrix as a :class:`LinearMap` in its own structure
 (``W'^T`` as its stage's structure, ``I_n (x) W`` as ``W``, attention as
@@ -110,74 +110,53 @@ def tokenwise_map(weight: np.ndarray, tokens: int) -> LinearMap:
 
 
 @dataclass(frozen=True)
-class WeightIndexMap:
-    """W' of a token stage as its structural cells, held as given:
-    parallel arrays of (row, col) positions and the flat index, into the
-    kernel, of the element each cell carries.  The stage's weights are the
-    cells' values, and W'^T v is their weighted ``bincount``."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    kernel_index: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def sharing_counts(self) -> np.ndarray:
-        """How many cells each distinct kernel element occupies, in the
-        lexicographic order of the kernel coordinates."""
-        counts = np.bincount(self.kernel_index)
-        return counts[counts > 0]
-
-    def check(self, values: np.ndarray, n_in: int, n_out: int) -> None:
-        if len(values) != len(self):
-            raise ShapeError(f"{len(values)} weight values for {len(self)} structural cells")
-        if len(self) and not (
-            0 <= self.rows.min() and self.rows.max() < n_in
-            and 0 <= self.cols.min() and self.cols.max() < n_out
-        ):
-            raise ShapeError(
-                f"structural cells must lie inside W' of shape (len(x'), output_len) = "
-                f"({n_in}, {n_out})"
-            )
-
-    def apply(self, values: np.ndarray, v: np.ndarray, n_out: int) -> np.ndarray:
-        out = np.bincount(self.cols, values * v[self.rows], minlength=n_out)
-        return out.astype(np.float64, copy=False)  # bincount over no cells gives ints
-
-    def dense(self, values: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
-        w = np.zeros((n_in, n_out))
-        w[self.rows, self.cols] = values
-        return w
-
-
-@dataclass(frozen=True)
 class DenseMatrix:
-    """W' of a dense stage as itself: the stage's weights are W', of shape
-    ``shape`` = (n_in, n_out), and each entry is a structural cell."""
+    """W' of a token or dense stage from W alone: ``W' = I_tokens (x) W``,
+    W of shape ``shape`` = (rows, cols) applied to each of ``tokens`` tokens
+    (a dense stage is one token).  The stage's weights are W, and each of
+    its elements occupies one cell per token."""
 
+    tokens: int
     shape: tuple[int, int]
 
     def __len__(self) -> int:
-        return math.prod(self.shape)
+        return self.tokens * math.prod(self.shape)
 
     def sharing_counts(self) -> np.ndarray:
-        return np.ones(len(self), dtype=np.int64)
+        return np.full(math.prod(self.shape), self.tokens)
 
     def check(self, w: np.ndarray, n_in: int, n_out: int) -> None:
-        if not w.shape == (n_in, n_out) == self.shape:
-            raise ShapeError(f"W' of shape {w.shape} for a dense stage of shape {self.shape}")
+        rows, cols = self.shape
+        if w.shape != self.shape or (n_in, n_out) != (self.tokens * rows, self.tokens * cols):
+            raise ShapeError(f"W of shape {w.shape} and W' of shape ({n_in}, {n_out}) do not fit "
+                             f"{self.tokens} token(s) of a stage of shape {self.shape}")
 
     def apply(self, w: np.ndarray, v: np.ndarray, n_out: int) -> np.ndarray:
-        """W'^T v, each output added over its inputs in ascending order from
-        +0.0 as the cells' ``bincount`` adds it (a ``reduce`` may go pairwise)."""
-        terms = np.zeros((len(v) + 1, n_out))
-        np.multiply(v[:, None], w, out=terms[1:])
-        np.add.accumulate(terms, axis=0, out=terms)
-        return terms[-1].copy()
+        """W'^T v, each output added over its token's inputs in ascending
+        order from +0.0, as the cells' ``bincount`` adds it: one
+        ``accumulate`` down a (tokens, rows + 1, cols) buffer whose first
+        row is +0.0 (a ``reduce``, ``@`` or ``einsum`` may go pairwise or
+        blocked).  The element cap on the stage's index grid bounds the
+        buffer."""
+        rows, cols = self.shape
+        terms = np.zeros((self.tokens, rows + 1, cols))
+        np.multiply(v.reshape(self.tokens, rows, 1), w, out=terms[:, 1:])
+        np.add.accumulate(terms, axis=1, out=terms)
+        return terms[:, -1].copy().reshape(-1)  # a view would keep the buffer alive
 
     def dense(self, w: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
-        return np.array(w, order="C")
+        """W' with W in its diagonal blocks (``kron`` would write -0.0 beside
+        each negative element)."""
+        rows, cols = self.shape
+        out = np.zeros((n_in, n_out))
+        t = np.arange(self.tokens)
+        out.reshape(self.tokens, rows, self.tokens, cols)[t, :, t] = w
+        return out
+
+
+# perfbench/tracer.py times every token and dense stage's sharing_counts
+# through this name; ROADMAP item 7 ends its wrapping by name and the alias.
+WeightIndexMap = DenseMatrix
 
 
 class WindowPattern:
@@ -277,13 +256,12 @@ class WindowPattern:
 class LoweredForm:
     """One matrix-vector stage: y' = W' <> x' (+ bias).
 
-    W' has shape ``(len(x'), output_len)`` and is held as one of three
+    W' has shape ``(len(x'), output_len)`` and is held as one of two
     structures, ``weight_index_map``, and ``weights``: a conv or pooling
-    stage holds the :class:`WindowPattern` of its geometry and its kernel, a
-    token stage a :class:`WeightIndexMap` and one value per cell, and a
-    dense stage a :class:`DenseMatrix` and W' itself.  Each structural cell
-    carries one kernel element; every other entry of W' is zero.  The three
-    structures serve one protocol, each given ``weights``:
+    stage holds the :class:`WindowPattern` of its geometry and its kernel,
+    and a token or dense stage a :class:`DenseMatrix` and W.  Each
+    structural cell carries one kernel element; every other entry of W' is
+    zero.  The two structures serve one protocol, each given ``weights``:
     ``check(weights, n_in, n_out)`` rejects weights or a W' shape that do not
     fit, ``apply(weights, v, n_out)`` is W'^T v, ``dense(weights, n_in,
     n_out)`` is W' as an array (``weight_matrix``, built on read),
@@ -295,7 +273,7 @@ class LoweredForm:
     weights: np.ndarray
     input_vector: np.ndarray
     output_len: int
-    weight_index_map: WeightIndexMap | WindowPattern | DenseMatrix
+    weight_index_map: WindowPattern | DenseMatrix
     layout_note: str
     bias: np.ndarray | None = None
 
@@ -433,15 +411,12 @@ def _ffn_stage(
     note: str,
 ) -> LoweredForm:
     rows_in, cols_out = weight.shape
-    check_cap("lowering index grid", (tokens, rows_in, cols_out))
-    t, i, j = (g.reshape(-1) for g in np.indices((tokens, rows_in, cols_out)))
-    rows = t * rows_in + i
-    cols = t * cols_out + j
+    check_cap("lowering index grid", (tokens, rows_in, cols_out))  # bounds apply's buffer
     return LoweredForm(
-        weights=np.tile(np.ravel(weight), tokens),
+        weights=weight,
         input_vector=input_vector,
         output_len=tokens * cols_out,
-        weight_index_map=WeightIndexMap(rows, cols, i * cols_out + j),
+        weight_index_map=DenseMatrix(tokens, (rows_in, cols_out)),
         layout_note=note,
         bias=np.tile(bias, tokens),
     )

@@ -814,12 +814,12 @@ class LayerCheck:
 
 
 def _dense_form(matrix: np.ndarray, bias: np.ndarray, x: np.ndarray) -> LoweredForm:
-    """A dense matrix as a lowered stage: W' = matrix^T as a
+    """A dense matrix as a lowered stage: W' = matrix^T as a one-token
     :class:`DenseMatrix`, so the diamond product reproduces ``matrix @ x``."""
     n_out, n_in = matrix.shape
     check_cap("lowering index grid", (1, n_in, n_out))  # before anything is built
     return LoweredForm(weights=matrix.T, input_vector=x, output_len=n_out,
-                       weight_index_map=DenseMatrix((n_in, n_out)),
+                       weight_index_map=DenseMatrix(1, (n_in, n_out)),
                        layout_note="dense stage: W' = matrix^T over the flat input", bias=bias)
 
 

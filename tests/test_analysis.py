@@ -212,6 +212,25 @@ def test_lora_conv_lowering_linearity():
     assert report["output_max_abs_change"] > 0.0
 
 
+def test_lora_conv_check_lowers_its_target_once(monkeypatch):
+    # one lowering finds the kernel elements W' places; the base, patched and
+    # update kernels are read from the layers and the factors
+    net = materialize(_conv_net(seed=13))
+    lowered = []
+    lower_layer = analysis.lower_layer
+
+    def spy(rt, value):
+        lowered.append(rt.index)
+        return lower_layer(rt, value)
+
+    monkeypatch.setattr(analysis, "lower_layer", spy)
+    rng = np.random.default_rng(2)
+    delta = LoraDelta(layer=1, a=rng.normal(size=(1, 16)), b=rng.normal(size=(3, 1)))
+    report = lora_equivalence_check(net, delta, random_input(net.spec, 3))
+    assert lowered == [1]
+    assert report["lowering_linearity_max_abs"] == 0.0
+
+
 def test_lora_residual_target():
     net = materialize(_net([("feature", 6)], [ResidualBlockSpec(hidden_dim=4)], seed=2))
     rng = np.random.default_rng(5)

@@ -127,12 +127,16 @@ def pattern_calls(monkeypatch):
 def test_one_pattern_per_conv_geometry(capsys, vgg3, pattern_calls, argv):
     path, net = vgg3
     assert cli.main([argv[0], str(path), *argv[1:]]) == 0
-    # vgg3's three conv layers have three distinct geometries; analyze lowers
-    # only the LoRA target (its kernel, the patched kernel and the update)
-    lowered = net.layers[:1] if argv[0] == "analyze" else net.layers
-    builds = pattern_calls["builds"]
-    assert sorted(builds) == sorted(map(_geometry, lowered))
-    assert len(pattern_calls["lookups"]) > len(builds)
+    # vgg3's three conv layers have three distinct geometries, and report's
+    # trials look each one up again; analyze lowers only the LoRA target,
+    # once, to find the kernel elements its W' places
+    analyze = argv[0] == "analyze"
+    builds, lookups = pattern_calls["builds"], pattern_calls["lookups"]
+    assert sorted(builds) == sorted(map(_geometry, net.layers[:1] if analyze else net.layers))
+    if analyze:
+        assert lookups == builds
+    else:
+        assert len(lookups) > len(builds)
 
 
 def test_cap_is_checked_on_a_cache_hit(capsys, vgg3, monkeypatch):

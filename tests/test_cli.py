@@ -623,27 +623,17 @@ def test_lora_factors_are_read_only(specs_dir):
 
 
 def test_residual_commands_build_no_cells(capsys, specs_dir, monkeypatch):
-    # a residual block's dense stages hold W' itself; only token stages
-    # still build an index grid and its cells
-    from uatcv import lowering
+    # a residual block's dense stages and a transformer's FFN stages hold W
+    # itself, so no command on them builds an index grid or its cells
+    import numpy as np
 
     def refuse(*args, **kwargs):
-        raise AssertionError("structural cells were built")
+        raise AssertionError("an index grid was built")
 
-    monkeypatch.setattr(lowering, "_ffn_stage", refuse)
-    monkeypatch.setattr(lowering, "WeightIndexMap", refuse)
-    spec = str(specs_dir / "resblock2.json")
-    for argv in (("lower", spec), ("verify", spec), ("report", spec),
-                 ("analyze", spec, "--lora-layer", "0", "--lora-target", "w_1")):
-        assert run(capsys, *argv)[0] == EXIT_OK, argv
-    monkeypatch.undo()
-    built = []
-    ffn_stage = lowering._ffn_stage
-
-    def counting(*args, **kwargs):
-        built.append(args[3])  # tokens
-        return ffn_stage(*args, **kwargs)
-
-    monkeypatch.setattr(lowering, "_ffn_stage", counting)
-    run(capsys, "verify", str(specs_dir / "vit1.json"))
-    assert built
+    monkeypatch.setattr(np, "indices", refuse)
+    for name, lora in (("resblock2", ("--lora-layer", "0", "--lora-target", "w_1")),
+                       ("vit1", ("--lora-layer", "1", "--lora-target", "w_3"))):
+        spec = str(specs_dir / f"{name}.json")
+        for argv in (("lower", spec), ("verify", spec), ("report", spec),
+                     ("analyze", spec, *lora)):
+            assert run(capsys, *argv)[0] == EXIT_OK, argv

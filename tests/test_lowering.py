@@ -568,7 +568,8 @@ def test_cell_evaluation_matches_dense_diamond(forms):
     # with n = len(x') + 1 for the bias; so the two are within twice that
     for form, (rows, cols, sources), kernel in forms:
         w = dense_from_cells(rows, cols, kernel[tuple(sources.T)], form.shape)
-        assert np.array_equal(form.weight_matrix, w)
+        wm = form.weight_matrix  # bitwise: an entry off the cells is +0.0, never -0.0
+        assert wm.shape == w.shape and wm.tobytes() == w.tobytes()
         x = form.input_vector
         bias = np.zeros(form.output_len) if form.bias is None else form.bias
         dense = diamond(w, x) + bias
@@ -643,7 +644,7 @@ def test_lowering_index_grid_is_capped(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# dense stages: W' held as itself, summed in the cells' order
+# token and dense stages: W held as itself, summed in the cells' order
 # ---------------------------------------------------------------------------
 
 
@@ -657,67 +658,92 @@ def _mixed_scale(rng, shape):
 
 @st.composite
 def _dense_stages(draw):
-    """(matrix, bias, x) of a dense stage, single-output about half the time."""
+    """(tokens, W, bias, x) of a token stage, W of shape (inputs, outputs)
+    per token, single-output about half the time; one token is a dense stage."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tokens = draw(st.integers(1, 5))
     m = draw(st.one_of(st.just(1), st.integers(1, 12)))
     n = draw(st.integers(1, 16))
-    return _mixed_scale(rng, (m, n)), _mixed_scale(rng, m), _mixed_scale(rng, n)
+    return tokens, _mixed_scale(rng, (n, m)), _mixed_scale(rng, m), _mixed_scale(rng, tokens * n)
 
 
-def _cell_sums(matrix, bias, x):
-    """The oracle: the full-grid cells of W' = matrix^T, summed by weighted
-    ``bincount``, plus the bias."""
-    rows, cols, sources = token_cells_full_grid(1, matrix.shape[1], matrix.shape[0])
-    values = matrix.T[tuple(sources.T)]
-    return np.bincount(cols, values * x[rows], minlength=len(bias)) + bias
+def _cell_sums(tokens, w, bias, x):
+    """The oracle: the full-grid cells of W' = I_tokens (x) W, summed by
+    weighted ``bincount``, plus the bias of each token."""
+    rows, cols, sources = token_cells_full_grid(tokens, *w.shape)
+    values = w[tuple(sources.T)]
+    return np.bincount(cols, values * x[rows], minlength=tokens * len(bias)) + np.tile(bias, tokens)
 
 
 def _sums_like_the_cells(stage) -> bool:
+    from uatcv.lowering import _ffn_stage
     from uatcv.netspec import _dense_form
 
-    return _dense_form(*stage).evaluate().tobytes() == _cell_sums(*stage).tobytes()
+    tokens, w, bias, x = stage
+    want = _cell_sums(*stage).tobytes()
+    if tokens == 1 and _dense_form(w.T, bias, x).evaluate().tobytes() != want:
+        return False
+    return _ffn_stage(w, bias, x, tokens, "token stage").evaluate().tobytes() == want
 
 
 # one output over 16 inputs: 7.0 added in order, 14.0 added pairwise, as a
 # reduce adds a single output
-_SINGLE_OUTPUT = (np.array([[2.0**53, *[1.0] * 7, -(2.0**53), *[1.0] * 7]]), np.array([0.5]),
-                  np.ones(16))
+_SINGLE_OUTPUT = (1, np.array([[2.0**53, *[1.0] * 7, -(2.0**53), *[1.0] * 7]]).T,
+                  np.array([0.5]), np.ones(16))
+# the same for each of three tokens, whose inputs differ
+_TOKENS_SINGLE_OUTPUT = (3, _SINGLE_OUTPUT[1], np.array([0.5]),
+                         np.concatenate([np.ones(16), np.full(16, 2.0), np.full(16, -1.0)]))
 # every product is -0.0, so only a sum started at +0.0 gives +0.0 (and a -0.0
 # bias keeps the sign visible)
-_NEGATIVE_ZERO_PRODUCTS = (np.full((3, 5), -0.0), np.full(3, -0.0), np.arange(1.0, 6.0))
+_NEGATIVE_ZERO_PRODUCTS = (1, np.full((5, 3), -0.0), np.full(3, -0.0), np.arange(1.0, 6.0))
+_EXAMPLES = (_SINGLE_OUTPUT, _TOKENS_SINGLE_OUTPUT, _NEGATIVE_ZERO_PRODUCTS)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_dense_stages())
 @example(_SINGLE_OUTPUT)
+@example(_TOKENS_SINGLE_OUTPUT)
 @example(_NEGATIVE_ZERO_PRODUCTS)
 def test_dense_stage_sums_bitwise_in_cell_order(stage):
     assert _sums_like_the_cells(stage)
 
 
+def _products(self, w, v):
+    return v.reshape(self.tokens, -1, 1) * w  # (tokens, inputs, outputs)
+
+
 def _reduce_of_transposed_product(self, w, v, n_out):
-    return np.add.reduce(v[:, None] * w, axis=0)  # F-ordered like w: added pairwise
+    terms = np.swapaxes(_products(self, w, v), 1, 2).copy()  # inputs contiguous: added pairwise
+    return np.add.reduce(terms, axis=2).ravel()
 
 
 def _reduce_of_c_ordered_product(self, w, v, n_out):
-    return np.add.reduce(np.ascontiguousarray(v[:, None] * w), axis=0)
+    return np.add.reduce(np.ascontiguousarray(_products(self, w, v)), axis=1).ravel()
 
 
 def _accumulate_from_first_product(self, w, v, n_out):
-    return np.add.accumulate(np.ascontiguousarray(v[:, None] * w), axis=0)[-1]
+    terms = np.ascontiguousarray(_products(self, w, v))
+    return np.add.accumulate(terms, axis=1)[:, -1].ravel()
+
+
+def _blas_product(self, w, v, n_out):
+    return (v.reshape(self.tokens, -1) @ w).ravel()  # as tokenwise_map applies I (x) W^T
 
 
 @pytest.mark.parametrize("apply", [_reduce_of_transposed_product, _reduce_of_c_ordered_product,
-                                   _accumulate_from_first_product])
+                                   _accumulate_from_first_product, _blas_product])
 def test_dense_sum_order_property_rejects_other_orders(apply, monkeypatch):
     from hypothesis import find
 
     monkeypatch.setattr(DenseMatrix, "apply", apply)
-    assert not all(map(_sums_like_the_cells, (_SINGLE_OUTPUT, _NEGATIVE_ZERO_PRODUCTS)))
+    assert not all(map(_sums_like_the_cells, _EXAMPLES))
     with pytest.raises(AssertionError):
         test_dense_stage_sums_bitwise_in_cell_order()
-    # the drawn stages catch it without the explicit examples
+    # the drawn stages catch it without the explicit examples, with several tokens too
     find(_dense_stages(), lambda stage: not _sums_like_the_cells(stage),
+         settings=settings(max_examples=200, derandomize=True))
+    find(_dense_stages().filter(lambda stage: stage[0] > 1),
+         lambda stage: not _sums_like_the_cells(stage),
          settings=settings(max_examples=200, derandomize=True))
 
 
@@ -736,6 +762,47 @@ def test_dense_stage_memory_is_linear_in_its_matrix():
         tracemalloc.stop()
     assert peak <= 2.5 * matrix.nbytes
     np.testing.assert_allclose(out, matrix @ x + bias, rtol=1e-12, atol=1e-12)
+
+
+def test_token_stage_rejects_what_does_not_fit():
+    from uatcv.errors import RangeError
+    from uatcv.lowering import LoweredForm
+
+    def stage(w, n_in=6, n_out=12):  # 3 tokens of a (2, 4) W
+        return LoweredForm(weights=w, input_vector=np.ones(n_in), output_len=n_out,
+                           weight_index_map=DenseMatrix(3, (2, 4)), layout_note="")
+
+    stage(np.ones((2, 4)))
+    for w, n_in, n_out in ((np.ones((4, 2)), 6, 12), (np.ones(24), 6, 12),
+                           (np.ones((2, 4)), 8, 12), (np.ones((2, 4)), 6, 4)):
+        with pytest.raises(ShapeError, match="do not fit 3 token"):
+            stage(w, n_in, n_out)
+    with pytest.raises(RangeError):
+        stage(np.array([[1.0, np.nan, 0.0, 0.0], [0.0] * 4]))
+
+
+def test_token_stage_memory_is_linear_in_its_grid(monkeypatch):
+    import tracemalloc
+
+    from uatcv.tensor import set_element_cap
+
+    tokens, d, hidden = 64, 192, 384
+    rng = np.random.default_rng(30)
+    p = random_attn_params(d, 1, hidden, rng)
+    x = rng.normal(size=(tokens, d))
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    set_element_cap(tokens * d * hidden)
+    tracemalloc.start()
+    try:
+        _, stage2 = lower_ffn(x, p, "relu")
+        out = stage2.evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        set_element_cap(None)
+    # the accumulate buffer of one stage is about its (tokens, d, hidden) grid
+    assert peak <= 1.5 * tokens * d * hidden * 8
+    np.testing.assert_allclose(out, ffn_direct(x, p, "relu").ravel(), rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize(

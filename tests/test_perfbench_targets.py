@@ -55,8 +55,11 @@ def test_traced_report_runs_and_counts_lowerings(specs_dir):
             with tracer:
                 assert main(["report", str(specs_dir / name), "--trials", "1"]) == 0
             summary = tracer.round_summary(0)
-            for counter in ("lowering.lower_calls", "lowering.wprime_dense_bytes",
-                            "lowering.wprime_structural_cells"):
+            counters = ["lowering.lower_calls", "lowering.wprime_dense_bytes",
+                        "lowering.wprime_structural_cells"]
+            if name != "vgg3.json":  # dense and token stages, through lowering.WeightIndexMap
+                counters.append("lowering.sharing_counts_calls")
+            for counter in counters:
                 assert summary[counter] > 0, (name, counter)
     finally:
         del sys.modules[spec.name]
