@@ -278,15 +278,11 @@ def main(argv: list[str] | None = None) -> int:
         except RangeError as exc:
             raise ValidationError(str(exc)) from None
         return _COMMANDS[args.command](args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except VerificationError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except UatcvError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        if isinstance(exc, (ParseError, ValidationError)):
+            return EXIT_PARSE
+        return EXIT_VERIFY if isinstance(exc, VerificationError) else EXIT_INTERNAL
     finally:
         set_element_cap(previous_cap)
         lowering.cell_pattern.cache_clear()

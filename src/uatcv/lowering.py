@@ -26,7 +26,8 @@ in ascending order.  That is the order in which the cells' weighted
 ``bincount`` adds each output, so the sums are bitwise those of the cells;
 it uses no BLAS call, whose blocking would reorder them.  A token or dense
 stage stores W, with ``W' = I_tokens (x) W`` (:class:`DenseMatrix`; a dense
-stage is one token), and adds in that same order.  No stage stores cells.
+stage is one token), and adds in that same order; :func:`dense_stage` is
+the one builder of such a stage.  No stage stores cells.
 
 The expansion binds every matrix as a :class:`LinearMap` in its own structure
 (``W'^T`` as its stage's structure, ``I_n (x) W`` as ``W``, attention as
@@ -155,7 +156,7 @@ class DenseMatrix:
 
 
 # perfbench/tracer.py times every token and dense stage's sharing_counts
-# through this name; ROADMAP item 7 ends its wrapping by name and the alias.
+# through this name; ROADMAP item 9 ends its wrapping by name and the alias.
 WeightIndexMap = DenseMatrix
 
 
@@ -259,15 +260,15 @@ class LoweredForm:
     W' has shape ``(len(x'), output_len)`` and is held as one of two
     structures, ``weight_index_map``, and ``weights``: a conv or pooling
     stage holds the :class:`WindowPattern` of its geometry and its kernel,
-    and a token or dense stage a :class:`DenseMatrix` and W.  Each
-    structural cell carries one kernel element; every other entry of W' is
-    zero.  The two structures serve one protocol, each given ``weights``:
-    ``check(weights, n_in, n_out)`` rejects weights or a W' shape that do not
-    fit, ``apply(weights, v, n_out)`` is W'^T v, ``dense(weights, n_in,
-    n_out)`` is W' as an array (``weight_matrix``, built on read),
-    ``sharing_counts()`` counts the cells of each kernel element, and
-    ``len`` is the cell count.  x' is the stage input flattened, so no input
-    element feeds two x' positions.
+    and a token or dense stage, built by :func:`dense_stage` alone, a
+    :class:`DenseMatrix` and W.  Each structural cell carries one kernel
+    element; every other entry of W' is zero.  The two structures serve one
+    protocol, each given ``weights``: ``check(weights, n_in, n_out)``
+    rejects weights or a W' shape that do not fit, ``apply(weights, v,
+    n_out)`` is W'^T v, ``dense(weights, n_in, n_out)`` is W' as an array
+    (``weight_matrix``, built on read), ``sharing_counts()`` counts the cells
+    of each kernel element, and ``len`` is the cell count.  x' is the stage
+    input flattened, so no input element feeds two x' positions.
     """
 
     weights: np.ndarray
@@ -403,23 +404,16 @@ def lower_mean_pool(x: Tensor, p: PoolParams) -> LoweredForm:
     )
 
 
-def _ffn_stage(
-    weight: np.ndarray,
-    bias: np.ndarray,
-    input_vector: np.ndarray,
-    tokens: int,
-    note: str,
-) -> LoweredForm:
-    rows_in, cols_out = weight.shape
-    check_cap("lowering index grid", (tokens, rows_in, cols_out))  # bounds apply's buffer
-    return LoweredForm(
-        weights=weight,
-        input_vector=input_vector,
-        output_len=tokens * cols_out,
-        weight_index_map=DenseMatrix(tokens, (rows_in, cols_out)),
-        layout_note=note,
-        bias=np.tile(bias, tokens),
-    )
+def dense_stage(weight: np.ndarray, bias: np.ndarray, input_vector: np.ndarray, tokens: int,
+                note: str) -> LoweredForm:
+    """The one builder of a token or dense stage: ``weight`` is W, of shape
+    (rows, cols), applied to each of ``tokens`` tokens of ``input_vector``,
+    with ``bias`` added to each token's output."""
+    rows, cols = weight.shape
+    check_cap("lowering index grid", (tokens, rows, cols))  # before anything is built
+    return LoweredForm(weights=weight, input_vector=input_vector, output_len=tokens * cols,
+                       weight_index_map=DenseMatrix(tokens, (rows, cols)), layout_note=note,
+                       bias=np.tile(bias, tokens))
 
 
 def lower_ffn(x: np.ndarray, p: AttnParams, sigma: str) -> tuple[LoweredForm, LoweredForm]:
@@ -432,12 +426,12 @@ def lower_ffn(x: np.ndarray, p: AttnParams, sigma: str) -> tuple[LoweredForm, Lo
     x = _check_tokens(x, p)
     n = x.shape[0]
     act = activation(sigma)
-    stage1 = _ffn_stage(
+    stage1 = dense_stage(
         p.w_2, p.b_2, x.reshape(-1), n,
         "x': (token,feature) row-major; y': (token,hidden) row-major; W_2 per token",
     )
     hidden = act(stage1.evaluate())
-    stage2 = _ffn_stage(
+    stage2 = dense_stage(
         p.w_3, p.b_3, hidden, n,
         "x': sigma(stage-1 output); y': (token,feature) row-major; W_3 per token",
     )

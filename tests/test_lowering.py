@@ -643,6 +643,28 @@ def test_lowering_index_grid_is_capped(monkeypatch):
         set_element_cap(None)
 
 
+def test_token_stage_over_the_cap_raises_before_tiling_its_bias(monkeypatch):
+    # each weight fits the cap, but the (tokens, 1, hidden) grid does not; the
+    # per-token bias would be 1024 x 4096 float64 (32 MB)
+    import tracemalloc
+
+    from uatcv.tensor import set_element_cap
+
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    rng = np.random.default_rng(28)
+    p, x = random_attn_params(1, 1, 4096, rng), rng.normal(size=(1024, 1))
+    set_element_cap(4096)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="lowering index grid"):
+            lower_ffn(x, p, "relu")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        set_element_cap(None)
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # token and dense stages: W held as itself, summed in the cells' order
 # ---------------------------------------------------------------------------
@@ -676,14 +698,14 @@ def _cell_sums(tokens, w, bias, x):
 
 
 def _sums_like_the_cells(stage) -> bool:
-    from uatcv.lowering import _ffn_stage
+    from uatcv.lowering import dense_stage
     from uatcv.netspec import _dense_form
 
     tokens, w, bias, x = stage
     want = _cell_sums(*stage).tobytes()
     if tokens == 1 and _dense_form(w.T, bias, x).evaluate().tobytes() != want:
         return False
-    return _ffn_stage(w, bias, x, tokens, "token stage").evaluate().tobytes() == want
+    return dense_stage(w, bias, x, tokens, "token stage").evaluate().tobytes() == want
 
 
 # one output over 16 inputs: 7.0 added in order, 14.0 added pairwise, as a

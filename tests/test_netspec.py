@@ -17,6 +17,7 @@ from uatcv.netspec import (
     emit_spec,
     forward,
     infer_shapes,
+    lower_layer,
     materialize,
     parse_spec,
     parse_spec_text,
@@ -248,7 +249,9 @@ def _one_layer(kind, sigma):
 
 @pytest.mark.parametrize("sigma", ["relu", "logistic"])
 @pytest.mark.parametrize("kind", sorted(_LAYER_KINDS))
-def test_check_carries_the_layer_output(kind, sigma):
+def test_check_carries_the_layer_output(kind, sigma, monkeypatch):
+    from uatcv.lowering import DenseMatrix, WindowPattern
+
     spec = _one_layer(kind, sigma)
     rt = materialize(spec).layers[0]
     x = random_input(spec, 4)
@@ -256,6 +259,15 @@ def test_check_carries_the_layer_output(kind, sigma):
     want = apply_layer(rt, x)
     assert got.shape == want.shape and got.data.shape == want.data.shape
     assert np.array_equal(got.data, want.data)
+    if not lower_layer(rt, x):
+        return
+    # every stage off by one part in a million: a check that compared the
+    # stages with themselves, or the direct path with itself, would not see it
+    for structure in (DenseMatrix, WindowPattern):
+        apply = structure.apply
+        monkeypatch.setattr(structure, "apply",
+                            lambda self, *args, apply=apply: apply(self, *args) * (1 + 1e-6))
+    assert check_layer(rt, x).max_abs_diff > 1e-9
 
 
 @pytest.mark.parametrize("argv, calls", [

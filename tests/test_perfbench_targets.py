@@ -40,6 +40,19 @@ def test_every_trace_target_resolves():
     assert missing == []
 
 
+# ``report --trials 1`` under the tracer, exactly: a stage builder that nests
+# one traced lowering inside another counts its calls and W' bytes twice.
+# vgg3 has no dense or token stage, whose sharing_counts the tracer times
+# through lowering.WeightIndexMap.
+_TRACED_COUNTERS = {
+    name: dict(zip(("lowering.lower_calls", "lowering.wprime_dense_bytes",
+                    "lowering.wprime_structural_cells", "lowering.sharing_counts_calls"), values))
+    for name, values in (("vgg3.json", (6, 40512, 800, 0)),
+                         ("resblock2.json", (8, 1536, 192, 4)),
+                         ("vit1.json", (2, 8192, 256, 2)))
+}
+
+
 def test_traced_report_runs_and_counts_lowerings(specs_dir):
     # what ``perfbench/run.py --trace 1`` does each round: a report under the
     # tracer, whose hooks read the lowering functions' arguments and results
@@ -50,17 +63,12 @@ def test_traced_report_runs_and_counts_lowerings(specs_dir):
     sys.modules[spec.name] = tracer_module  # dataclasses look their module up
     try:
         spec.loader.exec_module(tracer_module)
-        for name in ("vgg3.json", "resblock2.json", "vit1.json"):
+        for name, want in _TRACED_COUNTERS.items():
             tracer = tracer_module.Tracer()
             with tracer:
                 assert main(["report", str(specs_dir / name), "--trials", "1"]) == 0
             summary = tracer.round_summary(0)
-            counters = ["lowering.lower_calls", "lowering.wprime_dense_bytes",
-                        "lowering.wprime_structural_cells"]
-            if name != "vgg3.json":  # dense and token stages, through lowering.WeightIndexMap
-                counters.append("lowering.sharing_counts_calls")
-            for counter in counters:
-                assert summary[counter] > 0, (name, counter)
+            assert {counter: summary[counter] for counter in want} == want, name
     finally:
         del sys.modules[spec.name]
 
