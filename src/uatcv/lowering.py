@@ -11,8 +11,11 @@ matrices flattened row-major (token, feature).
 Every W' entry that carries a kernel element, whatever its value, is a
 structural cell; every other entry is zero, and a kernel element generally
 occupies many cells (weight sharing).  W' is stored as the structure that
-implies its cells, never with its zeros, and every index grid a lowering
-stands for counts against the element cap, checked on every call.
+implies its cells, never with its zeros.  Every index grid a lowering stands
+for counts against the element cap, checked on every call.  A token or dense
+stage of more than 256 outputs fills none of it: :func:`ordered_sum` adds one
+term of each output at a time.  A smaller one fills its grid in one buffer,
+and a window stage gathers x' once per kernel offset: its grid over C_O.
 
 A conv or pooling stage stores its kernel and the :class:`WindowPattern`
 of its geometry (channels, kernel, stride, padding, input extents), which
@@ -20,14 +23,13 @@ never depends on the weights or x': one channel pair's window pattern,
 grouped by kernel offset, which W' repeats over the channel pairs
 (Chellapilla, Puri & Simard, High Performance Convolutional Neural Networks
 for Document Processing, 2006).  :func:`cell_pattern` builds it once per
-geometry.  The stage gathers x' once per kernel offset and adds
-``W[:, c, s] (outer) window[c, s]`` for each input channel c and offset s
-in ascending order.  That is the order in which the cells' weighted
-``bincount`` adds each output, so the sums are bitwise those of the cells;
-it uses no BLAS call, whose blocking would reorder them.  A token or dense
-stage stores W, with ``W' = I_tokens (x) W`` (:class:`DenseMatrix`; a dense
-stage is one token), and adds in that same order; :func:`dense_stage` is
-the one builder of such a stage.  No stage stores cells.
+geometry.  A token or dense stage stores W, with ``W' = I_tokens (x) W``
+(:class:`DenseMatrix`; a dense stage is one token); :func:`dense_stage` is
+the one builder of such a stage.  No stage stores cells.  Every stage's
+W'^T x' is one :func:`ordered_sum`, the one place that states the cells'
+order: each output adds its terms from +0.0 in the order in which the
+cells' weighted ``bincount`` adds them, so the sums are bitwise those of
+the cells, with no BLAS call, whose blocking would reorder them.
 
 The expansion binds every matrix as a :class:`LinearMap` in its own structure
 (``W'^T`` as its stage's structure, ``I_n (x) W`` as ``W``, attention as
@@ -110,6 +112,24 @@ def tokenwise_map(weight: np.ndarray, tokens: int) -> LinearMap:
                      lambda: np.kron(np.eye(tokens), weight.T))
 
 
+def ordered_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out[m, n] = sum_k a[m, k] * b[m, k, n]`` (``b`` may hold one m for
+    every row), each sum from +0.0 with k ascending: recursive summation,
+    where a ``reduce``, ``@`` or ``einsum`` may go pairwise or blocked.  Up
+    to 256 outputs one ``accumulate`` is faster; above, one term at a time
+    is, with no buffer of the terms.  Both give the same bits."""
+    (m, k), n = a.shape, b.shape[2]
+    if m * n <= 256:
+        terms = np.zeros((m, k + 1, n))
+        np.multiply(a[:, :, None], b, out=terms[:, 1:])
+        np.add.accumulate(terms, axis=1, out=terms)
+        return terms[:, -1].copy()  # a view would keep the buffer alive
+    out = np.zeros((m, n))
+    for i in range(k):
+        out += a[:, i, None] * b[:, i]
+    return out
+
+
 @dataclass(frozen=True)
 class DenseMatrix:
     """W' of a token or dense stage from W alone: ``W' = I_tokens (x) W``,
@@ -133,17 +153,8 @@ class DenseMatrix:
                              f"{self.tokens} token(s) of a stage of shape {self.shape}")
 
     def apply(self, w: np.ndarray, v: np.ndarray, n_out: int) -> np.ndarray:
-        """W'^T v, each output added over its token's inputs in ascending
-        order from +0.0, as the cells' ``bincount`` adds it: one
-        ``accumulate`` down a (tokens, rows + 1, cols) buffer whose first
-        row is +0.0 (a ``reduce``, ``@`` or ``einsum`` may go pairwise or
-        blocked).  The element cap on the stage's index grid bounds the
-        buffer."""
-        rows, cols = self.shape
-        terms = np.zeros((self.tokens, rows + 1, cols))
-        np.multiply(v.reshape(self.tokens, rows, 1), w, out=terms[:, 1:])
-        np.add.accumulate(terms, axis=1, out=terms)
-        return terms[:, -1].copy().reshape(-1)  # a view would keep the buffer alive
+        """W'^T v: each token's inputs times W, by :func:`ordered_sum`."""
+        return ordered_sum(v.reshape(self.tokens, -1), w[None]).reshape(-1)
 
     def dense(self, w: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
         """W' with W in its diagonal blocks (``kron`` would write -0.0 beside
@@ -219,26 +230,13 @@ class WindowPattern:
             )
 
     def apply(self, kernel: np.ndarray, v: np.ndarray, n_out: int) -> np.ndarray:
-        """W'^T v from the kernel.  Each output adds its terms in the order
-        of its cells: input channel, then kernel offset, each ascending.  A
-        window point in the padding adds w * 0.0, which leaves a sum that
-        starts at +0.0 unchanged, so the result is bitwise the cells'
-        weighted ``bincount``."""
-        c_in = self.in_extents[0]
-        padded = np.zeros((c_in, math.prod(self.in_extents[1:]) + 1))
-        padded[:, :-1] = v.reshape(c_in, -1)
-        win = np.take(padded, self.gather, axis=1)  # (C_I, offsets, P): x' gathered once
-        w = kernel.reshape(*self.kernel_shape[: -len(self.outs)], -1)  # (channels..., offsets)
-        out = np.zeros(n_out).reshape(self.kernel_shape[0], -1)
-        offsets = np.flatnonzero(self.offset_counts).tolist()
-        if self.per_channel:  # channel c's windows weighted by its own kernel
-            for s in offsets:
-                out += w[:, s, None] * win[:, s]
-        else:
-            for c in range(c_in):
-                for s in offsets:
-                    out += w[:, c, s, None] * win[c, s]
-        return out.ravel()
+        """W'^T v from the kernel by one :func:`ordered_sum`, terms in input
+        channel, then kernel offset order.  A window point in the padding adds
+        w * 0.0, which leaves a sum started at +0.0 bitwise unchanged."""
+        x = v.reshape(self.in_extents[0], -1)
+        win = np.take(np.hstack([x, np.zeros((len(x), 1))]), self.gather, axis=1)  # (C_I, s, P)
+        windows = win if self.per_channel else win.reshape(1, -1, win.shape[2])
+        return ordered_sum(kernel.reshape(self.kernel_shape[0], -1), windows).reshape(-1)
 
     def dense(self, kernel: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
         """W' from the kernel: each window point inside the input, placed in
@@ -265,10 +263,11 @@ class LoweredForm:
     element; every other entry of W' is zero.  The two structures serve one
     protocol, each given ``weights``: ``check(weights, n_in, n_out)``
     rejects weights or a W' shape that do not fit, ``apply(weights, v,
-    n_out)`` is W'^T v, ``dense(weights, n_in, n_out)`` is W' as an array
-    (``weight_matrix``, built on read), ``sharing_counts()`` counts the cells
-    of each kernel element, and ``len`` is the cell count.  x' is the stage
-    input flattened, so no input element feeds two x' positions.
+    n_out)`` is W'^T v by one :func:`ordered_sum`, ``dense(weights, n_in,
+    n_out)`` is W' as an array (``weight_matrix``, built on read),
+    ``sharing_counts()`` counts the cells of each kernel element, and
+    ``len`` is the cell count.  x' is the stage input flattened, so no
+    input element feeds two x' positions.
     """
 
     weights: np.ndarray
@@ -410,7 +409,7 @@ def dense_stage(weight: np.ndarray, bias: np.ndarray, input_vector: np.ndarray, 
     (rows, cols), applied to each of ``tokens`` tokens of ``input_vector``,
     with ``bias`` added to each token's output."""
     rows, cols = weight.shape
-    check_cap("lowering index grid", (tokens, rows, cols))  # before anything is built
+    check_cap("lowering index grid", (tokens, rows, cols))  # filled only at <= 256 outputs
     return LoweredForm(weights=weight, input_vector=input_vector, output_len=tokens * cols,
                        weight_index_map=DenseMatrix(tokens, (rows, cols)), layout_note=note,
                        bias=np.tile(bias, tokens))

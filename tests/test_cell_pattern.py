@@ -69,6 +69,7 @@ def test_conv_cells_match_the_full_grid(geometry):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
        st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**31 - 1))
+@example(3, 2, 2, 1, 10, 10, 0)  # 3 x 11 x 11 outputs: above ordered_sum's accumulate side
 def test_mean_pool_cells_match_the_full_grid(chans, kh, kw, stride, extra_h, extra_w, seed):
     rng = np.random.default_rng(seed)
     spatial = (kh + extra_h, kw + extra_w)

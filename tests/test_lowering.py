@@ -681,10 +681,12 @@ def _mixed_scale(rng, shape):
 @st.composite
 def _dense_stages(draw):
     """(tokens, W, bias, x) of a token stage, W of shape (inputs, outputs)
-    per token, single-output about half the time; one token is a dense stage."""
+    per token, single-output about a third of the time; one token is a dense
+    stage.  52 to 300 outputs put tokens x outputs on both sides of
+    ``ordered_sum``'s 256, so both of its paths are drawn."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tokens = draw(st.integers(1, 5))
-    m = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    m = draw(st.one_of(st.just(1), st.integers(1, 12), st.integers(52, 300)))
     n = draw(st.integers(1, 16))
     return tokens, _mixed_scale(rng, (n, m)), _mixed_scale(rng, m), _mixed_scale(rng, tokens * n)
 
@@ -718,7 +720,12 @@ _TOKENS_SINGLE_OUTPUT = (3, _SINGLE_OUTPUT[1], np.array([0.5]),
 # every product is -0.0, so only a sum started at +0.0 gives +0.0 (and a -0.0
 # bias keeps the sign visible)
 _NEGATIVE_ZERO_PRODUCTS = (1, np.full((5, 3), -0.0), np.full(3, -0.0), np.arange(1.0, 6.0))
-_EXAMPLES = (_SINGLE_OUTPUT, _TOKENS_SINGLE_OUTPUT, _NEGATIVE_ZERO_PRODUCTS)
+# the first and last with 257 outputs, above ordered_sum's accumulate side
+_WIDE_SINGLE_OUTPUT = (1, np.tile(_SINGLE_OUTPUT[1], 257), np.full(257, 0.5), np.ones(16))
+_WIDE_NEGATIVE_ZERO_PRODUCTS = (1, np.full((5, 257), -0.0), np.full(257, -0.0),
+                                np.arange(1.0, 6.0))
+_EXAMPLES = (_SINGLE_OUTPUT, _TOKENS_SINGLE_OUTPUT, _NEGATIVE_ZERO_PRODUCTS,
+             _WIDE_SINGLE_OUTPUT, _WIDE_NEGATIVE_ZERO_PRODUCTS)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -726,6 +733,8 @@ _EXAMPLES = (_SINGLE_OUTPUT, _TOKENS_SINGLE_OUTPUT, _NEGATIVE_ZERO_PRODUCTS)
 @example(_SINGLE_OUTPUT)
 @example(_TOKENS_SINGLE_OUTPUT)
 @example(_NEGATIVE_ZERO_PRODUCTS)
+@example(_WIDE_SINGLE_OUTPUT)
+@example(_WIDE_NEGATIVE_ZERO_PRODUCTS)
 def test_dense_stage_sums_bitwise_in_cell_order(stage):
     assert _sums_like_the_cells(stage)
 
@@ -822,8 +831,9 @@ def test_token_stage_memory_is_linear_in_its_grid(monkeypatch):
     finally:
         tracemalloc.stop()
         set_element_cap(None)
-    # the accumulate buffer of one stage is about its (tokens, d, hidden) grid
-    assert peak <= 1.5 * tokens * d * hidden * 8
+    # nothing of the (tokens, d, hidden) grid's 36 MiB: each stage adds one
+    # term of its outputs at a time
+    assert peak <= 2 * 2**20
     np.testing.assert_allclose(out, ffn_direct(x, p, "relu").ravel(), rtol=1e-9, atol=1e-9)
 
 

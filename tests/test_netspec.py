@@ -250,6 +250,7 @@ def _one_layer(kind, sigma):
 @pytest.mark.parametrize("sigma", ["relu", "logistic"])
 @pytest.mark.parametrize("kind", sorted(_LAYER_KINDS))
 def test_check_carries_the_layer_output(kind, sigma, monkeypatch):
+    from uatcv import lowering
     from uatcv.lowering import DenseMatrix, WindowPattern
 
     spec = _one_layer(kind, sigma)
@@ -263,11 +264,22 @@ def test_check_carries_the_layer_output(kind, sigma, monkeypatch):
         return
     # every stage off by one part in a million: a check that compared the
     # stages with themselves, or the direct path with itself, would not see it
+    calls = {"apply": 0, "ordered_sum": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
     for structure in (DenseMatrix, WindowPattern):
-        apply = structure.apply
+        apply = counted("apply", structure.apply)
         monkeypatch.setattr(structure, "apply",
                             lambda self, *args, apply=apply: apply(self, *args) * (1 + 1e-6))
+    monkeypatch.setattr(lowering, "ordered_sum", counted("ordered_sum", lowering.ordered_sum))
     assert check_layer(rt, x).max_abs_diff > 1e-9
+    # and each stage sums through the one ordered sum, once
+    assert calls["apply"] > 0 and calls["ordered_sum"] == calls["apply"]
 
 
 @pytest.mark.parametrize("argv, calls", [
