@@ -157,7 +157,7 @@ def apply_lora(net: MaterializedNetwork, delta: LoraDelta) -> MaterializedNetwor
     patched = current + update
     patched.flags.writeable = False
     rt.spec.set_lora_matrix(rt, delta.target, patched)
-    return replace(net, shapes=list(net.shapes), layers=layers)
+    return replace(net, layers=layers)
 
 
 def lora_equivalence_check(net: MaterializedNetwork, delta: LoraDelta, x: Tensor) -> dict:
@@ -277,7 +277,7 @@ def prune(net: MaterializedNetwork, mask: PruneMask) -> MaterializedNetwork:
     for rt2, in_shape, out_shape in zip(layers, shapes, shapes[1:]):
         rt2.in_shape = in_shape
         rt2.out_shape = out_shape
-    return MaterializedNetwork(spec=spec, shapes=shapes, layers=layers)
+    return MaterializedNetwork(spec=spec, layers=layers)
 
 
 def prune_impact(

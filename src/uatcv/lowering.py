@@ -25,11 +25,12 @@ grouped by kernel offset, which W' repeats over the channel pairs
 for Document Processing, 2006).  :func:`cell_pattern` builds it once per
 geometry.  A token or dense stage stores W, with ``W' = I_tokens (x) W``
 (:class:`DenseMatrix`; a dense stage is one token); :func:`dense_stage` is
-the one builder of such a stage.  No stage stores cells.  Every stage's
-W'^T x' is one :func:`ordered_sum`, the one place that states the cells'
-order: each output adds its terms from +0.0 in the order in which the
-cells' weighted ``bincount`` adds them, so the sums are bitwise those of
-the cells, with no BLAS call, whose blocking would reorder them.
+the one builder of such a stage.  No stage stores cells, nor W''s shape,
+which its structure states.  Every stage's W'^T x' is one
+:func:`ordered_sum`, the one place that states the cells' order: each
+output adds its terms from +0.0 in the order in which the cells' weighted
+``bincount`` adds them, so the sums are bitwise those of the cells, with no
+BLAS call, whose blocking would reorder them.
 
 The expansion binds every matrix as a :class:`LinearMap` in its own structure
 (``W'^T`` as its stage's structure, ``I_n (x) W`` as ``W``, attention as
@@ -140,27 +141,26 @@ class DenseMatrix:
     tokens: int
     shape: tuple[int, int]
 
+    @property
+    def wprime_shape(self) -> tuple[int, int]:
+        rows, cols = self.shape
+        return self.tokens * rows, self.tokens * cols
+
     def __len__(self) -> int:
         return self.tokens * math.prod(self.shape)
 
     def sharing_counts(self) -> np.ndarray:
         return np.full(math.prod(self.shape), self.tokens)
 
-    def check(self, w: np.ndarray, n_in: int, n_out: int) -> None:
-        rows, cols = self.shape
-        if w.shape != self.shape or (n_in, n_out) != (self.tokens * rows, self.tokens * cols):
-            raise ShapeError(f"W of shape {w.shape} and W' of shape ({n_in}, {n_out}) do not fit "
-                             f"{self.tokens} token(s) of a stage of shape {self.shape}")
-
-    def apply(self, w: np.ndarray, v: np.ndarray, n_out: int) -> np.ndarray:
+    def apply(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """W'^T v: each token's inputs times W, by :func:`ordered_sum`."""
         return ordered_sum(v.reshape(self.tokens, -1), w[None]).reshape(-1)
 
-    def dense(self, w: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
+    def dense(self, w: np.ndarray) -> np.ndarray:
         """W' with W in its diagonal blocks (``kron`` would write -0.0 beside
         each negative element)."""
         rows, cols = self.shape
-        out = np.zeros((n_in, n_out))
+        out = np.zeros(self.wprime_shape)
         t = np.arange(self.tokens)
         out.reshape(self.tokens, rows, self.tokens, cols)[t, :, t] = w
         return out
@@ -184,8 +184,8 @@ class WindowPattern:
     channel outermost, with kernel element (o, c, s) in pair (o, c);
     ``per_channel`` (pooling) keeps only the pairs o == c, with a kernel of
     shape (channels, *kernel).  A 3-D layer puts depth outermost inside each
-    channel block.  The stage's weights are the kernel, so a stage holds no
-    array of size C_O*C_I*outputs*kernel.
+    channel block.  The stage's weights are the kernel, of shape ``shape``,
+    so a stage holds no array of size C_O*C_I*outputs*kernel.
     """
 
     def __init__(self, out_channels: int, in_channels: int, kernel: tuple[int, ...], stride: int,
@@ -196,7 +196,8 @@ class WindowPattern:
         self.in_extents = (in_channels, *(spatial[a] for a in self.order))  # x' as (C_I, ...)
         self.per_channel = per_channel
         channels = (in_channels,) if per_channel else (out_channels, in_channels)
-        self.kernel_shape = (*channels, *kernel)
+        self.shape = (*channels, *kernel)
+        self.wprime_shape = (math.prod(self.in_extents), channels[0] * math.prod(self.outs))
         self.pairs = math.prod(channels)
         # y' positions in order, as (H, W[, D]) coordinates
         y_pos = np.indices([self.outs[a] for a in self.order]).reshape(nd, -1)
@@ -219,34 +220,24 @@ class WindowPattern:
         coordinates: every channel pair repeats the per-offset counts."""
         return np.tile(self.offset_counts[self.offset_counts > 0], self.pairs)
 
-    def check(self, kernel: np.ndarray, n_in: int, n_out: int) -> None:
-        c_out = self.kernel_shape[0]
-        if kernel.shape != self.kernel_shape or (n_in, n_out) != (
-            math.prod(self.in_extents), c_out * math.prod(self.outs)
-        ):
-            raise ShapeError(
-                f"a kernel of shape {kernel.shape} and W' of shape ({n_in}, {n_out}) do not fit "
-                f"the window pattern of kernel shape {self.kernel_shape}"
-            )
-
-    def apply(self, kernel: np.ndarray, v: np.ndarray, n_out: int) -> np.ndarray:
+    def apply(self, kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
         """W'^T v from the kernel by one :func:`ordered_sum`, terms in input
         channel, then kernel offset order.  A window point in the padding adds
         w * 0.0, which leaves a sum started at +0.0 bitwise unchanged."""
         x = v.reshape(self.in_extents[0], -1)
         win = np.take(np.hstack([x, np.zeros((len(x), 1))]), self.gather, axis=1)  # (C_I, s, P)
         windows = win if self.per_channel else win.reshape(1, -1, win.shape[2])
-        return ordered_sum(kernel.reshape(self.kernel_shape[0], -1), windows).reshape(-1)
+        return ordered_sum(kernel.reshape(self.shape[0], -1), windows).reshape(-1)
 
-    def dense(self, kernel: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
+    def dense(self, kernel: np.ndarray) -> np.ndarray:
         """W' from the kernel: each window point inside the input, placed in
         every channel pair (only o == c per channel) in one scatter."""
         in_block, n_pos = math.prod(self.in_extents[1:]), self.gather.shape[1]
         p, s = np.nonzero(self.gather.T < in_block)  # output position outermost: faster
-        w = kernel.reshape(*self.kernel_shape[: -len(self.outs)], -1)[..., s]
+        w = kernel.reshape(*self.shape[: -len(self.outs)], -1)[..., s]
         c = np.arange(self.in_extents[0])[:, None]
-        o = c if self.per_channel else np.arange(self.kernel_shape[0])[:, None, None]
-        out = np.zeros((n_in, n_out))
+        o = c if self.per_channel else np.arange(self.shape[0])[:, None, None]
+        out = np.zeros(self.wprime_shape)
         out[c * in_block + self.gather[s, p], o * n_pos + p] = w
         return out
 
@@ -255,31 +246,32 @@ class WindowPattern:
 class LoweredForm:
     """One matrix-vector stage: y' = W' <> x' (+ bias).
 
-    W' has shape ``(len(x'), output_len)`` and is held as one of two
-    structures, ``weight_index_map``, and ``weights``: a conv or pooling
-    stage holds the :class:`WindowPattern` of its geometry and its kernel,
-    and a token or dense stage, built by :func:`dense_stage` alone, a
-    :class:`DenseMatrix` and W.  Each structural cell carries one kernel
-    element; every other entry of W' is zero.  The two structures serve one
-    protocol, each given ``weights``: ``check(weights, n_in, n_out)``
-    rejects weights or a W' shape that do not fit, ``apply(weights, v,
-    n_out)`` is W'^T v by one :func:`ordered_sum`, ``dense(weights, n_in,
-    n_out)`` is W' as an array (``weight_matrix``, built on read),
-    ``sharing_counts()`` counts the cells of each kernel element, and
-    ``len`` is the cell count.  x' is the stage input flattened, so no
+    W' is held as one of two structures, ``weight_index_map``, and
+    ``weights``: a conv or pooling stage holds the :class:`WindowPattern`
+    of its geometry and its kernel, and a token or dense stage, built by
+    :func:`dense_stage` alone, a :class:`DenseMatrix` and W.  Each
+    structural cell carries one kernel element; every other entry of W' is
+    zero.  The structure alone states both shapes: ``shape``, that of the
+    weights it takes, and ``wprime_shape``, that of W', (len(x'), len(y')).
+    The two structures serve one protocol, each given ``weights``:
+    ``apply(weights, v)`` is W'^T v by one :func:`ordered_sum`,
+    ``dense(weights)`` is W' as an array (``weight_matrix``, built on
+    read), ``sharing_counts()`` counts the cells of each kernel element,
+    and ``len`` is the cell count.  x' is the stage input flattened, so no
     input element feeds two x' positions.
     """
 
     weights: np.ndarray
     input_vector: np.ndarray
-    output_len: int
     weight_index_map: WindowPattern | DenseMatrix
     layout_note: str
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        x = as_vector(self.input_vector)
-        self.weight_index_map.check(self.weights, x.shape[0], self.output_len)
+        n_in, structure = as_vector(self.input_vector).shape[0], self.weight_index_map
+        if self.weights.shape != structure.shape or n_in != structure.wprime_shape[0]:
+            raise ShapeError(f"weights of shape {self.weights.shape} and x' of length {n_in} do "
+                             f"not fit W' of shape {structure.wprime_shape} from {structure.shape}")
         if not np.all(np.isfinite(self.weights)):
             raise RangeError("W' entries must be finite")
         if self.bias is not None and as_vector(self.bias).shape[0] != self.output_len:
@@ -287,13 +279,17 @@ class LoweredForm:
 
     @property
     def shape(self) -> tuple[int, int]:
-        """Shape of W': (len(x'), output_len)."""
-        return len(self.input_vector), self.output_len
+        """Shape of W': (len(x'), output_len), from its structure."""
+        return self.weight_index_map.wprime_shape
+
+    @property
+    def output_len(self) -> int:
+        return self.shape[1]
 
     @property
     def weight_matrix(self) -> np.ndarray:
         """W' as a dense array, built anew on every read."""
-        return self.weight_index_map.dense(self.weights, *self.shape)
+        return self.weight_index_map.dense(self.weights)
 
     @property
     def nnz(self) -> int:
@@ -308,7 +304,7 @@ class LoweredForm:
         return out
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
-        return self.weight_index_map.apply(self.weights, v, self.output_len)
+        return self.weight_index_map.apply(self.weights, v)
 
     def linear_map(self) -> LinearMap:
         """``W'^T`` as a map: the stage without its input and bias, applied as
@@ -345,18 +341,16 @@ def _lower_conv(x: Tensor, p: ConvParams, w: Tensor) -> LoweredForm:
     weights = _check_weights(w, p)
     outs = p.out_extents(spatial)
     check_cap("lowering index grid", (p.out_channels, p.in_channels, *outs, *p.kernel))
-    per_chan_out = math.prod(outs)
     layout = ("x': (C_I,H,W) row-major; y': (C_O,H,W) row-major" if p.ndim == 2
               else "x': (C_I,D,H,W) row-major; y': (C_O,D,H,W) row-major")
     return LoweredForm(
         weights=weights,
         input_vector=stage_vector(x),
-        output_len=p.out_channels * per_chan_out,
         weight_index_map=cell_pattern(
             p.out_channels, p.in_channels, tuple(p.kernel), p.stride, p.padding, spatial
         ),
         layout_note=layout,
-        bias=None if p.bias is None else np.repeat(p.bias, per_chan_out),
+        bias=None if p.bias is None else np.repeat(p.bias, math.prod(outs)),
     )
 
 
@@ -390,13 +384,10 @@ def lower_mean_pool(x: Tensor, p: PoolParams) -> LoweredForm:
     if x.shape.axes != ("C_I", "H", "W"):
         raise ShapeError(f"mean pooling expects axes (C_I, H, W), got {x.shape.axes}")
     chans, h, wd = x.shape.extents
-    h_out, w_out = p.out_extents((h, wd))
-    kh, kw = p.window
-    check_cap("lowering index grid", (chans, h_out, w_out, kh, kw))
+    check_cap("lowering index grid", (chans, *p.out_extents((h, wd)), *p.window))
     return LoweredForm(
-        weights=np.full((chans, kh, kw), 1.0 / (kh * kw)),
+        weights=np.full((chans, *p.window), 1.0 / math.prod(p.window)),
         input_vector=stage_vector(x),
-        output_len=chans * h_out * w_out,
         weight_index_map=cell_pattern(chans, chans, tuple(p.window), p.stride, 0, (h, wd),
                                       per_channel=True),
         layout_note="x': (C_I,H,W) row-major; y': (C_I,H,W) row-major; block-diagonal per channel",
@@ -408,10 +399,9 @@ def dense_stage(weight: np.ndarray, bias: np.ndarray, input_vector: np.ndarray, 
     """The one builder of a token or dense stage: ``weight`` is W, of shape
     (rows, cols), applied to each of ``tokens`` tokens of ``input_vector``,
     with ``bias`` added to each token's output."""
-    rows, cols = weight.shape
-    check_cap("lowering index grid", (tokens, rows, cols))  # filled only at <= 256 outputs
-    return LoweredForm(weights=weight, input_vector=input_vector, output_len=tokens * cols,
-                       weight_index_map=DenseMatrix(tokens, (rows, cols)), layout_note=note,
+    check_cap("lowering index grid", (tokens, *weight.shape))  # filled only at <= 256 outputs
+    return LoweredForm(weights=weight, input_vector=input_vector,
+                       weight_index_map=DenseMatrix(tokens, weight.shape), layout_note=note,
                        bias=np.tile(bias, tokens))
 
 

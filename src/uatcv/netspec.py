@@ -131,7 +131,7 @@ class LayerSpec:
         forms = self.stages(rt, value)
         out = self.apply(rt, value)
         diff = np.max(np.abs(self.lowered_output(rt, value, forms) - out.flat))
-        return LayerCheck(rt.index, self.kind, float(diff), forms, out, self.note)
+        return LayerCheck(rt.index, float(diff), forms, out, self.note)
 
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
         """The last stage's output."""
@@ -240,7 +240,7 @@ class _ConvSpec(LayerSpec):
         direct = self._direct(rt, value)
         diff = np.max(np.abs(form.evaluate() - stage_vector(direct)))
         out = Tensor(rt.out_shape, activation(rt.activation)(direct.data))  # as apply computes it
-        return LayerCheck(rt.index, self.kind, float(diff), [form], out)
+        return LayerCheck(rt.index, float(diff), [form], out)
 
     def receptive_window(self) -> tuple[tuple[str, ...], tuple[int, ...], int]:
         return self.spatial, self.kernel, self.stride
@@ -305,18 +305,18 @@ class MeanPoolSpec(LayerSpec):
             raise ValidationError(
                 f"{where}: needs input axes (C_I, H, W), previous layer produced {shape}"
             )
-        params = PoolParams(window=self.window, stride=self.stride)
-        h_out, w_out = params.out_extents(shape.extents[1:])
+        h_out, w_out = self.params.out_extents(shape.extents[1:])
         return TensorShape([("C_I", shape.extent("C_I")), ("H", h_out), ("W", w_out)])
 
-    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
-        return {"pool_params": PoolParams(window=self.window, stride=self.stride)}
+    @property
+    def params(self) -> PoolParams:
+        return PoolParams(window=self.window, stride=self.stride)
 
     def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
-        return Tensor(rt.out_shape, mean_pool_direct(value, rt.pool_params).data)
+        return Tensor(rt.out_shape, mean_pool_direct(value, self.params).data)
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
-        return [lower_mean_pool(value, rt.pool_params)]
+        return [lower_mean_pool(value, self.params)]
 
     def receptive_window(self) -> tuple[tuple[str, ...], tuple[int, ...], int]:
         return ("H", "W"), self.window, self.stride
@@ -398,7 +398,7 @@ class PatchifySpec(LayerSpec):
         out = self.apply(rt, value)
         back = unpatchify(out.data, value.shape, self.patch)
         diff = np.max(np.abs(back.data - value.data))
-        return LayerCheck(rt.index, self.kind, float(diff), [], out, "reassembly")
+        return LayerCheck(rt.index, float(diff), [], out, "reassembly")
 
 
 def _lora_target(rt: RtLayer, target: str, targets: tuple[str, ...]) -> str:
@@ -442,6 +442,12 @@ class _TokenSpec(LayerSpec):
             parts.update(w_2=draw(d, h), w_3=draw(h, d), b_2=draw(h), b_3=draw(d))
         return {"attn_params": AttnParams(model_dim=d, heads=self.heads or 1, **parts)}
 
+    def _attended(self, rt: RtLayer, value: Tensor) -> np.ndarray:
+        """``M(X) X`` flattened, M the effective attention matrix at the tokens X."""
+        x, p = _tokens(value), rt.attn_params
+        m = effective_matrix_from_projections(x, p.w_q, p.w_k, p.w_v, p.w_o, p.heads)
+        return m @ x.reshape(-1)
+
     def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
         targets = (("w_q", "w_k", "w_v", "w_o") if self.heads is not None else ()) + (
             ("w_2", "w_3") if self.hidden_dim is not None else ()
@@ -463,9 +469,7 @@ class MhaSpec(_TokenSpec):
         return Tensor(rt.out_shape, mha_direct(_tokens(value), rt.attn_params))
 
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
-        tokens, p = _tokens(value), rt.attn_params
-        m = effective_matrix_from_projections(tokens, p.w_q, p.w_k, p.w_v, p.w_o, p.heads)
-        return m @ tokens.reshape(-1)
+        return self._attended(rt, value)
 
 
 @dataclass(frozen=True)
@@ -494,10 +498,8 @@ class TransformerBlockSpec(_TokenSpec):
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         # the FFN stages at h = M(X) X, with M the effective attention matrix
-        tokens, p = _tokens(value), rt.attn_params
-        m = effective_matrix_from_projections(tokens, p.w_q, p.w_k, p.w_v, p.w_o, p.heads)
-        h = (m @ tokens.reshape(-1)).reshape(tokens.shape)
-        return list(lower_ffn(h, p, rt.activation))
+        h = self._attended(rt, value).reshape(value.shape.extents)
+        return list(lower_ffn(h, rt.attn_params, rt.activation))
 
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
         return forms[0].input_vector + forms[1].evaluate()  # h + FFN(h)
@@ -691,9 +693,9 @@ class ResidualWeights:
 
 @dataclass
 class RtLayer:
-    """One materialized layer: the spec plus its drawn weights and shapes,
-    and ``activation``, the network's activation as the description states
-    it, which the layer's rules read."""
+    """One materialized layer: the spec, its drawn weights (none for pooling
+    and patchify, whose geometry is the spec's), its shapes, and the network's
+    ``activation`` as the description states it, which the layer's rules read."""
 
     index: int
     spec: LayerSpec
@@ -702,7 +704,6 @@ class RtLayer:
     activation: str
     conv_params: ConvParams | None = None
     conv_weights: Tensor | None = None
-    pool_params: PoolParams | None = None
     attn_params: AttnParams | None = None
     residual: ResidualWeights | None = None
 
@@ -710,12 +711,16 @@ class RtLayer:
 @dataclass
 class MaterializedNetwork:
     spec: NetworkSpec
-    shapes: list[TensorShape]
     layers: list[RtLayer]
 
     @property
     def activation(self) -> str:
         return self.spec.activation
+
+    @property
+    def shapes(self) -> list[TensorShape]:
+        """The stage shapes: the input's, then each layer's output's."""
+        return [self.spec.input_shape, *(rt.out_shape for rt in self.layers)]
 
 
 def draw_weights(gen: SplitMix64, where: str, *shape: int) -> np.ndarray:
@@ -743,7 +748,7 @@ def materialize(net: NetworkSpec) -> MaterializedNetwork:
             RtLayer(index=i, spec=spec, in_shape=shapes[i], out_shape=shapes[i + 1],
                     activation=net.activation, **spec.draw(shapes[i], draw))
         )
-    return MaterializedNetwork(spec=net, shapes=shapes, layers=layers)
+    return MaterializedNetwork(spec=net, layers=layers)
 
 
 def random_input(net: NetworkSpec, seed: int) -> Tensor:
@@ -805,7 +810,6 @@ class LayerCheck:
     from that direct computation and bitwise equal to :func:`apply_layer`."""
 
     index: int
-    kind: str
     max_abs_diff: float
     forms: list[LoweredForm]
     output: Tensor

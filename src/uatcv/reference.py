@@ -177,10 +177,6 @@ class AttnParams:
     def head_dim(self) -> int:
         return self.model_dim // self.heads
 
-    @property
-    def ffn_dim(self) -> int:
-        return self.w_2.shape[1]
-
 
 def _check_conv_input(x: Tensor, p: ConvParams) -> tuple[int, ...]:
     expect_axes = ("C_I", "H", "W") if p.ndim == 2 else ("C_I", "H", "W", "D")

@@ -128,7 +128,7 @@ def analysis_section(
     return out
 
 
-def build_report(net: MaterializedNetwork, trials: int = 20, tol: float = 1e-9) -> dict:
+def build_report(net: MaterializedNetwork, trials: int, tol: float) -> dict:
     """The full report document (plain dict of JSON-safe values)."""
     return {
         "tool": {"name": "uatcv", "version": __version__},

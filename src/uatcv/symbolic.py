@@ -45,7 +45,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
-from typing import Iterable, Mapping, Sequence, Union
+from typing import ClassVar, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -159,12 +159,16 @@ class ParamAtom(Node):
 
     name: str
     kind: str  # "weight" | "bias"
-    dependence: Dependence
     provenance: "MatrixExpr | VectorExpr | None" = None
 
     @property
     def merged(self) -> bool:
         return self.provenance is not None
+
+    @property
+    def dependence(self) -> Dependence:
+        """Input-dependent exactly when the folding expression reaches the input."""
+        return Dependence.INPUT_DEPENDENT if self.reaches_input else Dependence.FIXED
 
     @property
     def display(self) -> str:
@@ -177,7 +181,8 @@ class ParamAtom(Node):
         return ev.lookup(self.name) if self.provenance is None else ev(self.provenance)
 
     def render(self, fmt: str) -> str:
-        mark = "hat" if self.dependence is Dependence.INPUT_DEPENDENT else "bar"
+        # reaches_input, not the dependence property: atoms render by the thousand
+        mark = "hat" if self.reaches_input else "bar"
         return _render_name(self.name, fmt, mark if self.merged else None)
 
 
@@ -328,11 +333,11 @@ MatrixExpr = Union[ParamAtom, MatProduct, IdentityMat, AttnMatrix]
 
 
 def weight_atom(name: str) -> ParamAtom:
-    return ParamAtom(name, "weight", Dependence.FIXED)
+    return ParamAtom(name, "weight")
 
 
 def bias_atom(name: str) -> ParamAtom:
-    return ParamAtom(name, "bias", Dependence.FIXED)
+    return ParamAtom(name, "bias")
 
 
 def _mat_factors(weight: MatrixExpr) -> tuple[MatrixExpr, ...]:
@@ -350,16 +355,11 @@ def _product(weights: tuple[MatrixExpr, ...]) -> MatrixExpr:
 
 def _wrap_weight(factors: tuple[ParamAtom, ...], name: str) -> ParamAtom:
     """The single factor itself, or the product merged into atom ``name``."""
-    return factors[0] if len(factors) == 1 else merged_atom(name, "weight", MatProduct(factors))
-
-
-def merged_atom(name: str, kind: str, provenance) -> ParamAtom:
-    dep = Dependence.INPUT_DEPENDENT if provenance.reaches_input else Dependence.FIXED
-    return ParamAtom(name, kind, dep, provenance)
+    return factors[0] if len(factors) == 1 else ParamAtom(name, "weight", MatProduct(factors))
 
 
 def identity_atom(dim: int) -> ParamAtom:
-    return ParamAtom("I", "weight", Dependence.FIXED, IdentityMat(dim))
+    return ParamAtom("I", "weight", IdentityMat(dim))
 
 
 def is_identity(atom: ParamAtom | None) -> bool:
@@ -485,7 +485,7 @@ class CanonicalUAT:
     sigma_terms: tuple[SigmaTerm, ...]
     constant_term: ParamAtom | None
     structure: str = "flat"
-    input_name: str = INPUT_NAME
+    input_name: ClassVar[str] = INPUT_NAME  # the one input symbol the expansion reads
 
     def __post_init__(self):
         if self.structure not in ("flat", "chain"):
@@ -511,7 +511,7 @@ class CanonicalUAT:
     def expression(self) -> VectorExpr:
         """The form as one node over the input symbol: a chain nests its
         stages, a flat form adds its parts in display order."""
-        x: VectorExpr = Input(self.input_name)
+        x: VectorExpr = Input()
         if self.structure == "chain":
             for t in self.sigma_terms:
                 x = t.expr(x)
@@ -557,12 +557,14 @@ def emit(obj, fmt: str = "text") -> str:
 
 @dataclass(frozen=True)
 class ClassifiedParam:
+    """One atom of a canonical form and the form's slots it fills (``roles``)."""
+
     atom: ParamAtom
-    display: str
-    kind: str
-    dependence: Dependence
     provenance: str  # "primitive" or the rendered folding expression
     roles: tuple[str, ...]
+    display = property(operator.attrgetter("atom.display"))
+    kind = property(operator.attrgetter("atom.kind"))
+    dependence = property(operator.attrgetter("atom.dependence"))
 
 
 def classify_params(form: CanonicalUAT) -> tuple[ClassifiedParam, ...]:
@@ -575,9 +577,6 @@ def classify_params(form: CanonicalUAT) -> tuple[ClassifiedParam, ...]:
     return tuple(
         ClassifiedParam(
             atom=atom,
-            display=atom.display,
-            kind=atom.kind,
-            dependence=atom.dependence,
             provenance=atom.provenance.distribute().render("text") if atom.merged else "primitive",
             roles=tuple(atom_roles),
         )
@@ -734,7 +733,7 @@ def build_residual_chain(
             stage_bias = b1
         else:
             carried = Add((*term_exprs, *const_atoms))
-            stage_bias = merged_atom(
+            stage_bias = ParamAtom(
                 _name("b", f"{_sub(k)},2", prime=False),
                 "bias",
                 Add((Apply(w1, carried), b1)),
@@ -746,7 +745,7 @@ def build_residual_chain(
     if depth == 1:
         constant = const_atoms[0]
     else:
-        constant = merged_atom(
+        constant = ParamAtom(
             _name("b", f"{_sub(depth - 1)},2", prime=False),
             "bias",
             Add(tuple(const_atoms)),
@@ -830,7 +829,7 @@ def build_transformer_chain(
     for k in range(depth):
         sub = _sub(k)
         projections = tuple(weight_atom(_name("W", f"{sub},{r}", prime=False)) for r in "QKVO")
-        attn = merged_atom(
+        attn = ParamAtom(
             _name("W", f"{sub},1"),
             "weight",
             AttnMatrix(
@@ -858,7 +857,7 @@ def build_transformer_chain(
         if k == 0:
             stage_bias = b2
         else:
-            stage_bias = merged_atom(
+            stage_bias = ParamAtom(
                 _name("b", f"{sub},2"),
                 "bias",
                 Add((Apply(MatProduct((w2, attn)), Add((*carried, const_expr))), b2)),
@@ -882,7 +881,7 @@ def build_transformer_chain(
     if depth == 1:
         constant = b3
     else:
-        constant = merged_atom(_name("b", f"{_sub(depth - 2)},1"), "bias", const_expr)
+        constant = ParamAtom(_name("b", f"{_sub(depth - 2)},1"), "bias", const_expr)
 
     canonical = CanonicalUAT(
         linear_term=linear,

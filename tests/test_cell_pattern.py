@@ -231,7 +231,7 @@ def test_commands_never_build_window_cells(argv, specs_dir, tmp_path, monkeypatc
         ]),
     }
 
-    def refuse(pattern, kernel, n_in, n_out):
+    def refuse(pattern, kernel):
         raise AssertionError("a window stage's cells were placed in a dense W'")
 
     monkeypatch.setattr(lowering.WindowPattern, "dense", refuse)

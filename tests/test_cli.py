@@ -126,6 +126,30 @@ def test_report_latex_sidecar(capsys, specs_dir, tmp_path):
     assert r"\hat{\mathbf{b}}" in sidecar.read_text()
 
 
+@pytest.mark.parametrize("layers, reason, analysis", [
+    ([], "empty networks cannot be expanded",
+     {"term_counts": {"error": "empty networks cannot be expanded"},
+      "receptive_field": {"error": "no layers"}}),
+    ([{"kind": "conv2d", "out_channels": 2, "kernel": [3, 3], "stride": 1, "padding": 1,
+       "bias": True},
+      {"kind": "mean_pool", "window": [2, 2], "stride": 2}],
+     "chain must end with an activation stage, not pooling", None),
+])
+def test_report_on_a_description_that_does_not_expand(capsys, tmp_path, layers, reason,
+                                                      analysis):
+    spec = tmp_path / "flat.json"
+    spec.write_text(json.dumps({"input_shape": [["C_I", 1], ["H", 6], ["W", 6]], "seed": 1,
+                                "activation": "relu", "layers": layers}))
+    code, out, _ = run(capsys, "report", str(spec), "--format", "latex", "--trials", "1")
+    assert code == EXIT_OK
+    text, latex = out.split("% generated by uatcv")
+    doc = json.loads(text)
+    assert doc["expansion"] == {"expandable": False, "reason": reason}
+    if analysis is not None:
+        assert doc["analysis"] == analysis
+    assert f"Not expandable: {reason}\n" in latex
+
+
 def test_report_out_that_is_its_own_sidecar_is_validation_error(capsys, specs_dir, tmp_path):
     out_path = tmp_path / "r.tex"
     code, out, err = run(capsys, "report", str(specs_dir / "vgg3.json"), "--trials", "1",

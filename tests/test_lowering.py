@@ -743,21 +743,21 @@ def _products(self, w, v):
     return v.reshape(self.tokens, -1, 1) * w  # (tokens, inputs, outputs)
 
 
-def _reduce_of_transposed_product(self, w, v, n_out):
+def _reduce_of_transposed_product(self, w, v):
     terms = np.swapaxes(_products(self, w, v), 1, 2).copy()  # inputs contiguous: added pairwise
     return np.add.reduce(terms, axis=2).ravel()
 
 
-def _reduce_of_c_ordered_product(self, w, v, n_out):
+def _reduce_of_c_ordered_product(self, w, v):
     return np.add.reduce(np.ascontiguousarray(_products(self, w, v)), axis=1).ravel()
 
 
-def _accumulate_from_first_product(self, w, v, n_out):
+def _accumulate_from_first_product(self, w, v):
     terms = np.ascontiguousarray(_products(self, w, v))
     return np.add.accumulate(terms, axis=1)[:, -1].ravel()
 
 
-def _blas_product(self, w, v, n_out):
+def _blas_product(self, w, v):
     return (v.reshape(self.tokens, -1) @ w).ravel()  # as tokenwise_map applies I (x) W^T
 
 
@@ -799,15 +799,14 @@ def test_token_stage_rejects_what_does_not_fit():
     from uatcv.errors import RangeError
     from uatcv.lowering import LoweredForm
 
-    def stage(w, n_in=6, n_out=12):  # 3 tokens of a (2, 4) W
-        return LoweredForm(weights=w, input_vector=np.ones(n_in), output_len=n_out,
+    def stage(w, n_in=6):  # 3 tokens of a (2, 4) W
+        return LoweredForm(weights=w, input_vector=np.ones(n_in),
                            weight_index_map=DenseMatrix(3, (2, 4)), layout_note="")
 
-    stage(np.ones((2, 4)))
-    for w, n_in, n_out in ((np.ones((4, 2)), 6, 12), (np.ones(24), 6, 12),
-                           (np.ones((2, 4)), 8, 12), (np.ones((2, 4)), 6, 4)):
-        with pytest.raises(ShapeError, match="do not fit 3 token"):
-            stage(w, n_in, n_out)
+    assert stage(np.ones((2, 4))).shape == (6, 12)
+    for w, n_in in ((np.ones((4, 2)), 6), (np.ones(24), 6), (np.ones((2, 4)), 8)):
+        with pytest.raises(ShapeError, match=r"do not fit W' of shape \(6, 12\)"):
+            stage(w, n_in)
     with pytest.raises(RangeError):
         stage(np.array([[1.0, np.nan, 0.0, 0.0], [0.0] * 4]))
 
