@@ -14,8 +14,10 @@ import numpy as np
 
 from .errors import RankError, ShapeError, SpecError
 from .netspec import (
+    ConvWeights,
     MaterializedNetwork,
     NetworkSpec,
+    assemble,
     expansion_family,
     forward,
     infer_shapes,
@@ -139,15 +141,14 @@ class LoraDelta:
 def apply_lora(net: MaterializedNetwork, delta: LoraDelta) -> MaterializedNetwork:
     """A copy of the network with the targeted matrix replaced by W + BA.
 
-    The copy is a new network with new layer objects.  Only the targeted
-    matrix is a new (read-only) array; every other array, the target
-    layer's included, is the source's own object, shared.  The arrays are
-    read-only, so neither network can change the other through them.
+    The copy is assembled anew, the target layer's weights record replaced
+    by its kind's ``with_lora_matrix``.  Only the targeted matrix is a new
+    array; every other array, the target layer's included, is the source's
+    own, shared.  All are read-only, so neither network can change the other.
     """
     if not 0 <= delta.layer < len(net.layers):
         raise SpecError(f"no layer {delta.layer} in a {len(net.layers)}-layer network")
-    layers = [replace(rt) for rt in net.layers]
-    rt = layers[delta.layer]
+    rt = net.layers[delta.layer]
     current = rt.spec.lora_matrix(rt, delta.target)
     update = delta.update()
     if update.shape != current.shape:
@@ -156,8 +157,9 @@ def apply_lora(net: MaterializedNetwork, delta: LoraDelta) -> MaterializedNetwor
         )
     patched = current + update
     patched.flags.writeable = False
-    rt.spec.set_lora_matrix(rt, delta.target, patched)
-    return replace(net, layers=layers)
+    weights = [layer.weights for layer in net.layers]
+    weights[delta.layer] = rt.spec.with_lora_matrix(rt, delta.target, patched)
+    return assemble(net.spec, net.shapes, weights)
 
 
 def lora_equivalence_check(net: MaterializedNetwork, delta: LoraDelta, x: Tensor) -> dict:
@@ -175,25 +177,24 @@ def lora_equivalence_check(net: MaterializedNetwork, delta: LoraDelta, x: Tensor
     report: dict = {"layer": delta.layer, "target": delta.target, "rank": delta.rank}
 
     rt = net.layers[delta.layer]
-    if rt.conv_weights is not None:
+    if isinstance(rt.weights, ConvWeights):
         # W' places the same kernel elements whatever the kernel, so one
         # lowering at a zero input finds them; a conv stage's weights are its kernel
         (form,) = lower_layer(rt, zeros(rt.in_shape))
         placed = form.weight_index_map.offset_counts > 0
-        kernel = rt.conv_weights.data
+        kernel = rt.weights.kernel.data
         base, patched_values, update = (
             k.reshape(*kernel.shape[:2], -1)[..., placed]
-            for k in (kernel, patched.layers[delta.layer].conv_weights.data, delta.update())
+            for k in (kernel, patched.layers[delta.layer].weights.kernel.data, delta.update())
         )
         lin = np.max(np.abs(patched_values - (base + update)), initial=0.0)
         report["lowering_linearity_max_abs"] = float(lin)
 
-    untouched = []
-    for i, (a, b) in enumerate(zip(net.layers, patched.layers)):
-        if i == delta.layer or a.conv_weights is None:
-            continue
-        untouched.append(bool(np.array_equal(a.conv_weights.data, b.conv_weights.data)))
-    report["untouched_layers_identical"] = all(untouched) if untouched else True
+    report["untouched_layers_identical"] = all(
+        np.array_equal(a.weights.kernel.data, b.weights.kernel.data)
+        for a, b in zip(net.layers, patched.layers)
+        if a.index != delta.layer and isinstance(a.weights, ConvWeights)
+    )
 
     out_base = forward(net, x)[-1].flat
     out_patched = forward(patched, x)[-1].flat
@@ -229,9 +230,9 @@ def resolve_mask(net: MaterializedNetwork, mask: PruneMask) -> tuple[int, ...]:
     if not 0 <= mask.layer < len(net.layers):
         raise SpecError(f"no layer {mask.layer} in a {len(net.layers)}-layer network")
     rt = net.layers[mask.layer]
-    if rt.conv_weights is None:
+    if not isinstance(rt.weights, ConvWeights):
         raise SpecError(f"layer {mask.layer} ({rt.spec.kind}): pruning targets conv layers")
-    n_out = rt.conv_params.out_channels
+    n_out = rt.weights.params.out_channels
     if mask.channels is not None:
         channels = mask.channels
         if any(c < 0 or c >= n_out for c in channels):
@@ -246,8 +247,7 @@ def resolve_mask(net: MaterializedNetwork, mask: PruneMask) -> tuple[int, ...]:
 
 def channel_norms(net: MaterializedNetwork, layer: int) -> np.ndarray:
     """L2 norm of each output channel's kernel in a conv layer."""
-    rt = net.layers[layer]
-    w = rt.conv_weights.data
+    w = net.layers[layer].weights.kernel.data
     return np.sqrt((w.reshape(w.shape[0], -1) ** 2).sum(axis=1))
 
 
@@ -255,29 +255,25 @@ def prune(net: MaterializedNetwork, mask: PruneMask) -> MaterializedNetwork:
     """Remove the masked output channels and shrink the first downstream conv
     layer's matching input channels (pooling passes channels through).
 
-    The result is a new network with new layer objects and a new spec.  The
-    pruned layer's kernel and bias, and the downstream conv's kernel, are new
-    arrays holding the kept channels; every other array is the source's own
-    object, shared.
+    The result is a new spec, with the network assembled anew from it, its
+    shapes and the layers' weights records.  The pruned layer's kernel and
+    bias, and the downstream conv's kernel, are new arrays holding the kept
+    channels; every other array is the source's own object, shared.
     """
     channels = resolve_mask(net, mask)
-    keep = [c for c in range(net.layers[mask.layer].conv_params.out_channels) if c not in channels]
-
-    layers = [replace(rt) for rt in net.layers]
-    rt = layers[mask.layer]
-    rt.spec.keep_channels(rt, keep, axis=0)
+    rt = net.layers[mask.layer]
+    keep = [c for c in range(rt.weights.params.out_channels) if c not in channels]
+    specs, weights = list(net.spec.layers), [layer.weights for layer in net.layers]
+    specs[mask.layer], weights[mask.layer] = rt.spec.keep_channels(rt, keep, axis=0)
 
     # shrink the first layer downstream that consumes these channels
-    for later in layers[mask.layer + 1 :]:
-        if later.spec.follow_pruning(later, keep):
+    for later in net.layers[mask.layer + 1 :]:
+        if (followed := later.spec.follow_pruning(later, keep)) is not None:
+            specs[later.index], weights[later.index] = followed
             break
 
-    spec = replace(net.spec, layers=tuple(layer.spec for layer in layers))
-    shapes = infer_shapes(spec)
-    for rt2, in_shape, out_shape in zip(layers, shapes, shapes[1:]):
-        rt2.in_shape = in_shape
-        rt2.out_shape = out_shape
-    return MaterializedNetwork(spec=spec, layers=layers)
+    spec = replace(net.spec, layers=tuple(specs))
+    return assemble(spec, infer_shapes(spec), weights)
 
 
 def prune_impact(
@@ -297,8 +293,6 @@ def prune_impact(
     channels = resolve_mask(net, mask)
     if pruned is None:
         pruned = prune(net, mask)
-    n_out = net.layers[mask.layer].conv_params.out_channels
-    keep = [c for c in range(n_out) if c not in channels]
 
     devs = []
     for x in inputs:
@@ -307,7 +301,7 @@ def prune_impact(
         if a.shape == b.shape:
             devs.append(float(np.max(np.abs(a.data - b.data))))
         else:
-            devs.append(float(np.max(np.abs(a.data[keep] - b.data))))
+            devs.append(float(np.max(np.abs(np.delete(a.data, channels, axis=0) - b.data))))
     return {
         "layer": mask.layer,
         "pruned_channels": list(channels),

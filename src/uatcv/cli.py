@@ -48,7 +48,8 @@ from .errors import (
     ParseError, RangeError, SpecError, UatcvError, ValidationError, VerificationError,
 )
 from .netspec import (
-    MaterializedNetwork, draw_weights, materialize, parse_spec, to_expandable, verify_network,
+    ConvWeights, MaterializedNetwork, draw_weights, materialize, parse_spec, to_expandable,
+    verify_network,
 )
 from .report import analysis_section, build_report, layer_section, report_json, report_latex
 from .symbolic import classify_params, emit
@@ -123,7 +124,7 @@ def _random_lora(net, layer: int, rank: int, target: str | None) -> LoraDelta:
     if rank < 1:
         raise ValidationError(f"--lora-rank must be >= 1, got {rank}")
     rt = net.layers[layer]
-    if rt.conv_weights is not None and target is not None:
+    if isinstance(rt.weights, ConvWeights) and target is not None:
         raise ValidationError(
             f"layer {layer} ({rt.spec.kind}) takes no --lora-target: its one target is the kernel"
         )

@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
@@ -110,21 +110,26 @@ from .symbolic import (
 
 class LayerSpec:
     """Base of the layer kinds; each kind's class holds all of its rules:
-    ``validate``, ``infer`` (output shape), ``draw`` (RtLayer weight fields,
-    each array from ``draw(*shape)``), and the rules on a materialized layer
-    ``rt`` at a stage value, each ``(rt, value)`` and reading the network's
-    activation from ``rt.activation``: ``apply`` (direct computation),
-    ``stages`` (matrix-vector stages) and ``check`` (by default
-    ``lowered_output`` against ``apply``).  Callers run those three through
-    :func:`apply_layer`, :func:`lower_layer` and :func:`check_layer`.
-    ``lowered_output`` is by default the last stage's output; a residual
-    or transformer block adds its skip, and attention, which has no stages,
-    states its own.  ``expansion_values(rt)`` gives the values its atoms
-    take in the expanded form.  Defaults here serve the kinds that lack a
-    part or refuse an analysis."""
+    ``validate``, ``infer`` (output shape), ``draw`` (the kind's weights
+    record ``rt.weights``, each array from ``draw(*shape)``; None for
+    pooling and patchify), and the rules on a materialized layer ``rt`` at
+    a stage value, each ``(rt, value)`` and reading the network's activation
+    from ``rt.activation``: ``apply`` (direct computation), ``stages``
+    (matrix-vector stages) and ``check`` (by default ``lowered_output``
+    against ``apply``), run through :func:`apply_layer`, :func:`lower_layer`
+    and :func:`check_layer`.  ``lowered_output`` is by default the last
+    stage's output; a residual or transformer block adds its skip, and
+    attention, which has no stages, states its own.  ``expansion_values(rt)``
+    gives the values its atoms take in the expanded form.  ``lora_matrix``
+    reads one of ``lora_targets``, and ``with_lora_matrix`` returns the
+    weights record with it replaced; ``keep_channels`` and ``follow_pruning``
+    return a pruned layer's new ``(spec, weights)``.  No rule changes a
+    layer.  Defaults here serve the kinds that lack a part or refuse an
+    analysis."""
 
     kind: ClassVar[str]
     note: ClassVar[str] = ""  # the report's note on what the check compares
+    lora_targets: ClassVar[tuple[str, ...]] = ()
 
     def check(self, rt: RtLayer, value: Tensor) -> LayerCheck:
         """The lowered output at ``value`` against the direct one, ``apply``."""
@@ -140,8 +145,8 @@ class LayerSpec:
     def infer(self, shape: TensorShape, where: str, producer: str) -> TensorShape:
         return shape
 
-    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
-        return {}
+    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> object:
+        return None
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         return []
@@ -159,10 +164,22 @@ class LayerSpec:
 
     def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
         """The matrix a low-rank update of ``target`` adds to."""
-        raise ValidationError(f"layer {rt.index} ({self.kind}) has no adjustable matrix")
+        if not self.lora_targets:
+            raise ValidationError(f"layer {rt.index} ({self.kind}) has no adjustable matrix")
+        if target not in self.lora_targets:  # a command-line value
+            raise ValidationError(
+                f"layer {rt.index} ({self.kind}) has no LoRA target {target!r} "
+                f"(have {self.lora_targets})"
+            )
+        return getattr(rt.weights, target)
 
-    def follow_pruning(self, rt: RtLayer, keep: list[int]) -> bool:
-        """Follow an upstream pruning to ``keep``; True once it is absorbed."""
+    def with_lora_matrix(self, rt: RtLayer, target: str, matrix: np.ndarray) -> object:
+        """The layer's weights record with ``target`` replaced by ``matrix``."""
+        return replace(rt.weights, **{target: matrix})
+
+    def follow_pruning(self, rt: RtLayer, keep: list[int]) -> tuple[LayerSpec, object] | None:
+        """The layer's ``(spec, weights)`` once it absorbs an upstream pruning
+        to ``keep``, or None when the channels pass through it."""
         raise SpecError(
             f"layer {rt.index} ({self.kind}) downstream of the pruned layer "
             "cannot absorb a channel change"
@@ -196,13 +213,19 @@ class _ConvSpec(LayerSpec):
             raise ValidationError(f"{where}: stride must be >= 1 and padding >= 0")
 
     def _params(self, in_channels: int, bias: np.ndarray | None = None) -> ConvParams:
+        """The geometry the spec states; the one place a ConvParams is built."""
         return ConvParams(
             in_channels, self.out_channels, self.kernel, self.stride, self.padding, bias
         )
 
+    def _weights(self, kernel: np.ndarray, bias: np.ndarray | None) -> ConvWeights:
+        axes = ("C_O", "C_I", *self.spatial)
+        tensor = Tensor(TensorShape(zip(axes, kernel.shape)), kernel)
+        return ConvWeights(self._params(kernel.shape[1], bias), tensor)
+
     def _direct(self, rt: RtLayer, value: Tensor) -> Tensor:
         direct = conv2d_direct if len(self.spatial) == 2 else conv3d_direct
-        return direct(value, rt.conv_params, rt.conv_weights)
+        return direct(value, *rt.weights)
 
     def infer(self, shape: TensorShape, where: str, producer: str) -> TensorShape:
         want = ("C_I", *self.spatial)
@@ -218,22 +241,16 @@ class _ConvSpec(LayerSpec):
         outs = self._params(shape.extent("C_I")).out_extents(shape.extents[1:])
         return TensorShape([("C_I", self.out_channels), *zip(self.spatial, outs)])
 
-    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
-        c_in = in_shape.extent("C_I")
-        weights = draw(self.out_channels, c_in, *self.kernel)
-        bias = draw(self.out_channels) if self.bias else None
-        axes = ("C_O", "C_I", *self.spatial)
-        return {
-            "conv_params": self._params(c_in, bias),
-            "conv_weights": Tensor(TensorShape(zip(axes, weights.shape)), weights),
-        }
+    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> ConvWeights:
+        kernel = draw(self.out_channels, in_shape.extent("C_I"), *self.kernel)
+        return self._weights(kernel, draw(self.out_channels) if self.bias else None)
 
     def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
         return Tensor(rt.out_shape, activation(rt.activation)(self._direct(rt, value).data))
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         lower = lower_conv2d_I_O if len(self.spatial) == 2 else lower_conv3d
-        return [lower(value, rt.conv_params, rt.conv_weights)]
+        return [lower(value, *rt.weights)]
 
     def check(self, rt: RtLayer, value: Tensor) -> LayerCheck:
         (form,) = self.stages(rt, value)
@@ -247,33 +264,29 @@ class _ConvSpec(LayerSpec):
 
     def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
         # the kernel as its (C_O) x (C_I*kh*kw[*kd]) reshaping; target unused
-        w = rt.conv_weights.data
+        w = rt.weights.kernel.data
         return w.reshape(w.shape[0], -1)
 
-    def set_lora_matrix(self, rt: RtLayer, target: str, matrix: np.ndarray) -> None:
-        kshape = rt.conv_weights.data.shape
-        rt.conv_weights = Tensor(rt.conv_weights.shape, matrix.reshape(kshape))
+    def with_lora_matrix(self, rt: RtLayer, target: str, matrix: np.ndarray) -> ConvWeights:
+        kernel = rt.weights.kernel
+        return rt.weights._replace(kernel=Tensor(kernel.shape, matrix.reshape(kernel.data.shape)))
 
-    def keep_channels(self, rt: RtLayer, keep: list[int], axis: int) -> None:
-        """Keep only the ``keep`` output (axis 0) or input (axis 1) channels;
-        the layer's spec follows, a declared ``in_channels`` included."""
-        dims = list(rt.conv_weights.shape.dims)
-        dims[axis] = (dims[axis][0], len(keep))
-        rt.conv_weights = Tensor(TensorShape(dims), rt.conv_weights.data.take(keep, axis=axis))
+    def keep_channels(self, rt: RtLayer, keep: list[int], axis: int) -> tuple:
+        """The spec and weights that keep only the ``keep`` output (axis 0)
+        or input (axis 1) channels, a declared ``in_channels`` included."""
+        params, kernel = rt.weights
+        bias, spec = params.bias, self
         if axis == 0:
-            bias = None if rt.conv_params.bias is None else rt.conv_params.bias[keep]
+            spec = replace(self, out_channels=len(keep))
             if bias is not None:
+                bias = bias[keep]
                 bias.flags.writeable = False  # read-only like every drawn weight
-            rt.conv_params = replace(rt.conv_params, out_channels=len(keep), bias=bias)
-            rt.spec = replace(self, out_channels=len(keep))
-        else:
-            rt.conv_params = replace(rt.conv_params, in_channels=len(keep))
-            if self.in_channels is not None:
-                rt.spec = replace(self, in_channels=len(keep))
+        elif self.in_channels is not None:
+            spec = replace(self, in_channels=len(keep))
+        return spec, spec._weights(kernel.data.take(keep, axis=axis), bias)
 
-    def follow_pruning(self, rt: RtLayer, keep: list[int]) -> bool:
-        self.keep_channels(rt, keep, axis=1)
-        return True
+    def follow_pruning(self, rt: RtLayer, keep: list[int]) -> tuple:
+        return self.keep_channels(rt, keep, axis=1)
 
 
 @dataclass(frozen=True)
@@ -321,37 +334,38 @@ class MeanPoolSpec(LayerSpec):
     def receptive_window(self) -> tuple[tuple[str, ...], tuple[int, ...], int]:
         return ("H", "W"), self.window, self.stride
 
-    def follow_pruning(self, rt: RtLayer, keep: list[int]) -> bool:
-        return False  # pooling passes channels through
+    def follow_pruning(self, rt: RtLayer, keep: list[int]) -> None:
+        return None  # pooling passes channels through
 
 
 @dataclass(frozen=True)
 class ResidualBlockSpec(LayerSpec):
     kind = "residual_block"
     note = "dense stages"
+    lora_targets = ("w_1", "w_2")
     hidden_dim: int | None = None
 
     def validate(self, where: str) -> None:
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise ValidationError(f"{where}: hidden_dim must be >= 1")
 
-    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
+    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> ResidualWeights:
         dim = in_shape.size
         hidden = self.hidden_dim if self.hidden_dim is not None else dim
         w_1, b_1 = draw(hidden, dim), draw(hidden)
         w_2, b_2 = draw(dim, hidden), draw(dim)
-        return {"residual": ResidualWeights(w_1=w_1, b_1=b_1, w_2=w_2, b_2=b_2)}
+        return ResidualWeights(w_1=w_1, b_1=b_1, w_2=w_2, b_2=b_2)
 
     def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
         act = activation(rt.activation)
         v = value.flat
-        r = rt.residual
+        r = rt.weights
         out = v + r.w_2 @ act(r.w_1 @ v + r.b_1) + r.b_2
         return Tensor(rt.out_shape, out.reshape(rt.out_shape.extents))
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         act = activation(rt.activation)
-        r = rt.residual
+        r = rt.weights
         stage1 = _dense_form(r.w_1, r.b_1, value.flat)
         stage2 = _dense_form(r.w_2, r.b_2, act(stage1.evaluate()))
         return [stage1, stage2]
@@ -360,14 +374,8 @@ class ResidualBlockSpec(LayerSpec):
         return value.flat + forms[1].evaluate()
 
     def expansion_values(self, rt: RtLayer) -> tuple:
-        r = rt.residual
+        r = rt.weights
         return r.w_1, r.b_1, r.w_2, r.b_2
-
-    def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
-        return getattr(rt.residual, _lora_target(rt, target, ("w_1", "w_2")))
-
-    def set_lora_matrix(self, rt: RtLayer, target: str, matrix: np.ndarray) -> None:
-        rt.residual = replace(rt.residual, **{target: matrix})
 
 
 @dataclass(frozen=True)
@@ -401,14 +409,6 @@ class PatchifySpec(LayerSpec):
         return LayerCheck(rt.index, float(diff), [], out, "reassembly")
 
 
-def _lora_target(rt: RtLayer, target: str, targets: tuple[str, ...]) -> str:
-    if target not in targets:  # a command-line value
-        raise ValidationError(
-            f"layer {rt.index} ({rt.spec.kind}) has no LoRA target {target!r} (have {targets})"
-        )
-    return target
-
-
 class _TokenSpec(LayerSpec):
     """Shared by the kinds that act on a (token, feature) matrix: attention
     when the kind has ``heads``, a row-wise FFN when it has ``hidden_dim``.
@@ -433,29 +433,26 @@ class _TokenSpec(LayerSpec):
             raise ValidationError(f"{where}: heads {self.heads} must divide feature dim {d}")
         return shape
 
-    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> dict:
+    @property
+    def lora_targets(self) -> tuple[str, ...]:
+        return (("w_q", "w_k", "w_v", "w_o") if self.heads is not None else ()) + (
+            ("w_2", "w_3") if self.hidden_dim is not None else ()
+        )
+
+    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> AttnParams:
         d, h = in_shape.extent("feature"), self.hidden_dim
         parts = {}
         if self.heads is not None:
             parts.update(w_q=draw(d, d), w_k=draw(d, d), w_v=draw(d, d), w_o=draw(d, d))
         if h is not None:
             parts.update(w_2=draw(d, h), w_3=draw(h, d), b_2=draw(h), b_3=draw(d))
-        return {"attn_params": AttnParams(model_dim=d, heads=self.heads or 1, **parts)}
+        return AttnParams(model_dim=d, heads=self.heads or 1, **parts)
 
     def _attended(self, rt: RtLayer, value: Tensor) -> np.ndarray:
         """``M(X) X`` flattened, M the effective attention matrix at the tokens X."""
-        x, p = _tokens(value), rt.attn_params
+        x, p = _tokens(value), rt.weights
         m = effective_matrix_from_projections(x, p.w_q, p.w_k, p.w_v, p.w_o, p.heads)
         return m @ x.reshape(-1)
-
-    def lora_matrix(self, rt: RtLayer, target: str) -> np.ndarray:
-        targets = (("w_q", "w_k", "w_v", "w_o") if self.heads is not None else ()) + (
-            ("w_2", "w_3") if self.hidden_dim is not None else ()
-        )
-        return getattr(rt.attn_params, _lora_target(rt, target, targets))
-
-    def set_lora_matrix(self, rt: RtLayer, target: str, matrix: np.ndarray) -> None:
-        rt.attn_params = replace(rt.attn_params, **{target: matrix})
 
 
 @dataclass(frozen=True)
@@ -466,7 +463,7 @@ class MhaSpec(_TokenSpec):
     heads: int
 
     def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
-        return Tensor(rt.out_shape, mha_direct(_tokens(value), rt.attn_params))
+        return Tensor(rt.out_shape, mha_direct(_tokens(value), rt.weights))
 
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
         return self._attended(rt, value)
@@ -479,10 +476,10 @@ class FfnSpec(_TokenSpec):
     hidden_dim: int
 
     def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
-        return Tensor(rt.out_shape, ffn_direct(_tokens(value), rt.attn_params, rt.activation))
+        return Tensor(rt.out_shape, ffn_direct(_tokens(value), rt.weights, rt.activation))
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
-        return list(lower_ffn(_tokens(value), rt.attn_params, rt.activation))
+        return list(lower_ffn(_tokens(value), rt.weights, rt.activation))
 
 
 @dataclass(frozen=True)
@@ -493,19 +490,19 @@ class TransformerBlockSpec(_TokenSpec):
     hidden_dim: int
 
     def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
-        out = transformer_block_direct(_tokens(value), rt.attn_params, rt.activation)
+        out = transformer_block_direct(_tokens(value), rt.weights, rt.activation)
         return Tensor(rt.out_shape, out)
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         # the FFN stages at h = M(X) X, with M the effective attention matrix
         h = self._attended(rt, value).reshape(value.shape.extents)
-        return list(lower_ffn(h, rt.attn_params, rt.activation))
+        return list(lower_ffn(h, rt.weights, rt.activation))
 
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
         return forms[0].input_vector + forms[1].evaluate()  # h + FFN(h)
 
     def expansion_values(self, rt: RtLayer) -> tuple:
-        return transformer_block_values(rt.attn_params, rt.in_shape.extent("token"))
+        return transformer_block_values(rt.weights, rt.in_shape.extent("token"))
 
 
 _LAYER_KINDS: dict[str, type[LayerSpec]] = {
@@ -691,21 +688,25 @@ class ResidualWeights:
     b_2: np.ndarray
 
 
-@dataclass
+class ConvWeights(NamedTuple):
+    """A conv's geometry and kernel, in the conv paths' argument order."""
+
+    params: ConvParams
+    kernel: Tensor
+
+
+@dataclass(frozen=True)
 class RtLayer:
-    """One materialized layer: the spec, its drawn weights (none for pooling
-    and patchify, whose geometry is the spec's), its shapes, and the network's
-    ``activation`` as the description states it, which the layer's rules read."""
+    """One materialized layer, built by :func:`assemble` only: the spec, its
+    shapes, the network's ``activation`` as the description states it, and
+    the weights record its kind's ``draw`` gives (None for pooling, patchify)."""
 
     index: int
     spec: LayerSpec
     in_shape: TensorShape
     out_shape: TensorShape
     activation: str
-    conv_params: ConvParams | None = None
-    conv_weights: Tensor | None = None
-    attn_params: AttnParams | None = None
-    residual: ResidualWeights | None = None
+    weights: object
 
 
 @dataclass
@@ -737,18 +738,21 @@ def draw_weights(gen: SplitMix64, where: str, *shape: int) -> np.ndarray:
     return weights
 
 
+def assemble(net: NetworkSpec, shapes: list[TensorShape], weights: list) -> MaterializedNetwork:
+    """The one layer builder: the network of a description, its
+    :func:`infer_shapes` and one weights record per layer."""
+    return MaterializedNetwork(net, [
+        RtLayer(i, spec, shapes[i], shapes[i + 1], net.activation, w)
+        for i, (spec, w) in enumerate(zip(net.layers, weights))
+    ])
+
+
 def materialize(net: NetworkSpec) -> MaterializedNetwork:
     """Draw every layer's weights from the description's seed."""
-    shapes = infer_shapes(net)
-    gen = SplitMix64(net.seed)
-    layers = []
-    for i, spec in enumerate(net.layers):
-        draw = partial(draw_weights, gen, f"layer {i} ({spec.kind})")
-        layers.append(
-            RtLayer(index=i, spec=spec, in_shape=shapes[i], out_shape=shapes[i + 1],
-                    activation=net.activation, **spec.draw(shapes[i], draw))
-        )
-    return MaterializedNetwork(spec=net, layers=layers)
+    shapes, gen = infer_shapes(net), SplitMix64(net.seed)
+    weights = [spec.draw(shapes[i], partial(draw_weights, gen, f"layer {i} ({spec.kind})"))
+               for i, spec in enumerate(net.layers)]
+    return assemble(net, shapes, weights)
 
 
 def random_input(net: NetworkSpec, seed: int) -> Tensor:
@@ -938,7 +942,7 @@ def to_expandable(net: MaterializedNetwork) -> ExpandableNetwork:
         pooling = [(rt.spec.kind == "mean_pool", getattr(rt.spec, "bias", False)) for rt in layers]
         chain = dense_chain(pooling, size)
     elif family == "residual":
-        chain = build_residual_chain(len(layers), size, len(layers[0].residual.b_1))
+        chain = build_residual_chain(len(layers), size, len(layers[0].weights.b_1))
     else:
         shape, block = layers[0].in_shape, layers[0].spec
         chain = build_transformer_chain(len(layers), shape.extent("token"),

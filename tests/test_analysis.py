@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -19,12 +19,14 @@ from uatcv.errors import RankError, SpecError
 from uatcv.lowering import lower_conv2d_I_O
 from uatcv.netspec import (
     Conv2dSpec,
+    ConvWeights,
     MeanPoolSpec,
     MhaSpec,
     NetworkSpec,
     ResidualBlockSpec,
     TransformerBlockSpec,
     forward,
+    infer_shapes,
     materialize,
     parse_spec,
     random_input,
@@ -164,8 +166,8 @@ def test_rf_nonsquare_kernels_tracked_per_axis():
 def test_lora_zero_factors_identity():
     net = materialize(_conv_net())
     rt = net.layers[0]
-    n = rt.conv_params.in_channels * rt.conv_params.kernel[0] * rt.conv_params.kernel[1]
-    delta = LoraDelta(layer=0, a=np.zeros((1, n)), b=np.zeros((rt.conv_params.out_channels, 1)))
+    n = rt.weights.params.in_channels * rt.weights.params.kernel[0] * rt.weights.params.kernel[1]
+    delta = LoraDelta(layer=0, a=np.zeros((1, n)), b=np.zeros((rt.weights.params.out_channels, 1)))
     patched = apply_lora(net, delta)
     x = random_input(net.spec, 99)
     assert np.array_equal(forward(net, x)[-1].data, forward(patched, x)[-1].data)
@@ -182,7 +184,7 @@ def test_lora_rank1_ffn_matches_direct():
         )
     )
     rng = np.random.default_rng(0)
-    p = net.layers[0].attn_params
+    p = net.layers[0].weights
     b = rng.normal(size=(p.w_2.shape[0], 1))
     a = rng.normal(size=(1, p.w_2.shape[1]))
     delta = LoraDelta(layer=0, a=a, b=b, target="w_2")
@@ -202,8 +204,8 @@ def test_lora_conv_lowering_linearity():
     net = materialize(_conv_net(seed=13))
     rt = net.layers[0]
     rng = np.random.default_rng(1)
-    m = rt.conv_params.out_channels
-    n = rt.conv_params.in_channels * rt.conv_params.kernel[0] * rt.conv_params.kernel[1]
+    m = rt.weights.params.out_channels
+    n = rt.weights.params.in_channels * rt.weights.params.kernel[0] * rt.weights.params.kernel[1]
     delta = LoraDelta(layer=0, a=rng.normal(size=(2, n)), b=rng.normal(size=(m, 2)))
     x = random_input(net.spec, 3)
     report = lora_equivalence_check(net, delta, x)
@@ -236,7 +238,7 @@ def test_lora_residual_target():
     rng = np.random.default_rng(5)
     delta = LoraDelta(layer=0, a=rng.normal(size=(1, 6)), b=rng.normal(size=(4, 1)), target="w_1")
     patched = apply_lora(net, delta)
-    r0, r1 = net.layers[0].residual, patched.layers[0].residual
+    r0, r1 = net.layers[0].weights, patched.layers[0].weights
     assert np.array_equal(r1.w_1, r0.w_1 + delta.update())
     assert np.array_equal(r1.w_2, r0.w_2)
 
@@ -265,12 +267,12 @@ def test_lora_rank_by_construction():
 def test_prune_dead_channel_zero_impact():
     net = materialize(_conv_net(seed=17))
     rt = net.layers[0]
-    w = rt.conv_weights.data.copy()
+    w = rt.weights.kernel.data.copy()
     w[1] = 0.0  # kill channel 1's kernels
-    rt.conv_weights = Tensor(rt.conv_weights.shape, w)
-    bias = rt.conv_params.bias.copy()
+    bias = rt.weights.params.bias.copy()
     bias[1] = 0.0
-    rt.conv_params = replace(rt.conv_params, bias=bias)
+    net.layers[0] = replace(rt, weights=ConvWeights(replace(rt.weights.params, bias=bias),
+                                                    Tensor(rt.weights.kernel.shape, w)))
     inputs = [random_input(net.spec, 50 + t) for t in range(5)]
     report = prune_impact(net, PruneMask(layer=0, channels=(1,)), inputs)
     assert report["max_deviation"] == 0.0
@@ -285,27 +287,27 @@ def test_prune_lower_commutes_with_block_deletion():
     # deleted must equal the lowered pruned layer, entrywise
     rt = net.layers[0]
     x = random_input(net.spec, 4)
-    form = lower_conv2d_I_O(x, rt.conv_params, rt.conv_weights)
+    form = lower_conv2d_I_O(x, *rt.weights)
     h_out = rt.out_shape.extent("H") * rt.out_shape.extent("W")
     keep_cols = np.concatenate(
         [np.arange(c * h_out, (c + 1) * h_out) for c in (0, 3)]
     )
     expected = form.weight_matrix[:, keep_cols]
     prt = pruned.layers[0]
-    pform = lower_conv2d_I_O(x, prt.conv_params, prt.conv_weights)
+    pform = lower_conv2d_I_O(x, *prt.weights)
     assert np.array_equal(pform.weight_matrix, expected)
 
     # downstream conv loses the matching input-channel block rows
     rt1 = net.layers[1]
     val1 = Tensor(rt1.in_shape, np.zeros(rt1.in_shape.extents))
-    form1 = lower_conv2d_I_O(val1, rt1.conv_params, rt1.conv_weights)
+    form1 = lower_conv2d_I_O(val1, *rt1.weights)
     per_in = rt1.in_shape.extent("H") * rt1.in_shape.extent("W")
     keep_rows = np.concatenate(
         [np.arange(c * per_in, (c + 1) * per_in) for c in (0, 3)]
     )
     prt1 = pruned.layers[1]
     pval1 = Tensor(prt1.in_shape, np.zeros(prt1.in_shape.extents))
-    pform1 = lower_conv2d_I_O(pval1, prt1.conv_params, prt1.conv_weights)
+    pform1 = lower_conv2d_I_O(pval1, *prt1.weights)
     assert np.array_equal(pform1.weight_matrix, form1.weight_matrix[keep_rows])
 
 
@@ -336,7 +338,7 @@ def test_prune_threshold_selects_smallest():
     cut = float(np.sort(norms)[1])  # prune exactly the smallest channel
     mask = PruneMask(layer=0, threshold=cut)
     pruned = prune(net, mask)
-    assert pruned.layers[0].conv_params.out_channels == 3
+    assert pruned.layers[0].weights.params.out_channels == 3
 
 
 def test_prune_magnitude_ordering_reported():
@@ -430,9 +432,11 @@ def test_count_uat_terms_draws_weights_once(specs_dir, monkeypatch):
 
 def _weight_arrays(rt) -> dict[str, np.ndarray]:
     """Every weight array of a materialized layer, by field name."""
-    found = {} if rt.conv_weights is None else {"kernel": rt.conv_weights.data}
-    for part in (rt.conv_params, rt.attn_params, rt.residual):
-        if part is not None:
+    found = {}
+    for part in rt.weights if isinstance(rt.weights, ConvWeights) else (rt.weights,):
+        if isinstance(part, Tensor):
+            found["kernel"] = part.data
+        elif part is not None:
             values = {f.name: getattr(part, f.name) for f in fields(part)}
             found.update({k: v for k, v in values.items() if isinstance(v, np.ndarray)})
     return found
@@ -452,6 +456,26 @@ def test_drawn_weights_are_read_only(specs_dir):
             pytest.fail(f"{spec} layer {index} {name} is writable")
 
 
+def _assert_assembled(net):
+    """Each layer is its spec's, at the shapes its description infers, with a
+    conv's geometry the one its spec and input state; no field can be set."""
+    shapes = infer_shapes(net.spec)
+    assert [(rt.index, rt.spec, rt.in_shape, rt.out_shape, rt.activation) for rt in net.layers] == [
+        (i, spec, shapes[i], shapes[i + 1], net.spec.activation)
+        for i, spec in enumerate(net.spec.layers)
+    ]
+    for rt in net.layers:
+        if isinstance(rt.weights, ConvWeights):
+            p, spec, c_in = rt.weights.params, rt.spec, rt.in_shape.extent("C_I")
+            assert (p.in_channels, p.out_channels, p.kernel, p.stride, p.padding) == (
+                c_in, spec.out_channels, spec.kernel, spec.stride, spec.padding)
+            assert (p.bias is not None) == spec.bias
+            assert p.bias is None or p.bias.shape == (spec.out_channels,)
+            assert rt.weights.kernel.data.shape == (spec.out_channels, c_in, *spec.kernel)
+        with pytest.raises(FrozenInstanceError):
+            rt.in_shape = rt.out_shape
+
+
 @pytest.mark.parametrize("name, layer, target", [
     ("vgg3", 1, "w_2"), ("resblock2", 1, "w_1"), ("vit1", 1, "w_q"), ("vit1", 1, "w_3"),
 ])
@@ -466,11 +490,12 @@ def test_derived_networks_leave_their_source_unchanged(specs_dir, name, layer, t
                       target=target)
     derived = [apply_lora(net, delta)]
     lora_equivalence_check(net, delta, x)
-    if rt.conv_weights is not None:
+    if isinstance(rt.weights, ConvWeights):
         derived.append(prune(net, PruneMask(layer=0, channels=(0,))))
     for other in derived:
         assert forward(other, x)[-1].data.tobytes() != before
         assert all(a is not b for a, b in zip(net.layers, other.layers))
+        _assert_assembled(other)
     assert forward(net, x)[-1].data.tobytes() == before
 
 
@@ -506,6 +531,8 @@ def test_prune_shares_the_layers_it_does_not_shrink():
     # the shapes follow in the copy only
     assert [rt.in_shape.extent("C_I") for rt in net.layers[1:3]] == [4, 4]
     assert [rt.in_shape.extent("C_I") for rt in pruned.layers[1:3]] == [3, 3]
+    _assert_assembled(pruned)
+    _assert_assembled(prune(net, PruneMask(layer=2, channels=(0, 2))))
 
 
 def test_analyze_prunes_once(specs_dir, monkeypatch, capsys):

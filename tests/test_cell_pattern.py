@@ -98,7 +98,7 @@ def vgg3(specs_dir):
 
 
 def _geometry(rt):
-    p = rt.conv_params
+    p = rt.weights.params
     return (p.out_channels, p.in_channels, tuple(p.kernel), p.stride, p.padding,
             rt.in_shape.extents[1:])
 
@@ -148,11 +148,11 @@ def test_cap_is_checked_on_a_cache_hit(capsys, vgg3, monkeypatch):
     monkeypatch.delenv("UATCV_CAP", raising=False)
     try:
         set_element_cap(10 * grid)
-        lower_conv2d_I_O(value, rt.conv_params, rt.conv_weights)
+        lower_conv2d_I_O(value, *rt.weights)
         assert lowering.cell_pattern.cache_info().currsize == 1
         set_element_cap(grid - 1)
         with pytest.raises(CapacityError, match=f"has {grid} elements"):
-            lower_conv2d_I_O(value, rt.conv_params, rt.conv_weights)
+            lower_conv2d_I_O(value, *rt.weights)
         assert cli.main(["lower", str(path), "--cap", str(grid - 1)]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error[validation]: layer 1 (conv2d): lowering index grid")

@@ -292,6 +292,18 @@ def test_missing_file_is_parse_error(capsys, tmp_path):
 TOKENS = [["token", 3], ["feature", 4]]
 
 
+PROJECTIONS = "('w_q', 'w_k', 'w_v', 'w_o')"
+# the whole refusal after "layer 0 (<kind>) ", by kind and target
+LORA_REFUSALS = {
+    ("mha", "w_2"): f"has no LoRA target 'w_2' (have {PROJECTIONS})",
+    ("ffn", "w_q"): "has no LoRA target 'w_q' (have ('w_2', 'w_3'))",
+    ("mha", "nope"): f"has no LoRA target 'nope' (have {PROJECTIONS})",
+    ("residual_block", "w_3"): "has no LoRA target 'w_3' (have ('w_1', 'w_2'))",
+    ("patchify", "w_2"): "has no adjustable matrix",
+    ("conv2d", "w_q"): "takes no --lora-target: its one target is the kernel",
+}
+
+
 @pytest.mark.parametrize(
     "shape, layer, target",
     [
@@ -309,10 +321,31 @@ def test_lora_target_must_name_a_part_of_the_layer(capsys, tmp_path, shape, laye
     spec = tmp_path / "one.json"
     spec.write_text(json.dumps({"input_shape": shape, "seed": 1, "activation": "relu",
                                 "layers": [layer]}))
-    code, _, err = run(capsys, "analyze", str(spec), "--lora-layer", "0", "--lora-rank", "1",
-                       "--lora-target", target)
-    assert code == EXIT_PARSE
-    assert "error[validation]" in err and f"layer 0 ({layer['kind']})" in err
+    code, out, err = run(capsys, "analyze", str(spec), "--lora-layer", "0", "--lora-rank", "1",
+                         "--lora-target", target)
+    assert code == EXIT_PARSE and out == ""
+    kind = layer["kind"]
+    assert err == f"error[validation]: layer 0 ({kind}) {LORA_REFUSALS[kind, target]}\n"
+
+
+@pytest.mark.parametrize("shape, layers", [
+    ([["feature", 4]], [{"kind": "residual_block"}]),
+    ([["C_I", 1], ["H", 4], ["W", 4]], [{"kind": "mean_pool", "window": [2, 2]}]),
+    ([["C_I", 1], ["H", 4], ["W", 4]],
+     [{"kind": "conv2d", "out_channels": 2, "kernel": [2, 2]},
+      {"kind": "mean_pool", "window": [2, 2]}]),
+    ([["H", 4], ["W", 4]], [{"kind": "patchify", "patch": [2, 2]}]),
+])
+def test_prune_targets_conv_layers(capsys, tmp_path, shape, layers):
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps({"input_shape": shape, "seed": 1, "activation": "relu",
+                                "layers": layers}))
+    n = len(layers) - 1
+    code, out, err = run(capsys, "analyze", str(spec), "--prune-layer", str(n),
+                         "--prune-channels", "0")
+    assert code == EXIT_PARSE and out == ""
+    assert err == (f"error[validation]: layer {n} ({layers[-1]['kind']}): "
+                   "pruning targets conv layers\n")
 
 
 @pytest.mark.parametrize("command", ["lower", "verify", "report", "analyze"])

@@ -157,11 +157,11 @@ def test_materialize_deterministic():
     net = parse_spec_text(MINIMAL)
     a = materialize(net)
     b = materialize(net)
-    assert np.array_equal(a.layers[0].conv_weights.data, b.layers[0].conv_weights.data)
+    assert np.array_equal(a.layers[0].weights.kernel.data, b.layers[0].weights.kernel.data)
     doc = json.loads(MINIMAL)
     doc["seed"] = 2
     c = materialize(parse_spec_text(json.dumps(doc)))
-    assert not np.array_equal(a.layers[0].conv_weights.data, c.layers[0].conv_weights.data)
+    assert not np.array_equal(a.layers[0].weights.kernel.data, c.layers[0].weights.kernel.data)
 
 
 def test_forward_runs_all_fixtures(specs_dir):
@@ -568,12 +568,12 @@ def test_token_kinds_hold_only_their_parts():
         "layers": [{"kind": "mha", "heads": 2}, {"kind": "ffn", "hidden_dim": 5},
                    {"kind": "transformer_block", "heads": 2, "hidden_dim": 5}],
     })))
-    held = {rt.spec.kind: [n for n in projections + ffn if getattr(rt.attn_params, n) is not None]
+    held = {rt.spec.kind: [n for n in projections + ffn if getattr(rt.weights, n) is not None]
             for rt in net.layers}
     assert held == {"mha": list(projections), "ffn": list(ffn),
                     "transformer_block": list(projections + ffn)}
     # one stream, layer by layer and part by part; a missing part draws nothing
-    drawn = [getattr(rt.attn_params, n).ravel() for rt in net.layers
+    drawn = [getattr(rt.weights, n).ravel() for rt in net.layers
              for n in held[rt.spec.kind]]
     stream = SplitMix64(12).uniform(sum(len(a) for a in drawn), -1.0, 1.0)
     assert np.array_equal(np.concatenate(drawn), stream)
