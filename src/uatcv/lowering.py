@@ -191,6 +191,7 @@ class WindowPattern:
     def __init__(self, out_channels: int, in_channels: int, kernel: tuple[int, ...], stride: int,
                  padding: int, spatial: tuple[int, ...], per_channel: bool = False):
         nd = len(kernel)
+        stride = min(stride, max(spatial) + 2 * padding)  # past the padded extent: one output per axis
         self.order = [2, 0, 1] if nd == 3 else [0, 1]  # stage_vector's order of (H, W[, D])
         self.outs = [(ext + 2 * padding - k) // stride + 1 for ext, k in zip(spatial, kernel)]
         self.in_extents = (in_channels, *(spatial[a] for a in self.order))  # x' as (C_I, ...)

@@ -11,13 +11,17 @@ Expanding a composition rewrites it into a canonical approximator form
     G(x) = [L x] + sum_j outer_j sigma(inner_j x + bias_j) + [const]
 
 (for feed-forward chains the sigma stages nest instead of summing, and the
-canonical value is the last stage's output).  The canonical form is itself
-an expression over the same nodes (``CanonicalUAT.expression``), so it has
-one renderer and one evaluator, those of the nodes.  Merging coefficients
-during expansion creates *merged* atoms that keep the folding expression
-they came from, over the state the chain carried, so each chain is folded
-once; only classification distributes it into its normal form, to show it.
-An atom whose folding expression reaches the input symbol is classified
+canonical value is the last stage's output).  Residual and transformer
+chains come from one builder, ``_skip_chain``, of blocks
+``h + W_out sigma(W_in h + b_in) + b_out`` at ``h = M v``, and differ only in
+the mixing map M: the identity in a residual block, the frozen attention map
+in a transformer block.  The canonical form is itself an expression over the
+same nodes (``CanonicalUAT.expression``), so it has one renderer and one
+evaluator, those of the nodes.  Merging coefficients during expansion
+creates *merged* atoms that keep the folding expression they came from, over
+the state the chain carried, so each chain is folded once; only
+classification distributes it into its normal form, to show it.  An atom
+whose folding expression reaches the input symbol is classified
 input-dependent, everything else stays fixed once the network's parameters
 are bound.  Displays mark merged fixed atoms with a bar and merged
 input-dependent atoms with a hat.
@@ -44,8 +48,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
-from typing import ClassVar, Iterable, Mapping, Sequence, Union
+from functools import cache, reduce
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -674,10 +678,65 @@ def build_vgg_chain(dims: Sequence[int]) -> DenseChain:
     return chain
 
 
+def _skip_chain(depth: int, dim: int, block: Callable[[int, VectorExpr], tuple]
+                ) -> tuple[VectorExpr, CanonicalUAT, tuple[tuple[ParamAtom, ...], ...]]:
+    """The composed expression, flat canonical form and block atoms of
+    ``depth`` skip blocks ``h + W_out sigma(W_in h + b_in) + b_out`` at
+    ``h = M v`` over a ``dim`` input.  ``block(k, v)`` gives block k at its
+    input v as ``(M, W_in, b_in, W_out, b_out, atoms, name)``: M None for the
+    identity, ``atoms`` its ``block_atoms`` entry, and ``name(role, j)`` the
+    name a role's product takes if merged: "bias", "inner", and of the last
+    block "linear", "outer" (of term j) and "constant".
+
+    Before block k the chain is ``L x + sum_j T_j + C``, L the product of the
+    mixing maps so far.  The block's sigma stage reads the raw input through
+    ``W_in M L``, and ``W_in M`` times the earlier terms T_j and constant C,
+    as the block's input holds them, folds into its merged bias; M then
+    carries them on.  Without a mixing map C stays one flat sum of the
+    blocks' ``b_out``; a mixing map nests it.
+    """
+    expr: VectorExpr = Input()
+    factors: tuple[ParamAtom, ...] = ()  # L's factors, the last block's first
+    carried, consts = [], []  # T_j and C as block k's input holds them
+    stages, block_atoms = [], []  # per block: (its inner weight, its sigma term); its atoms
+    for k in range(depth):
+        m, w_in, b_in, w_out, b_out, atoms, name = block(k, expr)
+        mix = () if m is None else (m,)
+        h = expr if m is None else Apply(m, expr)
+        expr = Add((h, SigmaTerm(w_out, w_in, b_in).expr(h), b_out))
+
+        bias = b_in if k == 0 else ParamAtom(name("bias", k), "bias", Add((
+            Apply(_product((w_in, *mix)), Add((*carried, *consts))), b_in)))
+        factors = (*mix, *factors)
+        inner = _wrap_weight((w_in, *factors), name("inner", k))
+        term = SigmaTerm(w_out, inner.provenance if inner.merged else inner, bias)
+        stages.append((inner, term))
+        block_atoms.append(atoms)
+        if m is None:
+            consts.append(b_out)
+        else:
+            carried = [Apply(m, t) for t in carried]
+            consts = [Add((Apply(m, consts[0]), b_out)) if consts else b_out]
+        carried.append(term.expr(Input()))
+
+    terms = []
+    for j, (inner, term) in enumerate(stages):
+        outer = _wrap_weight((*factors[:depth - 1 - j], term.outer), name("outer", j))
+        # a term its block built already is that object, the merged biases' node
+        fresh = outer is not term.outer or inner is not term.inner
+        terms.append(SigmaTerm(outer, inner, term.bias) if fresh else term)
+    const = consts[0] if len(consts) == 1 else Add(tuple(consts))
+    constant = const if depth == 1 else ParamAtom(name("constant", 0), "bias", const)
+    linear = _wrap_weight(factors, name("linear", 0)) if factors else identity_atom(dim)
+    return expr, CanonicalUAT(linear, tuple(terms), constant), tuple(block_atoms)
+
+
 @dataclass
 class ResidualChain(_PrimitiveChain):
     """Stack of residual units v + W_2 sigma(W_1 v + b_1) + b_2, expanded into
-    a flat canonical form whose later sigma-stage biases absorb the input."""
+    a flat canonical form whose later sigma-stage biases absorb the input.
+    Built by :func:`_skip_chain`: a residual block is a skip block whose
+    mixing map is the identity."""
 
     depth: int
     input_dim: int
@@ -702,69 +761,22 @@ def build_residual_chain(
     if dim < 1 or (hidden is not None and hidden < 1):
         raise ShapeError("dimensions must be >= 1")
     hidden = dim if hidden is None else hidden
+    shapes: dict[str, tuple[int, ...]] = {}  # in the order random_binding draws them
 
-    shapes: dict[str, tuple[int, ...]] = {}
-    expr: VectorExpr = Input()
-    terms: list[SigmaTerm] = []
-    term_exprs: list[VectorExpr] = []
-    const_atoms: list[ParamAtom] = []
-    block_atoms = []
+    @cache
+    def weights(k: int) -> tuple[ParamAtom, ParamAtom]:
+        return weight_atom(_name("W", f"{_sub(k)},1")), weight_atom(_name("W", f"{_sub(k)},2"))
 
-    for k in range(depth):
-        if shared and k > 0:
-            w1, _, w2, _ = block_atoms[0]
-        else:
-            w1 = weight_atom(_name("W", f"{_sub(k)},1"))
-            w2 = weight_atom(_name("W", f"{_sub(k)},2"))
-            shapes[w1.name] = (hidden, dim)
-            shapes[w2.name] = (dim, hidden)
-        b1 = bias_atom(_name("b", f"{_sub(k)},1", prime=False))
-        b2 = bias_atom(_name("b", f"{_sub(k)},2", prime=False))
-        shapes[b1.name] = (hidden,)
-        shapes[b2.name] = (dim,)
-        block_atoms.append((w1, b1, w2, b2))
+    def block(k: int, v: VectorExpr) -> tuple:
+        w1, w2 = weights(0 if shared else k)
+        b1, b2 = (bias_atom(_name("b", f"{_sub(k)},{r}", prime=False)) for r in "12")
+        shapes.update({w1.name: (hidden, dim), w2.name: (dim, hidden), b1.name: (hidden,),
+                       b2.name: (dim,)})
+        # a residual block merges only biases, each named after its b_2
+        return None, w1, b1, w2, b2, (w1, b1, w2, b2), lambda role, j: b2.name
 
-        # composed expression: v + W2 sigma(W1 v + b1) + b2
-        expr = Add((expr, SigmaTerm(w2, w1, b1).expr(expr), b2))
-
-        # canonical: the new stage reads the raw input; everything else the
-        # block would have seen folds into the stage bias
-        if k == 0:
-            stage_bias = b1
-        else:
-            carried = Add((*term_exprs, *const_atoms))
-            stage_bias = ParamAtom(
-                _name("b", f"{_sub(k)},2", prime=False),
-                "bias",
-                Add((Apply(w1, carried), b1)),
-            )
-        terms.append(SigmaTerm(outer=w2, inner=w1, bias=stage_bias))
-        term_exprs.append(terms[-1].expr(Input()))
-        const_atoms.append(b2)
-
-    if depth == 1:
-        constant = const_atoms[0]
-    else:
-        constant = ParamAtom(
-            _name("b", f"{_sub(depth - 1)},2", prime=False),
-            "bias",
-            Add(tuple(const_atoms)),
-        )
-    canonical = CanonicalUAT(
-        linear_term=identity_atom(dim),
-        sigma_terms=tuple(terms),
-        constant_term=constant,
-    )
-    return ResidualChain(
-        depth=depth,
-        input_dim=dim,
-        hidden=hidden,
-        shared=shared,
-        expression=expr,
-        canonical=canonical,
-        param_shapes=shapes,
-        block_atoms=tuple(block_atoms),
-    )
+    expression, canonical, block_atoms = _skip_chain(depth, dim, block)
+    return ResidualChain(depth, dim, hidden, shared, expression, canonical, shapes, block_atoms)
 
 
 def build_residual_block(dim: int, hidden: int | None = None) -> ResidualChain:
@@ -775,7 +787,9 @@ def build_residual_block(dim: int, hidden: int | None = None) -> ResidualChain:
 class TransformerChain:
     """Stack of blocks h = MHA(v); h + FFN(h), expanded over the flattened
     token matrix.  Attention enters as an input-dependent linear atom whose
-    value is the frozen-probability effective matrix at the block's input."""
+    value is the frozen-probability effective matrix at the block's input.
+    Built by :func:`_skip_chain`: a transformer block is a skip block whose
+    mixing map is that attention map."""
 
     depth: int
     tokens: int
@@ -818,83 +832,23 @@ def build_transformer_chain(
     if heads < 1 or model_dim % heads != 0:
         raise ShapeError(f"head count {heads} must divide model dim {model_dim}")
 
-    expr: VectorExpr = Input()
-    block_atoms = []
-
-    linear_factors: tuple = ()  # the attention matrices so far, last block first
-    carried: list[VectorExpr] = []  # the earlier sigma terms as this block's input holds them
-    blocks = []  # per block: its W3, the merged inner weight of its term, its stage bias
-    const_expr: VectorExpr | None = None
-
-    for k in range(depth):
+    def block(k: int, v: VectorExpr) -> tuple:
         sub = _sub(k)
         projections = tuple(weight_atom(_name("W", f"{sub},{r}", prime=False)) for r in "QKVO")
-        attn = ParamAtom(
-            _name("W", f"{sub},1"),
-            "weight",
-            AttnMatrix(
-                label=_name("A", sub, prime=False),
-                arg_label=_name("x", sub),
-                projections=projections,
-                heads=heads,
-                tokens=tokens,
-                model_dim=model_dim,
-                arg=expr,
-            ),
-        )
-        w2 = weight_atom(_name("W", f"{sub},2"))
-        w3 = weight_atom(_name("W", f"{sub},3"))
-        b2 = bias_atom(_name("b", f"{sub},2"))
-        b3 = bias_atom(_name("b", f"{sub},3"))
-        block_atoms.append((*projections, w2, w3, b2, b3))
+        attn = ParamAtom(_name("W", f"{sub},1"), "weight", AttnMatrix(
+            label=_name("A", sub, prime=False), arg_label=_name("x", sub), projections=projections,
+            heads=heads, tokens=tokens, model_dim=model_dim, arg=v))
+        w2, w3 = (weight_atom(_name("W", f"{sub},{r}")) for r in "23")
+        b2, b3 = (bias_atom(_name("b", f"{sub},{r}")) for r in "23")
 
-        # composed expression: h = A v; h + W3 sigma(W2 h + b2) + b3
-        h = Apply(attn, expr)
-        expr = Add((h, SigmaTerm(w3, w2, b2).expr(h), b3))
+        def name(role: str, j: int) -> str:
+            if role == "outer":  # term j's; ";j" on all but the last two terms
+                return _name("W", f"{sub},2" + ("" if j >= k - 1 else f";{j}"))
+            if role == "constant":
+                return _name("b", f"{_sub(k - 1)},1")
+            return {"bias": b2, "inner": w3 if k else attn, "linear": attn}[role].name
 
-        # canonical state before this block, minus the linear part; the new
-        # stage's bias absorbs it
-        if k == 0:
-            stage_bias = b2
-        else:
-            stage_bias = ParamAtom(
-                _name("b", f"{sub},2"),
-                "bias",
-                Add((Apply(MatProduct((w2, attn)), Add((*carried, const_expr))), b2)),
-            )
-        linear_factors = (attn, *linear_factors)
-        inner = _wrap_weight((w2, *linear_factors), _name("W", f"{sub},{3 if k else 1}"))
-        blocks.append((w3, inner, stage_bias))
-        carried = [Apply(attn, t) for t in carried]
-        carried.append(SigmaTerm(w3, inner.provenance, stage_bias).expr(Input()))
-        const_expr = b3 if const_expr is None else Add((Apply(attn, const_expr), b3))
+        return attn, w2, b2, w3, b3, (*projections, w2, w3, b2, b3), name
 
-    last = depth - 1
-    linear = _wrap_weight(linear_factors, _name("W", f"{_sub(last)},1"))
-    terms = []
-    for j, (w3, inner, bias) in enumerate(blocks):  # term j comes from block j
-        # the last block's outer factor is its primitive W3, kept as it is
-        outer_name = _name("W", f"{_sub(last)},2" + ("" if j >= last - 1 else f";{j}"))
-        outer = _wrap_weight((*linear_factors[:last - j], w3), outer_name)
-        terms.append(SigmaTerm(outer=outer, inner=inner, bias=bias))
-
-    if depth == 1:
-        constant = b3
-    else:
-        constant = ParamAtom(_name("b", f"{_sub(depth - 2)},1"), "bias", const_expr)
-
-    canonical = CanonicalUAT(
-        linear_term=linear,
-        sigma_terms=tuple(terms),
-        constant_term=constant,
-    )
-    return TransformerChain(
-        depth=depth,
-        tokens=tokens,
-        model_dim=model_dim,
-        heads=heads,
-        ffn_dim=ffn_dim,
-        expression=expr,
-        canonical=canonical,
-        block_atoms=tuple(block_atoms),
-    )
+    return TransformerChain(depth, tokens, model_dim, heads, ffn_dim,
+                            *_skip_chain(depth, tokens * model_dim, block))

@@ -433,6 +433,33 @@ def test_column_block_over_cap_is_validation_error(capsys, tmp_path, monkeypatch
     assert "error[validation]: layer 0 (conv2d): column block" in err
 
 
+@pytest.mark.parametrize("axes, layer", [
+    ([["H", 5], ["W", 6]], {"kind": "conv2d", "out_channels": 2, "kernel": [2, 2],
+                            "padding": 1, "bias": True}),
+    ([["H", 4], ["W", 3], ["D", 5]], {"kind": "conv3d", "out_channels": 2,
+                                      "kernel": [2, 2, 2], "padding": 1}),
+    ([["H", 5], ["W", 6]], {"kind": "mean_pool", "window": [2, 2]}),
+], ids=["conv2d", "conv3d", "mean_pool"])
+def test_stride_past_the_padded_extent_runs(capsys, tmp_path, axes, layer):
+    # a valid stride of 2^63 or more leaves one output per axis, as a stride
+    # of the padded extent does, and lowers to the same W'
+    padded = max(n for _, n in axes) + 2 * layer.get("padding", 0)
+    lowered = {}
+    for stride in (2**63, padded):
+        spec = tmp_path / f"stride{stride}.json"
+        spec.write_text(json.dumps({
+            "input_shape": [["C_I", 2], *axes], "seed": 3, "activation": "relu",
+            "layers": [{**layer, "stride": stride}],
+        }))
+        for command, flags in [("lower", []), ("verify", ["--trials", "2"]),
+                               ("report", ["--trials", "2"]), ("analyze", [])]:
+            code, out, err = run(capsys, command, str(spec), *flags)
+            assert (code, err) == (EXIT_OK, ""), (stride, command)
+            if command == "lower":
+                lowered[stride] = out
+    assert lowered[2**63] == lowered[padded]
+
+
 # sha256 of each report with the round-off fields masked (see _mask_roundoff)
 REPORT_LAYOUT = {
     ("resblock2", "text"): "269c67e118fd818da06e7f12b6bae968bf4f6c3cb5daed04b09a80152f526b13",

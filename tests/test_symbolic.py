@@ -291,6 +291,24 @@ def test_transformer_depth1_structure():
     assert c.constant_term.dependence is Dependence.FIXED
 
 
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_transformer_with_identity_attention_is_the_residual_chain(sigma):
+    # the paper's difference is the mixing map: with one token softmax is 1,
+    # so W_V = W_O = I makes A = I, and the transformer block is a residual
+    # block with W_1 = W_2^T and W_2 = W_3^T
+    depth, dim, ffn = 3, 4, 5
+    transformer = build_transformer_chain(depth, tokens=1, model_dim=dim, heads=2, ffn_dim=ffn)
+    residual = build_residual_chain(depth, dim, ffn)
+    eye = np.eye(dim)
+    env, blocks = _transformer_binding(transformer, np.random.default_rng(14), w_v=eye, w_o=eye)
+    res_env = bind(residual.block_atoms, [(p.w_2.T, p.b_2, p.w_3.T, p.b_3) for p in blocks])
+    res_env[INPUT_NAME] = env[INPUT_NAME]
+    want = eval_canonical(residual.canonical, res_env, sigma)
+    for got in (eval_canonical(transformer.canonical, env, sigma),
+                eval_vector(transformer.expression, env, sigma)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # classification soundness by finite perturbation
 # ---------------------------------------------------------------------------
@@ -413,6 +431,48 @@ CANONICAL_BYTES = {
         r" + \hat{\mathbf{b}}'_{i+1,2}) + \mathbf{W}'_{i+2,3}\sigma(\hat{\mathbf{W}}'_{i+2,3}"
         r" \mathbf{x}'_i + \hat{\mathbf{b}}'_{i+2,2}) + \hat{\mathbf{b}}'_{i+1,1}",
     ),
+    # the edges of the two families: depth 1, shared weights, the default
+    # hidden width, and the depth-2 transformer whose outer weight has no ";j"
+    "residual_depth1": (
+        lambda: build_residual_chain(1, 4, 3).canonical,
+        "x'_i + W'_{i,2}σ(W'_{i,1} x'_i + b_{i,1}) + b_{i,2}",
+        r"\mathbf{x}'_i + \mathbf{W}'_{i,2}\sigma(\mathbf{W}'_{i,1} \mathbf{x}'_i"
+        r" + \mathbf{b}_{i,1}) + \mathbf{b}_{i,2}",
+    ),
+    "residual_shared": (
+        lambda: build_residual_chain(3, 4, 3, shared=True).canonical,
+        "x'_i + W'_{i,2}σ(W'_{i,1} x'_i + b_{i,1}) + W'_{i,2}σ(W'_{i,1} x'_i + b̂_{i+1,2})"
+        " + W'_{i,2}σ(W'_{i,1} x'_i + b̂_{i+2,2}) + b̄_{i+2,2}",
+        r"\mathbf{x}'_i + \mathbf{W}'_{i,2}\sigma(\mathbf{W}'_{i,1} \mathbf{x}'_i"
+        r" + \mathbf{b}_{i,1}) + \mathbf{W}'_{i,2}\sigma(\mathbf{W}'_{i,1} \mathbf{x}'_i"
+        r" + \hat{\mathbf{b}}_{i+1,2}) + \mathbf{W}'_{i,2}\sigma(\mathbf{W}'_{i,1}"
+        r" \mathbf{x}'_i + \hat{\mathbf{b}}_{i+2,2}) + \overline{\mathbf{b}}_{i+2,2}",
+    ),
+    "residual_default_hidden": (
+        lambda: build_residual_chain(3, 4).canonical,
+        "x'_i + W'_{i,2}σ(W'_{i,1} x'_i + b_{i,1})"
+        " + W'_{i+1,2}σ(W'_{i+1,1} x'_i + b̂_{i+1,2})"
+        " + W'_{i+2,2}σ(W'_{i+2,1} x'_i + b̂_{i+2,2}) + b̄_{i+2,2}",
+        r"\mathbf{x}'_i + \mathbf{W}'_{i,2}\sigma(\mathbf{W}'_{i,1} \mathbf{x}'_i"
+        r" + \mathbf{b}_{i,1}) + \mathbf{W}'_{i+1,2}\sigma(\mathbf{W}'_{i+1,1} \mathbf{x}'_i"
+        r" + \hat{\mathbf{b}}_{i+1,2}) + \mathbf{W}'_{i+2,2}\sigma(\mathbf{W}'_{i+2,1}"
+        r" \mathbf{x}'_i + \hat{\mathbf{b}}_{i+2,2}) + \overline{\mathbf{b}}_{i+2,2}",
+    ),
+    "transformer_depth1": (
+        lambda: build_transformer_chain(1, 2, 4, 2, 3).canonical,
+        "W\u0302'_{i,1} x'_i + W'_{i,3}σ(W\u0302'_{i,1} x'_i + b'_{i,2}) + b'_{i,3}",
+        r"\hat{\mathbf{W}}'_{i,1} \mathbf{x}'_i + \mathbf{W}'_{i,3}\sigma(\hat{\mathbf{W}}'_{i,1}"
+        r" \mathbf{x}'_i + \mathbf{b}'_{i,2}) + \mathbf{b}'_{i,3}",
+    ),
+    "transformer_depth2": (
+        lambda: build_transformer_chain(2, 2, 4, 2, 3).canonical,
+        "W\u0302'_{i+1,1} x'_i + W\u0302'_{i+1,2}σ(W\u0302'_{i,1} x'_i + b'_{i,2})"
+        " + W'_{i+1,3}σ(W\u0302'_{i+1,3} x'_i + b̂'_{i+1,2}) + b̂'_{i,1}",
+        r"\hat{\mathbf{W}}'_{i+1,1} \mathbf{x}'_i + \hat{\mathbf{W}}'_{i+1,2}"
+        r"\sigma(\hat{\mathbf{W}}'_{i,1} \mathbf{x}'_i + \mathbf{b}'_{i,2})"
+        r" + \mathbf{W}'_{i+1,3}\sigma(\hat{\mathbf{W}}'_{i+1,3} \mathbf{x}'_i"
+        r" + \hat{\mathbf{b}}'_{i+1,2}) + \hat{\mathbf{b}}'_{i,1}",
+    ),
 }
 
 
@@ -505,6 +565,16 @@ PROVENANCE_SHA256 = {
                  "ff2bf1dac8c4186e68a95285d148cab249ef898d9bd100af0cd6d65ed18acddc"),
     "transformer": (lambda: build_transformer_chain(5, 2, 4, 2, 3),
                     "f1ceda61decf23c566459b454b22f74ca4b228e6a784fe1021b2152bb714ccb2"),
+    "residual_depth1": (lambda: build_residual_chain(1, 4, 3),
+                        "dd1de36b22fdaefe8fdbfa31eb83ba7cc416ab36baf8f122f57aeb4cbc4ce2dd"),
+    "residual_shared": (lambda: build_residual_chain(3, 4, 3, shared=True),
+                        "8d4417590ad5fa06c19e288fc2343d9d57c749f05e709ff80614986e7c391763"),
+    "residual_default_hidden": (lambda: build_residual_chain(3, 4),
+                                "d1797a8fe9f8bd08c1f641e3931f1bc6dac05a103ac4ba7c5e4a328fc9d0bb3b"),
+    "transformer_depth1": (lambda: build_transformer_chain(1, 2, 4, 2, 3),
+                           "9b1b3f70f133a917bd48db48149e83605ef4e54176dd9cd13be941e1d2554657"),
+    "transformer_depth2": (lambda: build_transformer_chain(2, 2, 4, 2, 3),
+                           "ba7402e974df07f58838c0d1470944f4767ab71b17ca3f7a823e6960788d23d7"),
 }
 
 
