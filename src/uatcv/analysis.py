@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import RankError, ShapeError, SpecError
+from .errors import RankError, ShapeError, SpecError, ValidationError
 from .netspec import (
     ConvWeights,
     MaterializedNetwork,
@@ -20,10 +20,11 @@ from .netspec import (
     assemble,
     expansion_family,
     forward,
+    forward_stack,
     infer_shapes,
     lower_layer,
 )
-from .tensor import Tensor, zeros
+from .tensor import Tensor, element_cap, zeros
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +286,36 @@ def prune_impact(
     """Output deviation between the original and pruned networks.
 
     ``pruned`` is ``prune(net, mask)`` when the caller has already built it
-    (the CLI does, to check the mask); otherwise it is built here.  When the
-    channel change survives to the network output (no downstream conv
-    re-mixes), the comparison restricts the original output to the
-    surviving channels.
+    (the CLI does, to check the mask); otherwise it is built here.  Each
+    network runs the inputs as one stack, or, where their outputs together
+    would pass the element cap, as consecutive stacks whose outputs fit it,
+    so the outputs held at once stay within it.  When the channel change
+    survives to the network output (no downstream conv re-mixes), the
+    comparison restricts the original output to the surviving channels.
     """
     channels = resolve_mask(net, mask)
+    if not inputs:
+        raise SpecError("prune impact needs at least one input")
     if pruned is None:
         pruned = prune(net, mask)
 
+    step = max(1, element_cap() // net.shapes[-1].size)
     devs = []
-    for x in inputs:
-        a = forward(net, x)[-1]
-        b = forward(pruned, x)[-1]
-        if a.shape == b.shape:
-            devs.append(float(np.max(np.abs(a.data - b.data))))
-        else:
-            devs.append(float(np.max(np.abs(np.delete(a.data, channels, axis=0) - b.data))))
+    for start in range(0, len(inputs), step):
+        stack = inputs[start : start + step]
+        try:
+            outputs = zip(forward_stack(net, stack), forward_stack(pruned, stack))
+        except ValidationError:
+            # name the failure one input at a time meets first: the inputs in
+            # order, the original network before the pruned one on each
+            for x in stack:
+                forward(net, x)
+                forward(pruned, x)
+            raise
+        for a, b in outputs:
+            if a.shape != b.shape:
+                a = np.delete(a, channels, axis=0)
+            devs.append(float(np.max(np.abs(a - b))))
     return {
         "layer": mask.layer,
         "pruned_channels": list(channels),

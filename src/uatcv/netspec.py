@@ -42,7 +42,13 @@ Execution conventions: convolutions apply the network activation after the
 layer; pooling and patchify are linear; residual, FFN, and transformer
 blocks use the activation only inside their own structure.  All stage
 values are :class:`~uatcv.tensor.Tensor`; token matrices use axes
-(token, feature).
+(token, feature).  Each kind has one direct rule, ``apply``, which runs a
+stack of stage values: an array whose leading axis holds B inputs ahead of
+one value's extents.  :func:`apply_layer` and :func:`forward` run it on a
+stack of one, and :func:`forward_stack` runs many inputs at once.  Every row
+of a stack is bitwise its input run alone: a rule broadcasts each input's
+own matrix products over the stack and never merges the inputs into one
+product, whose blocking would move last bits.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, ClassVar, Iterator, NamedTuple
+from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,7 +98,8 @@ from .reference import (
     unpatchify,
 )
 from .tensor import (
-    AXIS_NAMES, SplitMix64, Tensor, TensorShape, element_cap, flatten, random_uniform, zeros,
+    AXIS_NAMES, SplitMix64, Tensor, TensorShape, check_cap, check_finite, element_cap, flatten,
+    random_uniform, zeros,
 )
 from .symbolic import (
     bind,
@@ -114,7 +121,8 @@ class LayerSpec:
     record ``rt.weights``, each array from ``draw(*shape)``; None for
     pooling and patchify), and the rules on a materialized layer ``rt`` at
     a stage value, each ``(rt, value)`` and reading the network's activation
-    from ``rt.activation``: ``apply`` (direct computation), ``stages``
+    from ``rt.activation``: ``apply`` (direct computation, on a stack of
+    values ``(B, *in extents)``, giving ``(B, *out extents)``), ``stages``
     (matrix-vector stages) and ``check`` (by default ``lowered_output``
     against ``apply``), run through :func:`apply_layer`, :func:`lower_layer`
     and :func:`check_layer`.  ``lowered_output`` is by default the last
@@ -134,7 +142,7 @@ class LayerSpec:
     def check(self, rt: RtLayer, value: Tensor) -> LayerCheck:
         """The lowered output at ``value`` against the direct one, ``apply``."""
         forms = self.stages(rt, value)
-        out = self.apply(rt, value)
+        out = _apply_one(rt, value)
         diff = np.max(np.abs(self.lowered_output(rt, value, forms) - out.flat))
         return LayerCheck(rt.index, float(diff), forms, out, self.note)
 
@@ -223,7 +231,8 @@ class _ConvSpec(LayerSpec):
         tensor = Tensor(TensorShape(zip(axes, kernel.shape)), kernel)
         return ConvWeights(self._params(kernel.shape[1], bias), tensor)
 
-    def _direct(self, rt: RtLayer, value: Tensor) -> Tensor:
+    def _direct(self, rt: RtLayer, value: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        """The pre-activation output of one value or of a stack of them."""
         direct = conv2d_direct if len(self.spatial) == 2 else conv3d_direct
         return direct(value, *rt.weights)
 
@@ -245,8 +254,8 @@ class _ConvSpec(LayerSpec):
         kernel = draw(self.out_channels, in_shape.extent("C_I"), *self.kernel)
         return self._weights(kernel, draw(self.out_channels) if self.bias else None)
 
-    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
-        return Tensor(rt.out_shape, activation(rt.activation)(self._direct(rt, value).data))
+    def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
+        return activation(rt.activation)(self._direct(rt, xs))
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         lower = lower_conv2d_I_O if len(self.spatial) == 2 else lower_conv3d
@@ -325,8 +334,8 @@ class MeanPoolSpec(LayerSpec):
     def params(self) -> PoolParams:
         return PoolParams(window=self.window, stride=self.stride)
 
-    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
-        return Tensor(rt.out_shape, mean_pool_direct(value, self.params).data)
+    def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
+        return mean_pool_direct(xs, self.params)
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         return [lower_mean_pool(value, self.params)]
@@ -356,12 +365,14 @@ class ResidualBlockSpec(LayerSpec):
         w_2, b_2 = draw(dim, hidden), draw(dim)
         return ResidualWeights(w_1=w_1, b_1=b_1, w_2=w_2, b_2=b_2)
 
-    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
-        act = activation(rt.activation)
-        v = value.flat
-        r = rt.weights
-        out = v + r.w_2 @ act(r.w_1 @ v + r.b_1) + r.b_2
-        return Tensor(rt.out_shape, out.reshape(rt.out_shape.extents))
+    def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
+        act, r = activation(rt.activation), rt.weights
+        _check_stack("hidden layer", len(xs), r.b_1.shape)
+        v = xs.reshape(len(xs), -1)
+        # each input's own (W, v) product, as one input computes it: V @ W.T
+        # would be one product over the stack, whose blocking moves last bits
+        h = act(np.matmul(r.w_1, v[..., None])[..., 0] + r.b_1)
+        return (v + np.matmul(r.w_2, h[..., None])[..., 0] + r.b_2).reshape(xs.shape)
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         act = activation(rt.activation)
@@ -399,11 +410,12 @@ class PatchifySpec(LayerSpec):
         c = shape.extent("C_I") if "C_I" in shape.axes else 1
         return TensorShape([("token", (h // ph) * (w // pw)), ("feature", ph * pw * c)])
 
-    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
-        return Tensor(rt.out_shape, patchify(value, self.patch))
+    def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
+        h, w = rt.in_shape.extent("H"), rt.in_shape.extent("W")
+        return patchify(xs.reshape(len(xs), h, w, -1), self.patch)
 
     def check(self, rt: RtLayer, value: Tensor) -> LayerCheck:
-        out = self.apply(rt, value)
+        out = _apply_one(rt, value)
         back = unpatchify(out.data, value.shape, self.patch)
         diff = np.max(np.abs(back.data - value.data))
         return LayerCheck(rt.index, float(diff), [], out, "reassembly")
@@ -448,6 +460,15 @@ class _TokenSpec(LayerSpec):
             parts.update(w_2=draw(d, h), w_3=draw(h, d), b_2=draw(h), b_3=draw(d))
         return AttnParams(model_dim=d, heads=self.heads or 1, **parts)
 
+    def _checked(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
+        """``xs``, once a stack's per-head scores and FFN hidden layer fit the cap."""
+        n = rt.in_shape.extent("token")
+        if self.heads is not None:
+            _check_stack("attention scores", len(xs), (n, n))
+        if self.hidden_dim is not None:
+            _check_stack("FFN hidden layer", len(xs), (n, self.hidden_dim))
+        return xs
+
     def _attended(self, rt: RtLayer, value: Tensor) -> np.ndarray:
         """``M(X) X`` flattened, M the effective attention matrix at the tokens X."""
         x, p = _tokens(value), rt.weights
@@ -462,8 +483,8 @@ class MhaSpec(_TokenSpec):
     hidden_dim: ClassVar[None] = None
     heads: int
 
-    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
-        return Tensor(rt.out_shape, mha_direct(_tokens(value), rt.weights))
+    def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
+        return mha_direct(self._checked(rt, xs), rt.weights)
 
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
         return self._attended(rt, value)
@@ -475,8 +496,8 @@ class FfnSpec(_TokenSpec):
     heads: ClassVar[None] = None
     hidden_dim: int
 
-    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
-        return Tensor(rt.out_shape, ffn_direct(_tokens(value), rt.weights, rt.activation))
+    def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
+        return ffn_direct(self._checked(rt, xs), rt.weights, rt.activation)
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         return list(lower_ffn(_tokens(value), rt.weights, rt.activation))
@@ -489,9 +510,8 @@ class TransformerBlockSpec(_TokenSpec):
     heads: int
     hidden_dim: int
 
-    def apply(self, rt: RtLayer, value: Tensor) -> Tensor:
-        out = transformer_block_direct(_tokens(value), rt.weights, rt.activation)
-        return Tensor(rt.out_shape, out)
+    def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
+        return transformer_block_direct(self._checked(rt, xs), rt.weights, rt.activation)
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         # the FFN stages at h = M(X) X, with M the effective attention matrix
@@ -781,9 +801,31 @@ def _run_layer(rt: RtLayer, rule: Callable, value: Tensor):
             raise ValidationError(f"layer {rt.index} ({rt.spec.kind}): {exc}") from None
 
 
+def _check_stack(what: str, b: int, extents: tuple[int, ...]) -> None:
+    """A stack of ``b`` arrays of ``extents``, held as one array, over the
+    element cap is a CapacityError, raised before it is allocated.  A stack
+    of one is not checked here: one input allocates what it always has."""
+    if b > 1:
+        check_cap(what, (b * extents[0], *extents[1:]))
+
+
+def _apply_one(rt: RtLayer, value: Tensor) -> Tensor:
+    """The layer's direct rule on a stack of one: ``value``'s output."""
+    return Tensor(rt.out_shape, rt.spec.apply(rt, value.data[None])[0])
+
+
+def _apply_stack(rt: RtLayer, xs: np.ndarray) -> np.ndarray:
+    """The layer's direct rule on a stack, its output checked against the
+    cap before the rule runs and for finite entries after."""
+    _check_stack("stacked layer output", len(xs), rt.out_shape.extents)
+    out = rt.spec.apply(rt, xs)
+    check_finite(out)
+    return out
+
+
 def apply_layer(rt: RtLayer, value: Tensor) -> Tensor:
     """Run one materialized layer on a stage value."""
-    return _run_layer(rt, rt.spec.apply, value)
+    return _run_layer(rt, _apply_one, value)
 
 
 def lower_layer(rt: RtLayer, value: Tensor) -> list[LoweredForm]:
@@ -791,15 +833,51 @@ def lower_layer(rt: RtLayer, value: Tensor) -> list[LoweredForm]:
     return _run_layer(rt, rt.spec.stages, value)
 
 
+def _check_input(net: MaterializedNetwork, x: Tensor) -> None:
+    if x.shape != net.spec.input_shape:
+        raise ShapeError(f"input shape {x.shape} != declared {net.spec.input_shape}")
+
+
 def forward(net: MaterializedNetwork, x: Tensor) -> list[Tensor]:
     """Stage values through the network: element 0 is x, element i + 1 the
     output of layer i (activation applied where the layer calls for it)."""
-    if x.shape != net.spec.input_shape:
-        raise ShapeError(f"input shape {x.shape} != declared {net.spec.input_shape}")
+    _check_input(net, x)
     values = [x]
     for rt in net.layers:
         values.append(apply_layer(rt, values[-1]))
     return values
+
+
+def forward_stack(net: MaterializedNetwork, xs: Sequence[Tensor]) -> list[np.ndarray]:
+    """The network output of every input in ``xs``, in order, each bitwise
+    ``forward(net, x)[-1].data`` and a read-only view into its stack's
+    output: the inputs run through each layer's direct rule as one stack.
+    A stack that one of its arrays would put past the element cap, or that
+    gives a non-finite output, is split in two, in input order, down to one
+    input, which raises what :func:`forward` raises for it."""
+    for x in xs:
+        _check_input(net, x)
+    return _forward_rows(net.layers, [x.data for x in xs]) if xs else []
+
+
+def _forward_rows(layers: list[RtLayer], rows: list[np.ndarray]) -> list[np.ndarray]:
+    try:
+        return _stack_pass(layers, rows)
+    except (CapacityError, ValidationError):
+        if len(rows) == 1:
+            raise
+    # split once the failed pass, and every array it held, is released
+    half = (len(rows) + 1) // 2
+    return _forward_rows(layers, rows[:half]) + _forward_rows(layers, rows[half:])
+
+
+def _stack_pass(layers: list[RtLayer], rows: list[np.ndarray]) -> list[np.ndarray]:
+    _check_stack("input stack", len(rows), rows[0].shape)
+    stack = np.stack(rows)
+    for rt in layers:
+        stack = _run_layer(rt, _apply_stack, stack)
+    stack.flags.writeable = False
+    return list(stack)
 
 
 # ---------------------------------------------------------------------------

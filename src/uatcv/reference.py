@@ -8,6 +8,15 @@ windows from one strided view of the input, and nothing here uses a lowered
 matrix.  The per-position loops in ``tests/oracles.py`` are the reference
 for these.
 
+Each operation also runs a stack of inputs, a leading axis of B inputs
+ahead of one input's axes: conv, pooling and patchify take one input as a
+Tensor and a stack as an array, and the token operations take any leading
+axes.  Every row of a stack's result is bitwise its input's result alone,
+because each input's matrix products are broadcast over the stack (``x @ w``
+over ``...`` axes; a ``(1, K) @ (K, P)`` row product per input and output
+channel) and never merged into one product over the inputs, whose blocking
+would move last bits.
+
 Convolution keeps two summation orders that checks rely on bitwise: input
 channels are summed left to right, and each output channel is its own row
 product, independent of the layer's other output channels.
@@ -178,7 +187,13 @@ class AttnParams:
         return self.model_dim // self.heads
 
 
-def _check_conv_input(x: Tensor, p: ConvParams) -> tuple[int, ...]:
+def _check_conv_input(x: Tensor | np.ndarray, p: ConvParams) -> tuple[int, ...]:
+    """The spatial extents of one input Tensor (C_I, *spatial), or of a stack
+    of them, an array (B, C_I, *spatial)."""
+    if not isinstance(x, Tensor):
+        if x.ndim != p.ndim + 2 or x.shape[1] != p.in_channels:
+            raise ShapeError(f"conv{p.ndim}d stack must be (B, {p.in_channels}, ...): {x.shape}")
+        return x.shape[2:]
     expect_axes = ("C_I", "H", "W") if p.ndim == 2 else ("C_I", "H", "W", "D")
     if x.shape.axes != expect_axes:
         raise ShapeError(f"conv{p.ndim}d input must have axes {expect_axes}, got {x.shape.axes}")
@@ -195,95 +210,108 @@ def _check_weights(w: Tensor, p: ConvParams) -> np.ndarray:
     return w.data
 
 
-def _conv_direct(x: Tensor, p: ConvParams, w: Tensor) -> Tensor:
+def _conv_direct(x: Tensor | np.ndarray, p: ConvParams, w: Tensor) -> Tensor | np.ndarray:
     """Sliding-window convolution over the ``p.ndim`` spatial axes, summed
-    over input channels.
+    over input channels, of one input Tensor or of a stack of B inputs, an
+    array (B, C_I, *spatial), which gives the array (B, C_O, *outs).
 
     y[o, i...] = sum_{c, a...} w[o, c, a...] * x_pad[c, i*s + a...] (+ bias[o]).
 
-    Input channel c's windows are copied to one (K, P) column block (K kernel
-    offsets, P output positions), and each output channel's kernel row
-    multiplies it as its own (1, K) @ (K, P) product.  So input channels are
-    summed left to right, and dropping an all-zero one moves no output bit;
-    and an output channel's row does not depend on the layer's other output
-    channels, so pruning some moves no bit of the rest.  The padded input and
-    the column block are checked against the element cap before they are
-    allocated.
+    Input channel c's windows are copied to one (B, K, P) column block (K
+    kernel offsets, P output positions), and each output channel's kernel
+    row multiplies each input's (K, P) block as its own (1, K) @ (K, P)
+    product.  So input channels are summed left to right, and dropping an
+    all-zero one moves no output bit; an output channel's row does not
+    depend on the layer's other output channels, so pruning some moves no
+    bit of the rest; and an input's rows do not depend on the stack's other
+    inputs.  The padded input and the column block are checked against the
+    element cap, B times one input's, before they are allocated.
     """
     spatial = _check_conv_input(x, p)
     weights = _check_weights(w, p)
+    xs = x.data[None] if isinstance(x, Tensor) else x
     outs = p.out_extents(spatial)
     padded = tuple(n + 2 * p.padding for n in spatial)
-    k, positions = math.prod(p.kernel), math.prod(outs)
-    check_cap("padded input", (p.in_channels, *padded))
-    check_cap("column block", (k, positions))
-    xp = np.zeros((p.in_channels, *padded))
-    xp[(slice(None), *(slice(p.padding, p.padding + n) for n in spatial))] = x.data
-    spatial_axes = tuple(range(1, p.ndim + 1))
+    b, k, positions = len(xs), math.prod(p.kernel), math.prod(outs)
+    check_cap("padded input", (b * p.in_channels, *padded))
+    check_cap("column block", (b * k, positions))
+    xp = np.zeros((b, p.in_channels, *padded))
+    xp[(slice(None), slice(None), *(slice(p.padding, p.padding + n) for n in spatial))] = xs
+    spatial_axes = tuple(range(2, p.ndim + 2))
     windows = sliding_window_view(xp, p.kernel, axis=spatial_axes)
-    windows = windows[(slice(None),) + (slice(None, None, p.stride),) * p.ndim]
-    # kernel-offset axes ahead of the output positions: (C_I, *kernel, *outs)
-    windows = np.moveaxis(windows, tuple(range(p.ndim + 1, 2 * p.ndim + 1)), spatial_axes)
+    windows = windows[(slice(None), slice(None)) + (slice(None, None, p.stride),) * p.ndim]
+    # kernel-offset axes ahead of the output positions: (B, C_I, *kernel, *outs)
+    windows = np.moveaxis(windows, tuple(range(p.ndim + 2, 2 * p.ndim + 2)), spatial_axes)
     # a stack of (1, K) rows, not one (C_O, K) matrix, whose blocked product
     # would make a row's round-off depend on how many rows there are
     kern = weights.reshape(p.out_channels, p.in_channels, 1, k)
-    cols = np.empty((k, positions))
-    out = np.zeros((p.out_channels, positions))
+    cols = np.empty((b, k, positions))
+    out = np.zeros((b, p.out_channels, positions))
     for c in range(p.in_channels):
-        cols.reshape(*p.kernel, *outs)[...] = windows[c]
-        out += (kern[:, c] @ cols)[:, 0]
+        cols.reshape(b, *p.kernel, *outs)[...] = windows[:, c]
+        out += (kern[:, c] @ cols[:, None])[:, :, 0]
     if p.bias is not None:
         out += p.bias[:, None]
-    return Tensor(
-        TensorShape([("C_O", p.out_channels), *zip(x.shape.axes[1:], outs)]),
-        out.reshape(p.out_channels, *outs),
-    )
+    out = out.reshape(b, p.out_channels, *outs)
+    if not isinstance(x, Tensor):
+        return out
+    return Tensor(TensorShape([("C_O", p.out_channels), *zip(x.shape.axes[1:], outs)]), out[0])
 
 
-def conv2d_direct(x: Tensor, p: ConvParams, w: Tensor) -> Tensor:
+def conv2d_direct(x: Tensor | np.ndarray, p: ConvParams, w: Tensor) -> Tensor | np.ndarray:
     """2-D convolution: the kernel slides over H and W."""
     if p.ndim != 2:
         raise ShapeError("conv2d_direct needs 2-D kernel extents")
     return _conv_direct(x, p, w)
 
 
-def conv3d_direct(x: Tensor, p: ConvParams, w: Tensor) -> Tensor:
+def conv3d_direct(x: Tensor | np.ndarray, p: ConvParams, w: Tensor) -> Tensor | np.ndarray:
     """3-D convolution: the kernel slides over H, W and D."""
     if p.ndim != 3:
         raise ShapeError("conv3d_direct needs 3-D kernel extents")
     return _conv_direct(x, p, w)
 
 
-def mean_pool_direct(x: Tensor, p: PoolParams) -> Tensor:
-    """Windowed arithmetic mean per channel."""
-    if x.shape.axes != ("C_I", "H", "W"):
+def mean_pool_direct(x: Tensor | np.ndarray, p: PoolParams) -> Tensor | np.ndarray:
+    """Windowed arithmetic mean per channel, of one input Tensor (C_I, H, W)
+    or of a stack of them, an array (B, C_I, H, W), which gives an array."""
+    if isinstance(x, Tensor) and x.shape.axes != ("C_I", "H", "W"):
         raise ShapeError(f"mean pooling expects axes (C_I, H, W), got {x.shape.axes}")
-    h_out, w_out = p.out_extents(x.shape.extents[1:])
-    windows = sliding_window_view(x.data, p.window, axis=(1, 2))[:, :: p.stride, :: p.stride]
-    out = windows.mean(axis=(3, 4))
-    return Tensor(TensorShape([("C_I", x.shape.extent("C_I")), ("H", h_out), ("W", w_out)]), out)
+    xs = x.data[None] if isinstance(x, Tensor) else x
+    if xs.ndim != 4:
+        raise ShapeError(f"a stack of mean pooling inputs must be (B, C_I, H, W), got {xs.shape}")
+    h_out, w_out = p.out_extents(xs.shape[2:])
+    windows = sliding_window_view(xs, p.window, axis=(2, 3))[:, :, :: p.stride, :: p.stride]
+    out = windows.mean(axis=(4, 5))
+    if not isinstance(x, Tensor):
+        return out
+    return Tensor(TensorShape([("C_I", xs.shape[1]), ("H", h_out), ("W", w_out)]), out[0])
 
 
-def patchify(x: Tensor, patch: tuple[int, int]) -> np.ndarray:
+def patchify(x: Tensor | np.ndarray, patch: tuple[int, int]) -> np.ndarray:
     """Split an image into non-overlapping patches, one flattened patch per row.
 
-    Accepts axes (H, W) or (H, W, C_I); patch extents must divide the image
+    Accepts one image Tensor, axes (H, W) or (H, W, C_I), which gives the
+    (tokens, features) matrix, or a stack of images, an array (B, H, W, C),
+    which gives (B, tokens, features).  Patch extents must divide the image
     extents.  Patches are ordered row-major over the patch grid and each row
     is the row-major flattening of its patch (trailing channels fastest).
     """
-    if x.shape.axes not in (("H", "W"), ("H", "W", "C_I")):
-        raise ShapeError(f"patchify expects axes (H, W[, C_I]), got {x.shape.axes}")
+    if isinstance(x, Tensor):
+        if x.shape.axes not in (("H", "W"), ("H", "W", "C_I")):
+            raise ShapeError(f"patchify expects axes (H, W[, C_I]), got {x.shape.axes}")
+        return patchify(x.data.reshape(1, *x.data.shape[:2], -1), patch)[0]
+    if x.ndim != 4:
+        raise ShapeError(f"a stack of images to patchify must be (B, H, W, C), got {x.shape}")
     p_h, p_w = patch
     if p_h < 1 or p_w < 1:
         raise ShapeError(f"patch extents must be >= 1, got {patch}")
-    h, w = x.shape.extent("H"), x.shape.extent("W")
+    b, h, w, c = x.shape
     if h % p_h != 0 or w % p_w != 0:
         raise ShapeError(f"patch {patch} does not divide image extents ({h}, {w})")
     gh, gw = h // p_h, w // p_w
-    arr = x.data if x.data.ndim == 3 else x.data[:, :, None]
-    c = arr.shape[2]
-    rows = arr.reshape(gh, p_h, gw, p_w, c).transpose(0, 2, 1, 3, 4).reshape(gh * gw, p_h * p_w * c)
-    return np.ascontiguousarray(rows)
+    rows = x.reshape(b, gh, p_h, gw, p_w, c).transpose(0, 1, 3, 2, 4, 5)
+    return np.ascontiguousarray(rows.reshape(b, gh * gw, p_h * p_w * c))
 
 
 def unpatchify(rows: np.ndarray, image_shape: TensorShape, patch: tuple[int, int]) -> Tensor:
@@ -304,25 +332,34 @@ def unpatchify(rows: np.ndarray, image_shape: TensorShape, patch: tuple[int, int
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row softmax with max subtraction for stability."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Softmax along the last axis, with max subtraction for stability."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _token_stack(x: np.ndarray) -> np.ndarray:
+    """A token matrix (n, d), or a stack of them (..., n, d), checked as
+    ``as_matrix`` checks one matrix (a stack as the matrix of all its rows)."""
+    x = np.asarray(x, dtype=np.float64)
+    as_matrix(x.reshape(-1, x.shape[-1]) if x.ndim > 2 else x)
+    return x
 
 
 def _check_tokens(x: np.ndarray, p: AttnParams) -> np.ndarray:
-    x = as_matrix(x)
-    if x.shape[1] != p.model_dim:
-        raise ShapeError(f"token matrix has feature dim {x.shape[1]}, params expect {p.model_dim}")
+    x = _token_stack(x)
+    if x.shape[-1] != p.model_dim:
+        raise ShapeError(f"token matrix has feature dim {x.shape[-1]}, params expect {p.model_dim}")
     return x
 
 
 def attention_probabilities_raw(
     x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, heads: int
 ) -> list[np.ndarray]:
-    """Per-head softmax attention matrices A_k(X), each n x n."""
-    x = as_matrix(x)
-    d = x.shape[1]
+    """Per-head softmax attention matrices A_k(X), each n x n (each a stack of
+    them for a stack of token matrices)."""
+    x = _token_stack(x)
+    d = x.shape[-1]
     if d % heads != 0:
         raise ShapeError(f"head count {heads} must divide feature dim {d}")
     q = x @ w_q
@@ -331,18 +368,19 @@ def attention_probabilities_raw(
     probs = []
     for head in range(heads):
         s = slice(head * dh, (head + 1) * dh)
-        probs.append(softmax_rows(q[:, s] @ k[:, s].T / np.sqrt(dh)))
+        probs.append(softmax_rows(q[..., s] @ k[..., s].swapaxes(-1, -2) / np.sqrt(dh)))
     return probs
 
 
 def mha_direct(x: np.ndarray, p: AttnParams) -> np.ndarray:
-    """Standard multi-head attention (no masking, no positional encoding)."""
+    """Standard multi-head attention (no masking, no positional encoding) of a
+    token matrix or a stack of them."""
     x = _check_tokens(x, p)
     v = x @ p.w_v
     dh = p.head_dim
     probs = attention_probabilities_raw(x, p.w_q, p.w_k, p.heads)
-    heads = [a @ v[:, head * dh : (head + 1) * dh] for head, a in enumerate(probs)]
-    return np.concatenate(heads, axis=1) @ p.w_o
+    heads = [a @ v[..., head * dh : (head + 1) * dh] for head, a in enumerate(probs)]
+    return np.concatenate(heads, axis=-1) @ p.w_o
 
 
 def ffn_direct(x: np.ndarray, p: AttnParams, sigma: str) -> np.ndarray:

@@ -71,6 +71,12 @@ def check_cap(what: str, dims: tuple[int, ...]) -> None:
         raise CapacityError(f"{what} of shape {dims} has {n} elements, cap is {element_cap()}")
 
 
+def check_finite(arr: np.ndarray) -> None:
+    """An array with a non-finite entry is a RangeError, as a Tensor of it is."""
+    if not np.all(np.isfinite(arr)):
+        raise RangeError("tensor entries must be finite")
+
+
 @dataclass(frozen=True)
 class TensorShape:
     """Ordered list of (axis name, extent) pairs.
@@ -130,8 +136,7 @@ class Tensor:
 
     def __init__(self, shape: TensorShape, data: np.ndarray):
         arr = np.ascontiguousarray(data, dtype=np.float64).reshape(shape.extents)
-        if not np.all(np.isfinite(arr)):
-            raise RangeError("tensor entries must be finite")
+        check_finite(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "data", arr)

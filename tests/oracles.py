@@ -2,7 +2,9 @@
 
 Everything here is written as plainly as possible (nested loops, pure
 Python integers) and never calls into the package's own operation code, so
-a bug would have to be made twice to slip through.
+a bug would have to be made twice to slip through.  The one exception is
+:func:`prune_impact_per_input`, the prune study as a loop over single
+inputs: it holds the package's stacked pass to its own one-input pass.
 """
 
 from __future__ import annotations
@@ -262,3 +264,29 @@ def _ravel(coords: list[np.ndarray], extents: tuple[int, ...]) -> np.ndarray:
     for pos, ext in zip(coords, extents):
         flat = flat * ext + pos
     return flat
+
+
+def prune_impact_per_input(net, mask, inputs, pruned=None) -> dict:
+    """``analysis.prune_impact`` run one input at a time: each input through
+    the original network and then the pruned one, by ``netspec.forward``."""
+    from uatcv.analysis import prune, resolve_mask
+    from uatcv.netspec import forward
+
+    channels = resolve_mask(net, mask)
+    if pruned is None:
+        pruned = prune(net, mask)
+    devs = []
+    for x in inputs:
+        a = forward(net, x)[-1].data
+        b = forward(pruned, x)[-1].data
+        if a.shape != b.shape:
+            a = np.delete(a, channels, axis=0)
+        devs.append(float(np.max(np.abs(a - b))))
+    return {
+        "layer": mask.layer,
+        "pruned_channels": list(channels),
+        "inputs": len(inputs),
+        "max_deviation": max(devs),
+        "mean_deviation": float(np.mean(devs)),
+        "per_input": devs,
+    }

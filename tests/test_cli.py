@@ -460,6 +460,32 @@ def test_stride_past_the_padded_extent_runs(capsys, tmp_path, axes, layer):
     assert lowered[2**63] == lowered[padded]
 
 
+_CONV2D = {"kind": "conv2d", "out_channels": 1, "kernel": [2, 2]}
+_CONV3D = {"kind": "conv3d", "out_channels": 1, "kernel": [2, 2, 2]}
+_POOL = {"kind": "mean_pool", "window": [2, 2]}
+
+
+@pytest.mark.parametrize("layer, message", [
+    ({**_CONV2D, "kernel": [2]}, "layer 0 (conv2d): kernel needs 2 extents, got (2,)"),
+    ({**_CONV3D, "kernel": [2, 2]}, "layer 0 (conv3d): kernel needs 3 extents, got (2, 2)"),
+    ({**_CONV2D, "kernel": [2, 0]}, "layer 0 (conv2d): kernel extents must be >= 1"),
+    ({**_CONV3D, "kernel": [-1, 2, 2]}, "layer 0 (conv3d): kernel extents must be >= 1"),
+    ({**_CONV2D, "out_channels": 0}, "layer 0 (conv2d): out_channels must be >= 1"),
+    ({**_CONV2D, "in_channels": 0}, "layer 0 (conv2d): in_channels must be >= 1"),
+    ({**_CONV2D, "stride": 0}, "layer 0 (conv2d): stride must be >= 1 and padding >= 0"),
+    ({**_CONV3D, "padding": -1}, "layer 0 (conv3d): stride must be >= 1 and padding >= 0"),
+    ({**_POOL, "window": [2]}, "layer 0 (mean_pool): window needs 2 extents >= 1, got (2,)"),
+    ({**_POOL, "window": [0, 2]}, "layer 0 (mean_pool): window needs 2 extents >= 1, got (0, 2)"),
+    ({**_POOL, "stride": 0}, "layer 0 (mean_pool): stride must be >= 1"),
+])
+def test_bad_conv_and_pool_geometry_is_validation_error(capsys, tmp_path, layer, message):
+    axes = [["C_I", 1], ["H", 4], ["W", 4]] + ([["D", 4]] if layer["kind"] == "conv3d" else [])
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"input_shape": axes, "seed": 1, "activation": "relu",
+                                "layers": [layer]}))
+    assert run(capsys, "lower", str(spec)) == (EXIT_PARSE, "", f"error[validation]: {message}\n")
+
+
 # sha256 of each report with the round-off fields masked (see _mask_roundoff)
 REPORT_LAYOUT = {
     ("resblock2", "text"): "269c67e118fd818da06e7f12b6bae968bf4f6c3cb5daed04b09a80152f526b13",

@@ -281,6 +281,18 @@ def test_atom_value_of_merged_weights_is_a_dense_array():
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
+def test_every_slot_of_a_residual_form_has_a_value_the_identity_included():
+    # the form drops its identity linear term from the expression and the
+    # classification, but the slot is still an atom a caller can read
+    chain = build_residual_chain(2, 3, 4)
+    env = chain.random_binding(np.random.default_rng(4))
+    for _, atom in chain.canonical.slots():
+        assert isinstance(atom_value(atom, env, "logistic"), np.ndarray), atom.display
+    identity = chain.canonical.linear_term
+    assert np.array_equal(atom_value(identity, env, "relu"), np.eye(3))
+    assert [identity.provenance.render(fmt) for fmt in ("text", "latex")] == ["I", r"\mathbf{I}"]
+
+
 def test_transformer_depth1_structure():
     chain = build_transformer_chain(1, tokens=2, model_dim=4, heads=1, ffn_dim=3)
     c = chain.canonical
