@@ -9,6 +9,8 @@ the lowering.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -280,29 +282,31 @@ def prune(net: MaterializedNetwork, mask: PruneMask) -> MaterializedNetwork:
 def prune_impact(
     net: MaterializedNetwork,
     mask: PruneMask,
-    inputs: list[Tensor],
+    inputs: Iterable[Tensor],
     pruned: MaterializedNetwork | None = None,
 ) -> dict:
     """Output deviation between the original and pruned networks.
 
     ``pruned`` is ``prune(net, mask)`` when the caller has already built it
-    (the CLI does, to check the mask); otherwise it is built here.  Each
-    network runs the inputs as one stack, or, where their outputs together
-    would pass the element cap, as consecutive stacks whose outputs fit it,
-    so the outputs held at once stay within it.  When the channel change
+    (the CLI does, to check the mask); otherwise it is built here.  The
+    inputs, any iterable, are drawn one stack at a time: a stack holds as
+    many inputs as have outputs that together fit the element cap, so what
+    is held at once does not grow with their number.  Each network runs
+    each stack through :func:`forward_stack`.  When the channel change
     survives to the network output (no downstream conv re-mixes), the
     comparison restricts the original output to the surviving channels.
     """
     channels = resolve_mask(net, mask)
-    if not inputs:
+    inputs = iter(inputs)
+    step = max(1, element_cap() // net.shapes[-1].size)
+    stack = list(islice(inputs, step))
+    if not stack:
         raise SpecError("prune impact needs at least one input")
     if pruned is None:
         pruned = prune(net, mask)
 
-    step = max(1, element_cap() // net.shapes[-1].size)
     devs = []
-    for start in range(0, len(inputs), step):
-        stack = inputs[start : start + step]
+    while stack:
         try:
             outputs = zip(forward_stack(net, stack), forward_stack(pruned, stack))
         except ValidationError:
@@ -316,10 +320,11 @@ def prune_impact(
             if a.shape != b.shape:
                 a = np.delete(a, channels, axis=0)
             devs.append(float(np.max(np.abs(a - b))))
+        stack = list(islice(inputs, step))
     return {
         "layer": mask.layer,
         "pruned_channels": list(channels),
-        "inputs": len(inputs),
+        "inputs": len(devs),
         "max_deviation": max(devs),
         "mean_deviation": float(np.mean(devs)),
         "per_input": devs,

@@ -13,9 +13,10 @@ overrides the description's seed, ``--cap`` the element cap for this call
 (the UATCV_CAP environment variable otherwise).
 
 Exit codes: 0 success; 2 parse/validation error, including a weight array
-over the element cap, a conv whose direct computation would allocate a
-padded input or column block over the element cap, a UATCV_CAP that is not a
-positive integer, a ``--tol`` that is negative or not finite, a
+over the element cap, an array a direct computation would allocate over it
+(a conv's padded input or column block, attention scores, an FFN hidden
+layer), a UATCV_CAP that is not a positive integer, a ``--tol`` that is
+negative or not finite, a
 ``--lora-rank`` above the smaller side of the target matrix, a
 ``--lora-target`` on a conv layer (whose one target is its kernel), a
 ``--prune-channels`` that lists no channel, a prune whose channel change a

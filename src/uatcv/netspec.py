@@ -48,7 +48,9 @@ one value's extents.  :func:`apply_layer` and :func:`forward` run it on a
 stack of one, and :func:`forward_stack` runs many inputs at once.  Every row
 of a stack is bitwise its input run alone: a rule broadcasts each input's
 own matrix products over the stack and never merges the inputs into one
-product, whose blocking would move last bits.
+product, whose blocking would move last bits.  Every array a rule allocates
+is checked against the element cap where it is allocated, at B times one
+value's leading extent, for a stack of any size.
 """
 
 from __future__ import annotations
@@ -367,7 +369,7 @@ class ResidualBlockSpec(LayerSpec):
 
     def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
         act, r = activation(rt.activation), rt.weights
-        _check_stack("hidden layer", len(xs), r.b_1.shape)
+        check_cap("hidden layer", (len(xs) * len(r.b_1),))
         v = xs.reshape(len(xs), -1)
         # each input's own (W, v) product, as one input computes it: V @ W.T
         # would be one product over the stack, whose blocking moves last bits
@@ -460,15 +462,6 @@ class _TokenSpec(LayerSpec):
             parts.update(w_2=draw(d, h), w_3=draw(h, d), b_2=draw(h), b_3=draw(d))
         return AttnParams(model_dim=d, heads=self.heads or 1, **parts)
 
-    def _checked(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
-        """``xs``, once a stack's per-head scores and FFN hidden layer fit the cap."""
-        n = rt.in_shape.extent("token")
-        if self.heads is not None:
-            _check_stack("attention scores", len(xs), (n, n))
-        if self.hidden_dim is not None:
-            _check_stack("FFN hidden layer", len(xs), (n, self.hidden_dim))
-        return xs
-
     def _attended(self, rt: RtLayer, value: Tensor) -> np.ndarray:
         """``M(X) X`` flattened, M the effective attention matrix at the tokens X."""
         x, p = _tokens(value), rt.weights
@@ -484,7 +477,7 @@ class MhaSpec(_TokenSpec):
     heads: int
 
     def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
-        return mha_direct(self._checked(rt, xs), rt.weights)
+        return mha_direct(xs, rt.weights)
 
     def lowered_output(self, rt: RtLayer, value: Tensor, forms: list[LoweredForm]) -> np.ndarray:
         return self._attended(rt, value)
@@ -497,7 +490,7 @@ class FfnSpec(_TokenSpec):
     hidden_dim: int
 
     def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
-        return ffn_direct(self._checked(rt, xs), rt.weights, rt.activation)
+        return ffn_direct(xs, rt.weights, rt.activation)
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         return list(lower_ffn(_tokens(value), rt.weights, rt.activation))
@@ -511,7 +504,7 @@ class TransformerBlockSpec(_TokenSpec):
     hidden_dim: int
 
     def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
-        return transformer_block_direct(self._checked(rt, xs), rt.weights, rt.activation)
+        return transformer_block_direct(xs, rt.weights, rt.activation)
 
     def stages(self, rt: RtLayer, value: Tensor) -> list[LoweredForm]:
         # the FFN stages at h = M(X) X, with M the effective attention matrix
@@ -801,23 +794,16 @@ def _run_layer(rt: RtLayer, rule: Callable, value: Tensor):
             raise ValidationError(f"layer {rt.index} ({rt.spec.kind}): {exc}") from None
 
 
-def _check_stack(what: str, b: int, extents: tuple[int, ...]) -> None:
-    """A stack of ``b`` arrays of ``extents``, held as one array, over the
-    element cap is a CapacityError, raised before it is allocated.  A stack
-    of one is not checked here: one input allocates what it always has."""
-    if b > 1:
-        check_cap(what, (b * extents[0], *extents[1:]))
-
-
 def _apply_one(rt: RtLayer, value: Tensor) -> Tensor:
-    """The layer's direct rule on a stack of one: ``value``'s output."""
-    return Tensor(rt.out_shape, rt.spec.apply(rt, value.data[None])[0])
+    """:func:`_apply_stack` on a stack of one: ``value``'s output."""
+    return Tensor(rt.out_shape, _apply_stack(rt, value.data[None])[0])
 
 
 def _apply_stack(rt: RtLayer, xs: np.ndarray) -> np.ndarray:
-    """The layer's direct rule on a stack, its output checked against the
-    cap before the rule runs and for finite entries after."""
-    _check_stack("stacked layer output", len(xs), rt.out_shape.extents)
+    """The layer's direct rule on a stack of any size, its output checked
+    against the cap before the rule runs and for finite entries after."""
+    n, *rest = rt.out_shape.extents
+    check_cap("stacked layer output", (len(xs) * n, *rest))
     out = rt.spec.apply(rt, xs)
     check_finite(out)
     return out
@@ -872,7 +858,7 @@ def _forward_rows(layers: list[RtLayer], rows: list[np.ndarray]) -> list[np.ndar
 
 
 def _stack_pass(layers: list[RtLayer], rows: list[np.ndarray]) -> list[np.ndarray]:
-    _check_stack("input stack", len(rows), rows[0].shape)
+    check_cap("input stack", (len(rows) * len(rows[0]), *rows[0].shape[1:]))
     stack = np.stack(rows)
     for rt in layers:
         stack = _run_layer(rt, _apply_stack, stack)

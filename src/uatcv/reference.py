@@ -17,6 +17,11 @@ over ``...`` axes; a ``(1, K) @ (K, P)`` row product per input and output
 channel) and never merged into one product over the inputs, whose blocking
 would move last bits.
 
+Each operation checks the arrays it allocates against the element cap
+before it allocates them, at B times one input's extents, for any B (one
+input is a stack of one): convolution its padded input and column block,
+attention its (B n, n) scores per head, the FFN its (B n, hidden) layer.
+
 Convolution keeps two summation orders that checks rely on bitwise: input
 channels are summed left to right, and each output channel is its own row
 product, independent of the layer's other output channels.
@@ -362,6 +367,7 @@ def attention_probabilities_raw(
     d = x.shape[-1]
     if d % heads != 0:
         raise ShapeError(f"head count {heads} must divide feature dim {d}")
+    check_cap("attention scores", (math.prod(x.shape[:-1]), x.shape[-2]))
     q = x @ w_q
     k = x @ w_k
     dh = d // heads
@@ -387,6 +393,7 @@ def ffn_direct(x: np.ndarray, p: AttnParams, sigma: str) -> np.ndarray:
     """Two-stage feed-forward block applied row-wise:
     ``sigma(X @ w_2 + b_2) @ w_3 + b_3``."""
     x = _check_tokens(x, p)
+    check_cap("FFN hidden layer", (math.prod(x.shape[:-1]), p.w_2.shape[1]))
     act = activation(sigma)
     return act(x @ p.w_2 + p.b_2) @ p.w_3 + p.b_3
 

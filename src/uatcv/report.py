@@ -121,9 +121,7 @@ def analysis_section(
         x = random_input(net.spec, seed=net.spec.seed + 1)
         out["lora"] = lora_equivalence_check(net, lora, x)
     if prune_mask is not None:
-        inputs = [
-            random_input(net.spec, seed=net.spec.seed + 1 + t) for t in range(impact_inputs)
-        ]
+        inputs = (random_input(net.spec, net.spec.seed + 1 + t) for t in range(impact_inputs))
         out["prune"] = prune_impact(net, prune_mask, inputs, pruned=pruned)
     return out
 

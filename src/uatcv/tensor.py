@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,7 +74,7 @@ def check_cap(what: str, dims: tuple[int, ...]) -> None:
 
 def check_finite(arr: np.ndarray) -> None:
     """An array with a non-finite entry is a RangeError, as a Tensor of it is."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise RangeError("tensor entries must be finite")
 
 
@@ -113,7 +114,7 @@ class TensorShape:
     def axes(self) -> tuple[str, ...]:
         return tuple(a for a, _ in self.dims)
 
-    @property
+    @cached_property  # read on every Tensor built and every cap check
     def extents(self) -> tuple[int, ...]:
         return tuple(n for _, n in self.dims)
 

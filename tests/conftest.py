@@ -1,4 +1,6 @@
+import contextlib
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,3 +13,23 @@ SPECS_DIR = Path(__file__).parent.parent / "specs"
 @pytest.fixture
 def specs_dir() -> Path:
     return SPECS_DIR
+
+
+class TracedPeak:
+    """The peak of the bytes traced in a :func:`traced_peak` block, set when
+    the block ends without raising."""
+
+    bytes: int | None = None
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace Python's allocations over the block: ``with traced_peak() as
+    peak: ...``, then ``peak.bytes`` is the most held at once inside it."""
+    peak = TracedPeak()
+    tracemalloc.start()
+    try:
+        yield peak
+        peak.bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from oracles import conv_cells_full_grid, dense_from_cells, mean_pool_cells_full_grid
 from uatcv import cli, lowering
 from uatcv.errors import CapacityError
@@ -256,22 +257,18 @@ def test_each_geometry_is_built_once_per_command(tmp_path, capsys, monkeypatch):
 
 def test_wide_conv_stage_is_small_and_matches_the_cell_sum(monkeypatch):
     # one 32->32 3x3 conv on 32x32: its virtual cell grid has 9.4M entries
-    import tracemalloc
-
     rng = np.random.default_rng(31)
     x = _t(("C_I", "H", "W"), rng.normal(size=(32, 32, 32)))
     p = ConvParams(32, 32, (3, 3), 1, 1, bias=rng.normal(size=32))
     kern = _t(("C_O", "C_I", "H", "W"), rng.normal(size=(32, 32, 3, 3)))
     monkeypatch.delenv("UATCV_CAP", raising=False)
     set_element_cap(20_000_000)
-    tracemalloc.start()
     try:
-        out = lower_conv2d_I_O(x, p, kern).evaluate()
-        _, peak = tracemalloc.get_traced_memory()
+        with traced_peak() as peak:
+            out = lower_conv2d_I_O(x, p, kern).evaluate()
     finally:
-        tracemalloc.stop()
         set_element_cap(None)
-    assert peak < 5 * 2**20
+    assert peak.bytes < 5 * 2**20
     # the oracle's cells, one output channel at a time (each output sums only
     # its own channel's cells), evaluated as a weighted bincount
     rows, cols, sources = conv_cells_full_grid(1, 32, (3, 3), 1, 1, (32, 32))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from oracles import (
     conv_cells_full_grid,
     dense_from_cells,
@@ -493,23 +494,17 @@ def test_composition_dense_is_the_product_of_dense_factors():
 
 def test_dense_over_the_cap_raises_before_allocating(monkeypatch):
     # M alone would be 8192 x 8192 float64 (512 MB)
-    import tracemalloc
-
     monkeypatch.delenv("UATCV_CAP", raising=False)
     rng = np.random.default_rng(27)
     p = random_attn_params(128, 4, 8, rng)
     x = rng.normal(size=(64, 128))
     attn, w2 = _attention_map(x, p), tokenwise_map(p.w_2, 64)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         for dense in (attn.dense, w2.dense, (w2 @ attn).dense,
                       lambda: extract_mha_effective_matrix(x, p)):
             with pytest.raises(CapacityError, match="cap is"):
                 dense()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert peak.bytes < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -595,20 +590,14 @@ def test_every_stage_structure_serves_one_protocol(forms):
 
 def test_conv_lowering_memory_is_linear_in_cells():
     # the dense W' of this layer is 4096 x 4096 float64, 128 MB
-    import tracemalloc
-
     rng = np.random.default_rng(24)
     x = _t(("C_I", "H", "W"), rng.normal(size=(1, 64, 64)))
     p = ConvParams(1, 1, (3, 3), 1, 1)
     kern = _t(("C_O", "C_I", "H", "W"), rng.normal(size=(1, 1, 3, 3)))
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         form = lower_conv2d_I_O(x, p, kern)
         out = form.evaluate()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak.bytes < 16 * 2**20
     assert np.max(np.abs(out - flatten(conv2d_direct(x, p, kern)))) <= 1e-9
 
 
@@ -646,23 +635,18 @@ def test_lowering_index_grid_is_capped(monkeypatch):
 def test_token_stage_over_the_cap_raises_before_tiling_its_bias(monkeypatch):
     # each weight fits the cap, but the (tokens, 1, hidden) grid does not; the
     # per-token bias would be 1024 x 4096 float64 (32 MB)
-    import tracemalloc
-
     from uatcv.tensor import set_element_cap
 
     monkeypatch.delenv("UATCV_CAP", raising=False)
     rng = np.random.default_rng(28)
     p, x = random_attn_params(1, 1, 4096, rng), rng.normal(size=(1024, 1))
     set_element_cap(4096)
-    tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="lowering index grid"):
+        with traced_peak() as peak, pytest.raises(CapacityError, match="lowering index grid"):
             lower_ffn(x, p, "relu")
-        _, peak = tracemalloc.get_traced_memory()
     finally:
-        tracemalloc.stop()
         set_element_cap(None)
-    assert peak < 2**20
+    assert peak.bytes < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -779,19 +763,13 @@ def test_dense_sum_order_property_rejects_other_orders(apply, monkeypatch):
 
 
 def test_dense_stage_memory_is_linear_in_its_matrix():
-    import tracemalloc
-
     from uatcv.netspec import _dense_form
 
     rng = np.random.default_rng(29)
     matrix, bias, x = rng.normal(size=(1024, 1024)), rng.normal(size=1024), rng.normal(size=1024)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         out = _dense_form(matrix, bias, x).evaluate()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * matrix.nbytes
+    assert peak.bytes <= 2.5 * matrix.nbytes
     np.testing.assert_allclose(out, matrix @ x + bias, rtol=1e-12, atol=1e-12)
 
 
@@ -812,8 +790,6 @@ def test_token_stage_rejects_what_does_not_fit():
 
 
 def test_token_stage_memory_is_linear_in_its_grid(monkeypatch):
-    import tracemalloc
-
     from uatcv.tensor import set_element_cap
 
     tokens, d, hidden = 64, 192, 384
@@ -822,17 +798,15 @@ def test_token_stage_memory_is_linear_in_its_grid(monkeypatch):
     x = rng.normal(size=(tokens, d))
     monkeypatch.delenv("UATCV_CAP", raising=False)
     set_element_cap(tokens * d * hidden)
-    tracemalloc.start()
     try:
-        _, stage2 = lower_ffn(x, p, "relu")
-        out = stage2.evaluate()
-        _, peak = tracemalloc.get_traced_memory()
+        with traced_peak() as peak:
+            _, stage2 = lower_ffn(x, p, "relu")
+            out = stage2.evaluate()
     finally:
-        tracemalloc.stop()
         set_element_cap(None)
     # nothing of the (tokens, d, hidden) grid's 36 MiB: each stage adds one
     # term of its outputs at a time
-    assert peak <= 2 * 2**20
+    assert peak.bytes <= 2 * 2**20
     np.testing.assert_allclose(out, ffn_direct(x, p, "relu").ravel(), rtol=1e-9, atol=1e-9)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from uatcv.errors import ParseError, SpecError, UatcvError, ValidationError
 from uatcv.netspec import (
     _LAYER_KINDS,
@@ -602,8 +603,6 @@ def _claim(net, x):
      [["H", 16], ["W", 16], ["C_I", 3]], 8),
 ], ids=["conv_pool_conv", "vit_tokens"])
 def test_claim_check_memory(layers, input_shape, limit_mb):
-    import tracemalloc
-
     from uatcv.netspec import expandable_output
 
     net = materialize(parse_spec_text(json.dumps(
@@ -611,13 +610,9 @@ def test_claim_check_memory(layers, input_shape, limit_mb):
     )))
     x = random_input(net.spec, 14)
     want = expandable_output(net, forward(net, x)[-1])
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         got = _claim(net, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < limit_mb * 2**20
+    assert peak.bytes < limit_mb * 2**20
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -1,5 +1,4 @@
 import ast
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from uatcv.reference import (
 )
 from uatcv.tensor import Tensor, TensorShape
 
+from conftest import traced_peak
 from oracles import conv2d_naive, conv3d_naive, ffn_naive, mean_pool_naive, mha_naive, patchify_naive
 
 
@@ -256,13 +256,9 @@ def test_conv_direct_never_builds_the_whole_column_array():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(32, 64, 64))
     kern = rng.normal(size=(32, 32, 3, 3))
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         _conv(x, kern, 1, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * 2**20
+    assert peak.bytes <= 5 * 2**20
 
 
 def test_reference_imports_nothing_from_lowering():
