@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import RankError, ShapeError, SpecError, ValidationError
 from .netspec import (
-    ConvWeights,
     MaterializedNetwork,
     NetworkSpec,
     assemble,
@@ -24,9 +23,8 @@ from .netspec import (
     forward,
     forward_stack,
     infer_shapes,
-    lower_layer,
 )
-from .tensor import Tensor, element_cap, zeros
+from .tensor import Tensor, element_cap
 
 
 # ---------------------------------------------------------------------------
@@ -168,35 +166,21 @@ def apply_lora(net: MaterializedNetwork, delta: LoraDelta) -> MaterializedNetwor
 def lora_equivalence_check(net: MaterializedNetwork, delta: LoraDelta, x: Tensor) -> dict:
     """Report a low-rank update through the lowering.
 
-    ``lowering_linearity_max_abs`` (conv targets) compares the patched
-    kernel with the original plus the update on every element W' places;
-    ``untouched_layers_identical`` compares the other conv kernels.  Neither
-    tests the lowering: ``apply_lora`` stores ``current + update``, the same
-    additions, and shares untouched kernels, so they read 0.0 and true by
-    construction and are kept as pinned values.  ``output_max_abs_change``
-    is the patched network's output against the original's.
+    ``lowering_linearity_max_abs`` (a conv kind's ``lora_checks``) compares
+    the patched kernel with the original plus the update on every element
+    W' places; ``untouched_layers_identical`` tests that every other layer
+    holds the same weights-record object.  Neither tests the lowering:
+    ``apply_lora`` stores ``current + update``, the same additions, and
+    shares untouched records, so they read 0.0 and true by construction and
+    are kept as pinned values.  ``output_max_abs_change`` is the patched
+    network's output against the original's.
     """
     patched = apply_lora(net, delta)
-    report: dict = {"layer": delta.layer, "target": delta.target, "rank": delta.rank}
-
     rt = net.layers[delta.layer]
-    if isinstance(rt.weights, ConvWeights):
-        # W' places the same kernel elements whatever the kernel, so one
-        # lowering at a zero input finds them; a conv stage's weights are its kernel
-        (form,) = lower_layer(rt, zeros(rt.in_shape))
-        placed = form.weight_index_map.offset_counts > 0
-        kernel = rt.weights.kernel.data
-        base, patched_values, update = (
-            k.reshape(*kernel.shape[:2], -1)[..., placed]
-            for k in (kernel, patched.layers[delta.layer].weights.kernel.data, delta.update())
-        )
-        lin = np.max(np.abs(patched_values - (base + update)), initial=0.0)
-        report["lowering_linearity_max_abs"] = float(lin)
-
+    report = {"layer": delta.layer, "target": delta.target, "rank": delta.rank,
+              **rt.spec.lora_checks(rt, patched.layers[delta.layer], delta.update())}
     report["untouched_layers_identical"] = all(
-        np.array_equal(a.weights.kernel.data, b.weights.kernel.data)
-        for a, b in zip(net.layers, patched.layers)
-        if a.index != delta.layer and isinstance(a.weights, ConvWeights)
+        a.weights is b.weights for a, b in zip(net.layers, patched.layers) if a.index != delta.layer
     )
 
     out_base = forward(net, x)[-1].flat
@@ -232,17 +216,14 @@ def resolve_mask(net: MaterializedNetwork, mask: PruneMask) -> tuple[int, ...]:
     """The concrete channel indices a mask removes."""
     if not 0 <= mask.layer < len(net.layers):
         raise SpecError(f"no layer {mask.layer} in a {len(net.layers)}-layer network")
-    rt = net.layers[mask.layer]
-    if not isinstance(rt.weights, ConvWeights):
-        raise SpecError(f"layer {mask.layer} ({rt.spec.kind}): pruning targets conv layers")
-    n_out = rt.weights.params.out_channels
+    norms = channel_norms(net, mask.layer)  # a kind that cannot be pruned refuses here
+    n_out = net.layers[mask.layer].out_shape.extent("C_I")
     if mask.channels is not None:
         channels = mask.channels
         if any(c < 0 or c >= n_out for c in channels):
             raise SpecError(f"channel indices out of range 0..{n_out - 1}: {channels}")
     else:
-        below = channel_norms(net, mask.layer) < mask.threshold
-        channels = tuple(int(c) for c in np.flatnonzero(below))
+        channels = tuple(int(c) for c in np.flatnonzero(norms < mask.threshold))
     if len(channels) >= n_out:
         raise SpecError("pruning every channel leaves nothing")
     return channels
@@ -250,8 +231,8 @@ def resolve_mask(net: MaterializedNetwork, mask: PruneMask) -> tuple[int, ...]:
 
 def channel_norms(net: MaterializedNetwork, layer: int) -> np.ndarray:
     """L2 norm of each output channel's kernel in a conv layer."""
-    w = net.layers[layer].weights.kernel.data
-    return np.sqrt((w.reshape(w.shape[0], -1) ** 2).sum(axis=1))
+    rt = net.layers[layer]
+    return rt.spec.channel_norms(rt)
 
 
 def prune(net: MaterializedNetwork, mask: PruneMask) -> MaterializedNetwork:
@@ -265,7 +246,7 @@ def prune(net: MaterializedNetwork, mask: PruneMask) -> MaterializedNetwork:
     """
     channels = resolve_mask(net, mask)
     rt = net.layers[mask.layer]
-    keep = [c for c in range(rt.weights.params.out_channels) if c not in channels]
+    keep = [c for c in range(rt.out_shape.extent("C_I")) if c not in channels]
     specs, weights = list(net.spec.layers), [layer.weights for layer in net.layers]
     specs[mask.layer], weights[mask.layer] = rt.spec.keep_channels(rt, keep, axis=0)
 

@@ -132,10 +132,12 @@ class LayerSpec:
     attention, which has no stages, states its own.  ``expansion_values(rt)``
     gives the values its atoms take in the expanded form.  ``lora_matrix``
     reads one of ``lora_targets``, and ``with_lora_matrix`` returns the
-    weights record with it replaced; ``keep_channels`` and ``follow_pruning``
-    return a pruned layer's new ``(spec, weights)``.  No rule changes a
-    layer.  Defaults here serve the kinds that lack a part or refuse an
-    analysis."""
+    weights record with it replaced, and ``lora_checks(rt, patched, update)``
+    gives the kind's entries in a LoRA report; ``channel_norms`` gives each
+    output channel's L2 norm, which pruning ranks, and ``keep_channels`` and
+    ``follow_pruning`` return a pruned layer's new ``(spec, weights)``.  No
+    rule changes a layer.  Defaults here serve the kinds that lack a part or
+    refuse an analysis."""
 
     kind: ClassVar[str]
     note: ClassVar[str] = ""  # the report's note on what the check compares
@@ -186,6 +188,12 @@ class LayerSpec:
     def with_lora_matrix(self, rt: RtLayer, target: str, matrix: np.ndarray) -> object:
         """The layer's weights record with ``target`` replaced by ``matrix``."""
         return replace(rt.weights, **{target: matrix})
+
+    def lora_checks(self, rt: RtLayer, patched: RtLayer, update: np.ndarray) -> dict:
+        return {}
+
+    def channel_norms(self, rt: RtLayer) -> np.ndarray:
+        raise SpecError(f"layer {rt.index} ({self.kind}): pruning targets conv layers")
 
     def follow_pruning(self, rt: RtLayer, keep: list[int]) -> tuple[LayerSpec, object] | None:
         """The layer's ``(spec, weights)`` once it absorbs an upstream pruning
@@ -281,6 +289,17 @@ class _ConvSpec(LayerSpec):
     def with_lora_matrix(self, rt: RtLayer, target: str, matrix: np.ndarray) -> ConvWeights:
         kernel = rt.weights.kernel
         return rt.weights._replace(kernel=Tensor(kernel.shape, matrix.reshape(kernel.data.shape)))
+
+    def lora_checks(self, rt: RtLayer, patched: RtLayer, update: np.ndarray) -> dict:
+        # one lowering at zero finds the kernel offsets W' places, the same in every channel pair
+        (form,) = lower_layer(rt, zeros(rt.in_shape))
+        placed = np.tile(form.weight_index_map.offset_counts > 0, rt.in_shape.extent("C_I"))
+        base, new = self.lora_matrix(rt, "kernel"), self.lora_matrix(patched, "kernel")
+        lin = np.max(np.abs(new - (base + update))[:, placed], initial=0.0)
+        return {"lowering_linearity_max_abs": float(lin)}
+
+    def channel_norms(self, rt: RtLayer) -> np.ndarray:
+        return np.sqrt((self.lora_matrix(rt, "kernel") ** 2).sum(axis=1))
 
     def keep_channels(self, rt: RtLayer, keep: list[int], axis: int) -> tuple:
         """The spec and weights that keep only the ``keep`` output (axis 0)
@@ -1006,7 +1025,7 @@ def to_expandable(net: MaterializedNetwork) -> ExpandableNetwork:
         pooling = [(rt.spec.kind == "mean_pool", getattr(rt.spec, "bias", False)) for rt in layers]
         chain = dense_chain(pooling, size)
     elif family == "residual":
-        chain = build_residual_chain(len(layers), size, len(layers[0].weights.b_1))
+        chain = build_residual_chain(len(layers), size, layers[0].spec.hidden_dim or size)
     else:
         shape, block = layers[0].in_shape, layers[0].spec
         chain = build_transformer_chain(len(layers), shape.extent("token"),

@@ -1,9 +1,11 @@
+import ast
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uatcv import analysis, cli
+from uatcv import analysis, cli, netspec
 from uatcv.analysis import (
     LoraDelta,
     PruneMask,
@@ -19,7 +21,9 @@ from uatcv.errors import RankError, SpecError
 from uatcv.lowering import lower_conv2d_I_O
 from uatcv.netspec import (
     Conv2dSpec,
+    Conv3dSpec,
     ConvWeights,
+    FfnSpec,
     MeanPoolSpec,
     MhaSpec,
     NetworkSpec,
@@ -219,18 +223,60 @@ def test_lora_conv_check_lowers_its_target_once(monkeypatch):
     # update kernels are read from the layers and the factors
     net = materialize(_conv_net(seed=13))
     lowered = []
-    lower_layer = analysis.lower_layer
+    lower_layer = netspec.lower_layer
 
     def spy(rt, value):
         lowered.append(rt.index)
         return lower_layer(rt, value)
 
-    monkeypatch.setattr(analysis, "lower_layer", spy)
+    monkeypatch.setattr(netspec, "lower_layer", spy)
     rng = np.random.default_rng(2)
     delta = LoraDelta(layer=1, a=rng.normal(size=(1, 16)), b=rng.normal(size=(3, 1)))
     report = lora_equivalence_check(net, delta, random_input(net.spec, 3))
     assert lowered == [1]
     assert report["lowering_linearity_max_abs"] == 0.0
+
+
+TOKENS = [("token", 3), ("feature", 4)]
+
+
+@pytest.mark.parametrize("dims, spec, target", [
+    ([("C_I", 2), ("H", 4), ("W", 4)], Conv2dSpec(out_channels=2, kernel=(2, 2)), "w_2"),
+    ([("C_I", 2), ("H", 3), ("W", 3), ("D", 3)], Conv3dSpec(out_channels=2, kernel=(2, 2, 2)),
+     "w_2"),
+    ([("feature", 4)], ResidualBlockSpec(hidden_dim=3), "w_2"),
+    (TOKENS, FfnSpec(hidden_dim=3), "w_2"),
+    (TOKENS, MhaSpec(heads=2), "w_q"),
+    (TOKENS, TransformerBlockSpec(heads=2, hidden_dim=3), "w_2"),
+])
+def test_lora_report_keys_by_kind(dims, spec, target):
+    # the report's keys in the order analyze prints them; only a conv kind
+    # adds its lowering_linearity_max_abs
+    net = materialize(_net(dims, [spec, spec], seed=3))
+    rt = net.layers[0]
+    m, n = rt.spec.lora_matrix(rt, target).shape
+    rng = np.random.default_rng(7)
+    delta = LoraDelta(layer=0, a=rng.normal(size=(1, n)), b=rng.normal(size=(m, 1)), target=target)
+    report = lora_equivalence_check(net, delta, random_input(net.spec, 4))
+    conv = ["lowering_linearity_max_abs"] if spec.kind in ("conv2d", "conv3d") else []
+    assert list(report) == ["layer", "target", "rank", *conv, "untouched_layers_identical",
+                            "output_max_abs_change"]
+    assert report["untouched_layers_identical"] is True
+
+
+def test_analysis_reads_no_weights_record():
+    # each kind owns its pruning and LoRA-report rules, so analysis names no
+    # weights type, tests no type and reads no field of a weights record
+    tree = ast.parse(Path(analysis.__file__).read_text(encoding="utf-8"))
+    found = [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in ("ConvWeights", "isinstance")
+        or isinstance(node, ast.alias) and node.name == "ConvWeights"
+        or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "weights"
+    ]
+    assert found == []
 
 
 def test_lora_residual_target():

@@ -335,6 +335,9 @@ def test_lora_target_must_name_a_part_of_the_layer(capsys, tmp_path, shape, laye
      [{"kind": "conv2d", "out_channels": 2, "kernel": [2, 2]},
       {"kind": "mean_pool", "window": [2, 2]}]),
     ([["H", 4], ["W", 4]], [{"kind": "patchify", "patch": [2, 2]}]),
+    (TOKENS, [{"kind": "mha", "heads": 2}]),
+    (TOKENS, [{"kind": "ffn", "hidden_dim": 3}]),
+    (TOKENS, [{"kind": "transformer_block", "heads": 2, "hidden_dim": 3}]),
 ])
 def test_prune_targets_conv_layers(capsys, tmp_path, shape, layers):
     spec = tmp_path / "one.json"
@@ -484,6 +487,18 @@ def test_bad_conv_and_pool_geometry_is_validation_error(capsys, tmp_path, layer,
     spec.write_text(json.dumps({"input_shape": axes, "seed": 1, "activation": "relu",
                                 "layers": [layer]}))
     assert run(capsys, "lower", str(spec)) == (EXIT_PARSE, "", f"error[validation]: {message}\n")
+
+
+@pytest.mark.parametrize("shape, patch, message", [
+    ([["H", 4], ["W", 4]], [0, 2], "patch needs 2 extents >= 1, got (0, 2)"),
+    ([["H", 5], ["W", 4]], [2, 2], "patch (2, 2) does not divide (5, 4)"),
+])
+def test_bad_patch_is_validation_error(capsys, tmp_path, shape, patch, message):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"input_shape": shape, "seed": 1, "activation": "relu",
+                                "layers": [{"kind": "patchify", "patch": patch}]}))
+    assert run(capsys, "lower", str(spec)) == (
+        EXIT_PARSE, "", f"error[validation]: layer 0 (patchify): {message}\n")
 
 
 # sha256 of each report with the round-off fields masked (see _mask_roundoff)

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,25 @@ def test_conv2d_shape_errors():
     p2 = ConvParams(in_channels=2, out_channels=1, kernel=(2, 2))
     with pytest.raises(ShapeError):
         conv2d_direct(x, p2, w)  # channel mismatch
+
+
+# ConvParams and PoolParams are public constructors, so they check the
+# geometry they are given; a description's spec refuses it before them
+_ONE = dict(in_channels=1, out_channels=1, kernel=(2, 2))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({**_ONE, "in_channels": 0}, "channel counts must be >= 1"),
+    ({**_ONE, "out_channels": 0}, "channel counts must be >= 1"),
+    ({**_ONE, "kernel": (2,)}, "kernel must have 2 or 3 extents >= 1, got (2,)"),
+    ({**_ONE, "kernel": (2, 0)}, "kernel must have 2 or 3 extents >= 1, got (2, 0)"),
+    ({**_ONE, "stride": 0}, "stride must be >= 1, got 0"),
+    ({**_ONE, "padding": -1}, "padding must be >= 0, got -1"),
+    ({**_ONE, "out_channels": 2, "bias": np.zeros(3)}, "bias length 3 != out_channels 2"),
+])
+def test_conv_params_refuse_bad_geometry(kwargs, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        ConvParams(**kwargs)
 
 
 def test_conv2d_linearity_without_bias():
@@ -316,6 +336,16 @@ def test_mean_pool_channel_independence():
 def test_mean_pool_window_too_big():
     with pytest.raises(ShapeError):
         mean_pool_direct(_image([[1.0, 2.0], [3.0, 4.0]]), PoolParams((3, 3)))
+
+
+@pytest.mark.parametrize("window, stride, message", [
+    ((2,), 1, "window must have 2 extents >= 1, got (2,)"),
+    ((0, 2), 1, "window must have 2 extents >= 1, got (0, 2)"),
+    ((2, 2), 0, "stride must be >= 1, got 0"),
+])
+def test_pool_params_refuse_bad_geometry(window, stride, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        PoolParams(window, stride)
 
 
 # ---------------------------------------------------------------------------
