@@ -12,20 +12,25 @@
 overrides the description's seed, ``--cap`` the element cap for this call
 (the UATCV_CAP environment variable otherwise).
 
-Exit codes: 0 success; 2 parse/validation error, including a weight array
-over the element cap, an array a direct computation would allocate over it
-(a conv's padded input or column block, attention scores, an FFN hidden
-layer), a UATCV_CAP that is not a positive integer, a ``--tol`` that is
-negative or not finite, a
-``--lora-rank`` above the smaller side of the target matrix, a
-``--lora-target`` on a conv layer (whose one target is its kernel), a
-``--prune-channels`` that lists no channel, a prune whose channel change a
-downstream layer cannot absorb, a layer whose values overflow to non-finite
-entries (the message names the layer), a ``report --format latex`` whose
-``--out`` ends in ``.tex`` (its sidecar would overwrite it; nothing is
-written), and an ``--out`` path (or its ``.tex`` sidecar) that cannot be
-written; 3 verification failure; 4 internal invariant breach.  Errors print
-one line to stderr: ``error[<code>]: <message>``.
+Exit codes: 0 success; 3 verification failure; 4 internal invariant breach;
+2 parse/validation error: a description that cannot be read, is not UTF-8
+or valid JSON (an over-long integer literal included) or breaks the schema
+or shape chain; an array over the element cap (a weight array, or one a
+direct computation would allocate: a conv's padded input or column block,
+attention scores, an FFN hidden layer); a layer whose values overflow to
+non-finite entries (the message names it); a flag value out of range (a
+UATCV_CAP that is not a positive integer, ``--cap``, ``--trials`` or
+``--lora-rank`` below 1, a negative or non-finite ``--tol``, a
+``--lora-layer`` or ``--prune-layer`` past the last layer, a ``--lora-rank``
+above the target's smaller side, a ``--lora-target`` on a conv layer, whose
+one target is its kernel, a ``--prune-channels`` that is not integers or
+lists none); a ``--lora-*`` or ``--prune-*`` flag without its layer flag; a
+prune the library refuses (a layer that is not a conv, channels out of range
+or all of them, a change a downstream layer cannot absorb); a ``report
+--format latex`` whose ``--out`` ends in ``.tex`` (its sidecar would
+overwrite it; nothing is written); and an ``--out`` path (or its ``.tex``
+sidecar) that cannot be written.  Errors print one line to stderr:
+``error[<code>]: <message>``.
 
 ``main(argv)`` may be called many times in one process, as perfbench and
 the tests call it.  The argument parser is built once per process, on the
@@ -160,7 +165,12 @@ def _prune(
         raise ValidationError(str(exc)) from None
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path | None, text: str) -> None:
+    """Write ``text`` to ``path`` and print where, or to stdout itself when
+    ``path`` is None.  A path that cannot be written is a ValidationError."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     try:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -169,13 +179,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _cmd_lower(args) -> int:
-    net = _load(args)
-    doc = {"layers": layer_section(net)}
-    text = report_json(doc)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, report_json({"layers": layer_section(_load(args))}))
     return EXIT_OK
 
 
@@ -241,15 +245,9 @@ def _cmd_report(args) -> int:
         raise ValidationError(f"--out {args.out} is the path of its own .tex sidecar")
     net = _load(args)
     doc = build_report(net, trials=args.trials, tol=args.tol)
-    text = report_json(doc)
-    if args.out:
-        _write(args.out, text)
-        if args.format == "latex":
-            _write(args.out.with_suffix(".tex"), report_latex(doc))
-    else:
-        sys.stdout.write(text)
-        if args.format == "latex":
-            sys.stdout.write(report_latex(doc))
+    _write(args.out, report_json(doc))
+    if args.format == "latex":
+        _write(args.out and args.out.with_suffix(".tex"), report_latex(doc))
     return EXIT_OK
 
 

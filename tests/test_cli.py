@@ -501,6 +501,64 @@ def test_bad_patch_is_validation_error(capsys, tmp_path, shape, patch, message):
         EXIT_PARSE, "", f"error[validation]: layer 0 (patchify): {message}\n")
 
 
+_VALID = {"input_shape": [["feature", 4]], "seed": 1, "activation": "relu", "layers": []}
+
+
+@pytest.mark.parametrize("doc, flags, line", [
+    ({**_VALID, "layers": [3]}, [], "error[parse]: layer 0: expected an object, got int"),
+    ({**_VALID, "layers": [{}]}, [], "error[parse]: layer 0: missing 'kind'"),
+    ([], [], "error[parse]: top level must be an object, got list"),
+    ({**_VALID, "input_shape": []}, [],
+     "error[parse]: input_shape must be a non-empty list of [axis, extent] pairs"),
+    ({**_VALID, "input_shape": [["H"]]}, [],
+     "error[parse]: input_shape entries must be [axis, extent], got ['H']"),
+    ({**_VALID, "input_shape": [["Q", 2]]}, [], "error[parse]: unknown axis 'Q' "
+     "(allowed: ('C_I', 'C_O', 'H', 'W', 'D', 'token', 'feature'))"),
+    ({**_VALID, "layers": {}}, [], "error[parse]: layers must be a list"),
+    (b'{"seed": "\xff"}', [], "error[parse]: {spec} is not UTF-8: 'utf-8' codec can't decode "
+                             "byte 0xff in position 10: invalid start byte"),
+    (None, ["--lora-layer", "9"], "error[validation]: no layer 9 in a 3-layer network"),
+    (None, ["--lora-layer", "0", "--lora-rank", "0"],
+     "error[validation]: --lora-rank must be >= 1, got 0"),
+])
+def test_malformed_description_and_lora_flags_are_refused(capsys, specs_dir, tmp_path, doc, flags,
+                                                          line):
+    spec = tmp_path / "bad.json"
+    if doc is None:  # vgg3's 3 layers, refused for the flags alone
+        spec.write_bytes((specs_dir / "vgg3.json").read_bytes())
+    else:
+        spec.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    assert run(capsys, "analyze", str(spec), *flags) == (
+        EXIT_PARSE, "", line.format(spec=spec) + "\n")
+
+
+def test_over_long_integer_literal_is_parse_error(capsys, tmp_path):
+    spec = tmp_path / "long.json"
+    spec.write_text(json.dumps(_VALID).replace('"seed": 1', '"seed": ' + "7" * 5000))
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default limit, whatever this process set
+    try:
+        code, out, err = run(capsys, "verify", str(spec))
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("error[parse]: not valid JSON: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "2"])
+def test_missing_field_refusal_is_the_same_under_every_hash_seed(tmp_path, hash_seed):
+    spec = tmp_path / "empty.json"
+    spec.write_text("{}")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "uatcv", "verify", str(spec)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (EXIT_PARSE, "")
+    assert done.stderr == "error[parse]: missing top-level field 'input_shape'\n"
+
+
 # sha256 of each report with the round-off fields masked (see _mask_roundoff)
 REPORT_LAYOUT = {
     ("resblock2", "text"): "269c67e118fd818da06e7f12b6bae968bf4f6c3cb5daed04b09a80152f526b13",

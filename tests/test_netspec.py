@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
@@ -506,6 +506,8 @@ def _descriptions(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(text=_descriptions())
+@example(text=json.dumps({"input_shape": [["feature", 4]], "seed": 1, "activation": "relu",
+                          "layers": []}).replace('"seed": 1', '"seed": ' + "7" * 5000))
 def test_parse_spec_text_raises_only_uatcv_errors(text):
     try:
         net = parse_spec_text(text)
@@ -589,6 +591,48 @@ def _claim(net, x):
     env = dict(exp.binding)
     env[INPUT_NAME] = expandable_input(net, x)
     return eval_canonical(exp.chain.canonical, env, net.activation)
+
+
+VIT_TOKENS = json.dumps({
+    "input_shape": [["H", 16], ["W", 16], ["C_I", 3]], "seed": 5, "activation": "relu",
+    "layers": [{"kind": "patchify", "patch": [4, 4]}]
+    + [{"kind": "transformer_block", "heads": 4, "hidden_dim": 96}] * 3,
+})
+
+
+def _vit_networks(specs_dir, seed):
+    from dataclasses import replace
+
+    for spec in (parse_spec(specs_dir / "vit1.json"), parse_spec_text(VIT_TOKENS)):
+        yield materialize(replace(spec, seed=seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_expandable_input_is_the_patchified_image(specs_dir, seed):
+    from uatcv.netspec import expandable_input
+    from uatcv.reference import patchify
+
+    for net in _vit_networks(specs_dir, seed):
+        x = random_input(net.spec, seed)
+        got = expandable_input(net, x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, patchify(x, net.spec.layers[0].patch).reshape(-1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_expandable_input_refuses_what_forward_refuses(specs_dir, seed):
+    from uatcv.errors import ShapeError
+    from uatcv.netspec import expandable_input
+    from uatcv.tensor import random_uniform
+
+    bad = random_uniform(TensorShape([("H", 2), ("W", 2)]), seed, -1.0, 1.0)
+    for net in _vit_networks(specs_dir, seed):
+        with pytest.raises(ShapeError) as refused:
+            expandable_input(net, bad)
+        with pytest.raises(ShapeError) as forward_refused:
+            forward(net, bad)
+        assert str(refused.value) == str(forward_refused.value)
+        assert str(refused.value).startswith("input shape ")
 
 
 @pytest.mark.parametrize("layers, input_shape, limit_mb", [
