@@ -29,8 +29,8 @@ prune the library refuses (a layer that is not a conv, channels out of range
 or all of them, a change a downstream layer cannot absorb); a ``report
 --format latex`` whose ``--out`` ends in ``.tex`` (its sidecar would
 overwrite it; nothing is written); and an ``--out`` path (or its ``.tex``
-sidecar) that cannot be written.  Errors print one line to stderr:
-``error[<code>]: <message>``.
+sidecar) that cannot be written (neither is written).  Errors print one
+line to stderr: ``error[<code>]: <message>``.
 
 ``main(argv)`` may be called many times in one process, as perfbench and
 the tests call it.  The argument parser is built once per process, on the
@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -140,8 +141,7 @@ def _random_lora(net, layer: int, rank: int, target: str | None) -> LoraDelta:
         raise ValidationError(f"--lora-rank {rank} exceeds min(target dims) = {min(m, n)}")
     gen = SplitMix64(net.spec.seed + LORA_SEED_OFFSET)
     where = f"layer {layer} ({rt.spec.kind}) LoRA factor"
-    b = draw_weights(gen, where, m, rank)
-    a = draw_weights(gen, where, rank, n)
+    b, a = draw_weights(gen, where, (m, rank), (rank, n))
     return LoraDelta(layer=layer, a=a, b=b, target=target)
 
 
@@ -165,21 +165,29 @@ def _prune(
         raise ValidationError(str(exc)) from None
 
 
-def _write(path: Path | None, text: str) -> None:
-    """Write ``text`` to ``path`` and print where, or to stdout itself when
-    ``path`` is None.  A path that cannot be written is a ValidationError."""
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write(*docs: tuple[Path | None, str]) -> None:
+    """Write each ``(path, text)`` and print where, or the text to stdout when
+    ``path`` is None.  A path that cannot be opened to append (which truncates
+    nothing) is a ValidationError, raised before any text is written, once
+    the files those opens created are removed."""
+    paths = [path for path, _ in docs if path is not None]
+    created = [path for path in paths if not os.path.lexists(path)]
     try:
-        path.write_text(text, encoding="utf-8")
+        for path in paths:
+            open(path, "a").close()
+        for path, text in docs:
+            if path is not None:
+                path.write_text(text, encoding="utf-8")
     except OSError as exc:
+        for made in created:
+            made.unlink(missing_ok=True)
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
-    print(f"wrote {path}")
+    for path, text in docs:
+        sys.stdout.write(text if path is None else f"wrote {path}\n")
 
 
 def _cmd_lower(args) -> int:
-    _write(args.out, report_json({"layers": layer_section(_load(args))}))
+    _write((args.out, report_json({"layers": layer_section(_load(args))})))
     return EXIT_OK
 
 
@@ -245,9 +253,10 @@ def _cmd_report(args) -> int:
         raise ValidationError(f"--out {args.out} is the path of its own .tex sidecar")
     net = _load(args)
     doc = build_report(net, trials=args.trials, tol=args.tol)
-    _write(args.out, report_json(doc))
+    docs = [(args.out, report_json(doc))]
     if args.format == "latex":
-        _write(args.out and args.out.with_suffix(".tex"), report_latex(doc))
+        docs.append((args.out and args.out.with_suffix(".tex"), report_latex(doc)))
+    _write(*docs)
     return EXIT_OK
 
 

@@ -33,10 +33,10 @@ All weights are drawn uniformly from [-1, 1) out of a single splitmix
 stream seeded with ``seed``, layer by layer in declaration order (kernel
 then bias for convolutions; w_1, b_1, w_2, b_2 for residual blocks;
 q, k, v, o projections then the FFN stages for attention layers), so a
-description plus its seed pins every number in the network.  Every weight
-array counts against the element cap, like every stage shape: an array
-over the cap is a ValidationError naming the layer, raised before the
-array is allocated.
+description plus its seed pins every number in the network (one read per
+layer).  Every weight array counts against the element cap, like every
+stage shape: an array over the cap is a ValidationError naming the layer,
+raised before any of the layer's arrays is allocated.
 
 Execution conventions: convolutions apply the network activation after the
 layer; pooling and patchify are linear; residual, FFN, and transformer
@@ -100,8 +100,8 @@ from .reference import (
     unpatchify,
 )
 from .tensor import (
-    AXIS_NAMES, SplitMix64, Tensor, TensorShape, check_cap, check_finite, flatten,
-    random_uniform, zeros,
+    AXIS_NAMES, SplitMix64, Tensor, TensorShape, check_cap, check_finite, element_cap,
+    flatten, random_uniform, zeros,
 )
 from .symbolic import (
     bind,
@@ -120,8 +120,8 @@ from .symbolic import (
 class LayerSpec:
     """Base of the layer kinds; each kind's class holds all of its rules:
     ``validate``, ``infer`` (output shape), ``draw`` (the kind's weights
-    record ``rt.weights``, each array from ``draw(*shape)``; None for
-    pooling and patchify), and the rules on a materialized layer ``rt`` at
+    record ``rt.weights``, all its arrays from one ``draw(*shapes)``; None
+    for pooling and patchify), and the rules on a materialized layer ``rt`` at
     a stage value, each ``(rt, value)`` and reading the network's activation
     from ``rt.activation``: ``apply`` (direct computation, on a stack of
     values ``(B, *in extents)``, giving ``(B, *out extents)``), ``stages``
@@ -236,7 +236,7 @@ class _ConvSpec(LayerSpec):
             in_channels, self.out_channels, self.kernel, self.stride, self.padding, bias
         )
 
-    def _weights(self, kernel: np.ndarray, bias: np.ndarray | None) -> ConvWeights:
+    def _weights(self, kernel: np.ndarray, bias: np.ndarray | None = None) -> ConvWeights:
         axes = ("C_O", "C_I", *self.spatial)
         tensor = Tensor(TensorShape(zip(axes, kernel.shape)), kernel)
         return ConvWeights(self._params(kernel.shape[1], bias), tensor)
@@ -260,9 +260,9 @@ class _ConvSpec(LayerSpec):
         outs = self._params(shape.extent("C_I")).out_extents(shape.extents[1:])
         return TensorShape([("C_I", self.out_channels), *zip(self.spatial, outs)])
 
-    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> ConvWeights:
-        kernel = draw(self.out_channels, in_shape.extent("C_I"), *self.kernel)
-        return self._weights(kernel, draw(self.out_channels) if self.bias else None)
+    def draw(self, in_shape: TensorShape, draw: Callable[..., list]) -> ConvWeights:
+        co, bias = self.out_channels, [(self.out_channels,)] if self.bias else []
+        return self._weights(*draw((co, in_shape.extent("C_I"), *self.kernel), *bias))
 
     def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
         return activation(rt.activation)(self._direct(rt, xs))
@@ -379,12 +379,10 @@ class ResidualBlockSpec(LayerSpec):
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise ValidationError(f"{where}: hidden_dim must be >= 1")
 
-    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> ResidualWeights:
+    def draw(self, in_shape: TensorShape, draw: Callable[..., list]) -> ResidualWeights:
         dim = in_shape.size
         hidden = self.hidden_dim if self.hidden_dim is not None else dim
-        w_1, b_1 = draw(hidden, dim), draw(hidden)
-        w_2, b_2 = draw(dim, hidden), draw(dim)
-        return ResidualWeights(w_1=w_1, b_1=b_1, w_2=w_2, b_2=b_2)
+        return ResidualWeights(*draw((hidden, dim), (hidden,), (dim, hidden), (dim,)))
 
     def apply(self, rt: RtLayer, xs: np.ndarray) -> np.ndarray:
         act, r = activation(rt.activation), rt.weights
@@ -472,13 +470,14 @@ class _TokenSpec(LayerSpec):
             ("w_2", "w_3") if self.hidden_dim is not None else ()
         )
 
-    def draw(self, in_shape: TensorShape, draw: Callable[..., np.ndarray]) -> AttnParams:
+    def draw(self, in_shape: TensorShape, draw: Callable[..., list]) -> AttnParams:
         d, h = in_shape.extent("feature"), self.hidden_dim
-        parts = {}
+        shapes = {}
         if self.heads is not None:
-            parts.update(w_q=draw(d, d), w_k=draw(d, d), w_v=draw(d, d), w_o=draw(d, d))
+            shapes.update(w_q=(d, d), w_k=(d, d), w_v=(d, d), w_o=(d, d))
         if h is not None:
-            parts.update(w_2=draw(d, h), w_3=draw(h, d), b_2=draw(h), b_3=draw(d))
+            shapes.update(w_2=(d, h), w_3=(h, d), b_2=(h,), b_3=(d,))
+        parts = dict(zip(shapes, draw(*shapes.values())))
         return AttnParams(model_dim=d, heads=self.heads or 1, **parts)
 
     def _attended(self, rt: RtLayer, value: Tensor) -> np.ndarray:
@@ -756,17 +755,25 @@ class MaterializedNetwork:
         return [self.spec.input_shape, *(rt.out_shape for rt in self.layers)]
 
 
-def draw_weights(gen: SplitMix64, where: str, *shape: int) -> np.ndarray:
-    """A read-only uniform [-1, 1) array from ``gen``, so networks derived
-    from one another can share it; an array over the element cap is a
-    ValidationError naming ``where``, raised before it is allocated."""
-    try:
-        check_cap("weight array", shape)
-    except CapacityError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
-    weights = gen.uniform(math.prod(shape), -1.0, 1.0).reshape(shape)
-    weights.flags.writeable = False
-    return weights
+def draw_weights(gen: SplitMix64, where: str, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Read-only uniform [-1, 1) arrays of ``shapes``, consecutive slices of
+    one read of ``gen``, which derived networks can share.  The first shape
+    over the element cap is a ValidationError naming ``where``, raised before
+    anything is allocated; a total over the cap is read one array at a time."""
+    cuts, total = [], 0
+    for shape in shapes:
+        try:
+            check_cap("weight array", shape)
+        except CapacityError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+        cuts.append(slice(total, total := total + math.prod(shape)))
+    if total > element_cap():  # reads within the cap hold temporaries within it
+        return [draw_weights(gen, where, shape)[0] for shape in shapes]
+    flat = gen.uniform(total, -1.0, 1.0)
+    flat.flags.writeable = False  # and so every view of it
+    if len(shapes) == 1:  # the one array: no slice to take
+        return [flat.reshape(shapes[0])]
+    return [flat[cut].reshape(shape) for cut, shape in zip(cuts, shapes)]
 
 
 def assemble(net: NetworkSpec, shapes: list[TensorShape], weights: list) -> MaterializedNetwork:
@@ -813,17 +820,18 @@ def _run_layer(rt: RtLayer, rule: Callable, value: Tensor):
 
 
 def _apply_one(rt: RtLayer, value: Tensor) -> Tensor:
-    """:func:`_apply_stack` on a stack of one: ``value``'s output."""
-    return Tensor(rt.out_shape, _apply_stack(rt, value.data[None])[0])
+    """:func:`_apply_stack` on a stack of one, its Tensor the one scan for finite entries."""
+    return Tensor(rt.out_shape, _apply_stack(rt, value.data[None], finite=False)[0])
 
 
-def _apply_stack(rt: RtLayer, xs: np.ndarray) -> np.ndarray:
+def _apply_stack(rt: RtLayer, xs: np.ndarray, finite: bool = True) -> np.ndarray:
     """The layer's direct rule on a stack of any size, its output checked
-    against the cap before the rule runs and for finite entries after."""
+    against the cap before the rule runs and, if ``finite``, for finite entries after."""
     n, *rest = rt.out_shape.extents
     check_cap("stacked layer output", (len(xs) * n, *rest))
     out = rt.spec.apply(rt, xs)
-    check_finite(out)
+    if finite:
+        check_finite(out)
     return out
 
 

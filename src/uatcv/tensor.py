@@ -169,7 +169,9 @@ class SplitMix64:
     All arithmetic is mod 2^64.  This recurrence is the normative stream
     contract, whatever computes it (here a Python-int state and one ``uint64``
     array per draw, mixed in place, which wraps without a warning); tests
-    hold an independent implementation against it.
+    hold an independent implementation against it.  Consecutive reads
+    concatenate: reads of n and then m numbers give the n + m of one read,
+    so ``netspec.draw_weights`` may read a layer whole or array by array.
     """
 
     GAMMA = 0x9E3779B97F4A7C15

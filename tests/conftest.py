@@ -22,6 +22,16 @@ class TracedPeak:
     bytes: int | None = None
 
 
+def counted_reads(monkeypatch) -> list[int]:
+    """The length of every ``SplitMix64.uniform`` read from here on, in order."""
+    from uatcv.tensor import SplitMix64
+
+    reads, uniform = [], SplitMix64.uniform
+    monkeypatch.setattr(SplitMix64, "uniform",
+                        lambda gen, n, *bounds: reads.append(n) or uniform(gen, n, *bounds))
+    return reads
+
+
 @contextlib.contextmanager
 def traced_peak():
     """Trace Python's allocations over the block: ``with traced_peak() as

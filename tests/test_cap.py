@@ -17,7 +17,7 @@ from uatcv.analysis import PruneMask, prune, prune_impact
 from uatcv.cli import EXIT_OK, EXIT_PARSE, main
 from uatcv.errors import SpecError
 from uatcv.netspec import forward, forward_stack, materialize, parse_spec_text, random_input
-from uatcv.tensor import Tensor, set_element_cap
+from uatcv.tensor import DEFAULT_ELEMENT_CAP, Tensor, set_element_cap
 
 # 2048 tokens of one feature: one head's scores are 2048 x 2048 float64, 32 MiB
 LONG_VIT = {"input_shape": [["H", 32], ["W", 64], ["C_I", 1]], "seed": 1, "activation": "relu",
@@ -148,3 +148,20 @@ def test_no_inputs_are_refused_before_the_network_is_pruned(monkeypatch):
     monkeypatch.setattr(analysis, "prune", lambda *_: pytest.fail("pruned with no inputs"))
     with pytest.raises(SpecError, match="^prune impact needs at least one input$"):
         prune_impact(net, PruneMask(layer=0, channels=(0,)), iter(()))
+
+
+def test_a_layer_over_the_cap_keeps_materializes_memory_bound(monkeypatch):
+    # 3.1 M numbers in one layer at the default cap of 2^20: read whole, its
+    # temporaries would be twice the layer's 24 MiB; read array by array,
+    # each within the cap, they stay within one array's read
+    monkeypatch.delenv("UATCV_CAP", raising=False)
+    spec = parse_spec_text(json.dumps({
+        "input_shape": [["token", 4], ["feature", 512]], "seed": 1, "activation": "relu",
+        "layers": [{"kind": "transformer_block", "heads": 8, "hidden_dim": 2048}],
+    }))
+    with traced_peak() as peak:
+        p = materialize(spec).layers[0].weights
+    weights = sum(getattr(p, n).nbytes
+                  for n in ("w_q", "w_k", "w_v", "w_o", "w_2", "w_3", "b_2", "b_3"))
+    assert weights > 3 * DEFAULT_ELEMENT_CAP * 8
+    assert peak.bytes <= weights + 2 * DEFAULT_ELEMENT_CAP * 8

@@ -210,8 +210,18 @@ def test_unwritable_latex_sidecar_is_validation_error(capsys, specs_dir, tmp_pat
     (tmp_path / "r.tex").mkdir()
     code, out, err = run(capsys, "report", str(specs_dir / "vgg3.json"), "--trials", "1",
                          "--out", str(tmp_path / "r.json"), "--format", "latex")
-    assert code == EXIT_PARSE and out == f"wrote {tmp_path / 'r.json'}\n"
+    # both targets are opened before either is written: the JSON is not left behind
+    assert code == EXIT_PARSE and out == "" and not (tmp_path / "r.json").exists()
     assert err.startswith(f"error[validation]: cannot write {tmp_path / 'r.tex'}: ")
+
+
+def test_unwritable_sidecar_leaves_an_existing_json_as_it_was(capsys, specs_dir, tmp_path):
+    (tmp_path / "r.json").write_text("kept\n")
+    (tmp_path / "r.tex").mkdir()
+    code, out, err = run(capsys, "report", str(specs_dir / "vgg3.json"), "--trials", "1",
+                         "--out", str(tmp_path / "r.json"), "--format", "latex")
+    assert code == EXIT_PARSE and out == "" and err.startswith("error[validation]: cannot write")
+    assert (tmp_path / "r.json").read_text() == "kept\n"  # opened to append, not truncated
 
 
 def test_validation_error_exit_code(capsys, tmp_path):
@@ -803,6 +813,39 @@ def test_lora_factors_are_read_only(specs_dir):
     for factor in (delta.a, delta.b):
         with pytest.raises(ValueError, match="read-only"):
             factor[0, 0] = 0.0
+
+
+def test_lora_factors_read_b_then_a_from_the_offset_stream(specs_dir):
+    import numpy as np
+
+    from uatcv.cli import LORA_SEED_OFFSET
+    from uatcv.tensor import SplitMix64
+
+    net = materialize(parse_spec(specs_dir / "resblock2.json"))
+    delta = _random_lora(net, layer=1, rank=2, target="w_1")
+    m, n = net.layers[1].weights.w_1.shape
+    assert (delta.b.shape, delta.a.shape) == ((m, 2), (2, n))
+    gen = SplitMix64(net.spec.seed + LORA_SEED_OFFSET)
+    stream = gen.uniform(delta.b.size + delta.a.size, -1.0, 1.0)
+    assert np.array_equal(np.concatenate([delta.b.ravel(), delta.a.ravel()]), stream)
+
+
+def test_residual_weight_over_the_cap_is_refused_before_its_layer_reads(capsys, tmp_path,
+                                                                          monkeypatch):
+    from conftest import counted_reads
+
+    reads = counted_reads(monkeypatch)
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({
+        "input_shape": [["feature", 4]], "seed": 3, "activation": "relu",
+        "layers": [{"kind": "residual_block", "hidden_dim": 2},
+                   {"kind": "residual_block", "hidden_dim": 8}],
+    }))
+    code, out, err = run(capsys, "verify", str(spec), "--cap", "16")
+    assert code == EXIT_PARSE and out == ""
+    assert err == ("error[validation]: layer 1 (residual_block): weight array of shape (8, 4) "
+                   "has 32 elements, cap is 16\n")
+    assert reads == [8, 2, 8, 4]  # layer 0's 22 numbers array by array; nothing of layer 1
 
 
 def test_residual_commands_build_no_cells(capsys, specs_dir, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import counted_reads, traced_peak
 from uatcv.errors import ParseError, SpecError, UatcvError, ValidationError
 from uatcv.netspec import (
     _LAYER_KINDS,
@@ -27,7 +27,7 @@ from uatcv.netspec import (
     verify_network,
 )
 from uatcv.reference import ACTIVATIONS
-from uatcv.tensor import AXIS_NAMES, SplitMix64, TensorShape
+from uatcv.tensor import AXIS_NAMES, SplitMix64, TensorShape, set_element_cap
 
 MINIMAL = """
 {"input_shape": [["C_I", 1], ["H", 2], ["W", 2]],
@@ -580,6 +580,58 @@ def test_token_kinds_hold_only_their_parts():
              for n in held[rt.spec.kind]]
     stream = SplitMix64(12).uniform(sum(len(a) for a in drawn), -1.0, 1.0)
     assert np.array_equal(np.concatenate(drawn), stream)
+
+
+def _stream_order(rt) -> list[np.ndarray]:
+    """A conv's or residual block's weight arrays in the order it reads them."""
+    w = rt.weights
+    if rt.spec.kind == "residual_block":
+        return [w.w_1, w.b_1, w.w_2, w.b_2]
+    return [w.kernel.data] + ([] if w.params.bias is None else [w.params.bias])
+
+
+@pytest.mark.parametrize("input_shape, layers", [
+    ([["C_I", 2], ["H", 5], ["W", 5]],
+     [{"kind": "conv2d", "out_channels": 3, "kernel": [2, 2], "bias": True},
+      {"kind": "conv2d", "out_channels": 2, "kernel": [3, 2]}]),
+    ([["C_I", 2], ["H", 4], ["W", 4], ["D", 3]],
+     [{"kind": "conv3d", "out_channels": 2, "kernel": [2, 2, 2], "bias": True},
+      {"kind": "conv3d", "out_channels": 3, "kernel": [1, 2, 2]}]),
+    ([["feature", 4]], [{"kind": "residual_block", "hidden_dim": 3}, {"kind": "residual_block"}]),
+], ids=["conv2d", "conv3d", "residual_block"])
+def test_weighted_kinds_read_one_stream_in_their_documented_order(input_shape, layers):
+    # kernel then bias (when there is one); w_1, b_1, w_2, b_2
+    net = materialize(parse_spec_text(json.dumps(
+        {"input_shape": input_shape, "seed": 9, "activation": "relu", "layers": layers})))
+    drawn = [a for rt in net.layers for a in _stream_order(rt)]
+    stream = SplitMix64(9).uniform(sum(a.size for a in drawn), -1.0, 1.0)
+    assert np.array_equal(np.concatenate([a.ravel() for a in drawn]), stream)
+    assert not any(a.flags.writeable for a in drawn)
+
+
+RESNET_16 = json.dumps({"input_shape": [["feature", 8]], "seed": 11, "activation": "relu",
+                        "layers": [{"kind": "residual_block", "hidden_dim": 6}] * 16})
+
+
+def test_materialize_reads_the_stream_once_per_layer(monkeypatch):
+    reads = counted_reads(monkeypatch)
+    materialize(parse_spec_text(RESNET_16))
+    assert reads == [6 * 8 + 6 + 8 * 6 + 8] * 16  # 16 reads for the 64 arrays
+
+
+def test_a_layer_over_the_cap_reads_array_by_array_from_the_same_stream(monkeypatch):
+    spec = parse_spec_text(RESNET_16)
+    whole = materialize(spec)
+    reads = counted_reads(monkeypatch)
+    set_element_cap(50)  # every array fits, a layer's 110 numbers do not
+    try:
+        split = materialize(spec)
+    finally:
+        set_element_cap(None)
+    assert reads == [48, 6, 48, 8] * 16
+    for a, b in zip(whole.layers, split.layers):
+        assert all(np.array_equal(x, y) for x, y in zip(_stream_order(a), _stream_order(b)))
+        assert not any(x.flags.writeable for x in _stream_order(b))
 
 
 def _claim(net, x):
